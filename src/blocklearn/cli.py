@@ -20,6 +20,7 @@ from . import __version__
 from .exceptions import BlocklearnError
 from .graphs import (
     BlockModel,
+    Network,
     SbmParams,
     load_matrix_csv,
     load_network,
@@ -27,7 +28,13 @@ from .graphs import (
     save_matrix_csv,
     save_network,
 )
-from .harness import ExperimentConfig, compare_theory, run_experiment, with_overrides
+from .harness import (
+    ExperimentConfig,
+    compare_theory,
+    resolve_inputs,
+    run_experiment,
+    with_overrides,
+)
 from .inverse import BeliefSeries, scan_delta, traditional_fit
 from .theory import asymmetric_delta_thresholds, expected_log_ratio, symmetric_delta_threshold
 from .verify import run_all
@@ -106,15 +113,17 @@ def _cmd_simulate(args):
     config = _load_config(args, require_out=True)
     result = run_experiment(config)
     comparison = None
-    if config.strategy == "asl" and isinstance(result.config.network, dict):
-        net = result.config.network
-        if net.get("kind") == "sbm":
-            params = SbmParams(**{k: net[k] for k in ("n0", "n1", "p0", "p1", "q0", "q1")})
-            from .harness import _resolve_profile
-
-            profile = _resolve_profile(config.profile, params.to_block_model().labels())
-            prediction = expected_log_ratio(params, profile, config.delta, config.pair)
-            comparison = compare_theory(result, prediction)
+    # a run on one graph is compared with the prediction for that graph, a
+    # run that redraws the graph with the graph-averaged one
+    if isinstance(result.network, Network):
+        law = result.network.combination
+    elif isinstance(result.network, SbmParams):
+        law = result.network
+    else:
+        law = None  # no closed form for k-community laws yet
+    if config.strategy == "asl" and law is not None:
+        prediction = expected_log_ratio(law, result.profile, config.delta, config.pair)
+        comparison = compare_theory(result, prediction)
     outputs = result.write_outputs(config.out_dir, comparison=comparison)
     _write_manifest(config.out_dir, "simulate", outputs)
     for cluster, stats in result.cluster_statistics("mu").items():
@@ -145,18 +154,13 @@ def _cmd_thresholds(args):
 
 def _cmd_predict(args):
     config = _load_config(args)
-    from .harness import _resolve_network_source, _resolve_profile
-
-    source = _resolve_network_source(config.network)
+    source, clusters, profile = resolve_inputs(config)
     if isinstance(source, SbmParams):
-        clusters = source.to_block_model().labels()
         law = source
     elif isinstance(source, BlockModel):
         raise ValueError("closed-form predictions need a two-community SBM or an explicit network file")
     else:
-        clusters = source.clusters
         law = source.combination
-    profile = _resolve_profile(config.profile, clusters)
     prediction = expected_log_ratio(law, profile, config.delta, config.pair)
     print(json.dumps({"cluster_means": prediction.cluster_means(clusters),
                       "truncation_steps": prediction.truncation_steps}, indent=2))
@@ -239,7 +243,8 @@ def build_parser():
         p.add_argument("--delta", type=float)
         p.add_argument("--fixed-graph", action="store_true")
         p.add_argument("--estimator", choices=("mu", "psi"))
-        p.add_argument("--jobs", type=int)
+        p.add_argument("--jobs", type=int,
+                       help="accepted and ignored: replicates run batched in one process")
 
     sim = sub.add_parser("simulate", help="run a Monte Carlo experiment from a config file")
     _add_config_flags(sim)

@@ -49,6 +49,10 @@ class InsufficientSteps(BlocklearnError):
     """A belief series does not contain enough steps for the requested split."""
 
 
+class MalformedFile(BlocklearnError, ValueError):
+    """A network or profile file does not follow its text format."""
+
+
 class MismatchedConfig(BlocklearnError):
     """Empirical results and theoretical prediction were produced for different setups."""
 

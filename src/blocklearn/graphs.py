@@ -26,6 +26,7 @@ import numpy as np
 from .exceptions import (
     DegenerateBlock,
     InvalidRegimeWarning,
+    MalformedFile,
     NoConvergence,
     NotStronglyConnected,
     ZeroColumn,
@@ -482,8 +483,11 @@ def inverse_binomial_moment(c, n, p, t=1, mode="approx"):
 # -- text formats -----------------------------------------------------------
 #
 # Network file: a header line, then N rows of N space-separated adjacency
-# bits.  The header is "N n0 n1" for two communities or "N k s0 ... s_{k-1}"
-# in general.  Lines starting with '#' are comments.
+# bits (0 or 1).  The header is "N k s0 ... s_{k-1}" for k communities of
+# sizes s0..s_{k-1}, except that two communities are written "N n0 n1".  A
+# three-token header "N a b" is therefore two communities when a + b = N and
+# one community (a = 1, b = N) otherwise; the two cases cannot coincide.
+# Lines starting with '#' are comments.
 
 
 def save_network(path, network):
@@ -498,24 +502,47 @@ def save_network(path, network):
             fh.write(" ".join(str(int(v)) for v in row) + "\n")
 
 
-def load_network(path):
-    """Read a network file and rebuild the averaging-rule combination matrix."""
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-    header = [int(tok) for tok in lines[0].split()]
-    if len(header) == 3:
-        n, sizes = header[0], header[1:]
+def _community_sizes(header):
+    """Agent count and community sizes from a network-file header."""
+    if len(header) < 3:
+        raise MalformedFile(f"network header {header} needs at least 3 fields")
+    n = header[0]
+    if len(header) == 3 and header[1] + header[2] == n:
+        sizes = header[1:]
     else:
-        n, k = header[0], header[1]
-        sizes = header[2 : 2 + k]
+        k, sizes = header[1], header[2:]
         if len(sizes) != k:
-            raise ValueError("malformed network header")
-    if sum(sizes) != n:
-        raise ValueError("community sizes do not sum to the agent count")
-    rows = [np.fromstring(ln, dtype=int, sep=" ") for ln in lines[1 : 1 + n]]
-    adjacency = np.vstack(rows).astype(np.int8)
-    if adjacency.shape != (n, n):
-        raise ValueError("adjacency block does not match declared size")
+            raise MalformedFile(f"network header {header} declares {k} communities")
+    if sum(sizes) != n or min(sizes) < 0:
+        raise MalformedFile(f"community sizes {sizes} do not split {n} agents")
+    return n, sizes
+
+
+def load_network(path):
+    """Read a network file and rebuild the averaging-rule combination matrix.
+
+    Raises
+    ------
+    MalformedFile
+        If the header, the shape of the adjacency block or one of its entries
+        does not follow the format.
+    """
+    with open(path) as fh:
+        lines = [ln.split() for ln in fh if ln.strip() and not ln.startswith("#")]
+    if not lines:
+        raise MalformedFile(f"{path}: empty network file")
+    try:
+        header = [int(tok) for tok in lines[0]]
+    except ValueError:
+        raise MalformedFile(f"{path}: network header {lines[0]} is not all integers") from None
+    n, sizes = _community_sizes(header)
+    rows = lines[1:]
+    if len(rows) != n or any(len(row) != n for row in rows):
+        raise MalformedFile(f"{path}: adjacency block is not {n} rows of {n} entries")
+    entries = np.array(rows)
+    if not np.isin(entries, ("0", "1")).all():
+        raise MalformedFile(f"{path}: adjacency entries must be 0 or 1")
+    adjacency = (entries == "1").astype(np.int8)
     clusters = np.repeat(np.arange(len(sizes)), sizes)
     return Network(
         adjacency=adjacency,

@@ -6,17 +6,27 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from . import __version__
+from . import __version__, learning
 from .exceptions import DeltaOutOfRange, MismatchedConfig
 from .graphs import BlockModel, Network, SbmParams, load_network, sample_sbm
-from .learning import run
+from .learning import (
+    BeliefState,
+    Trace,
+    llr_table,
+    log_ratio_chunks,
+    pair_ratio,
+    ratio_estimates,
+    ratio_log_beliefs,
+    run,  # noqa: F401 - part of this module's namespace, which perfbench/tracing.py wraps
+    trace_metadata,
+    write_rows,
+)
 from .models import (
     LikelihoodProfile,
     bernoulli_profile,
@@ -28,6 +38,7 @@ __all__ = [
     "ExperimentConfig",
     "ErrorReport",
     "ExperimentResult",
+    "resolve_inputs",
     "run_experiment",
     "compare_theory",
     "ComparisonRow",
@@ -43,6 +54,7 @@ class ExperimentConfig:
     LikelihoodProfile, a profile-file path, or a dict spec (kinds
     "bernoulli", "multinomial", "file").  A null ``burn_in`` defaults to
     ``ceil(5 / delta)`` for the step-size strategy and 0 otherwise.
+    ``n_jobs`` is accepted and ignored: replicates run batched in one process.
     """
 
     network: object
@@ -167,6 +179,22 @@ def _resolve_profile(spec, clusters):
     raise TypeError(f"cannot interpret profile spec of type {type(spec).__name__}")
 
 
+def resolve_inputs(config):
+    """The network source, cluster labels and likelihood profile of a config.
+
+    The source is a fixed Network (a network file or object), or the
+    SbmParams/BlockModel law each replicate draws its own graph from.
+    """
+    source = _resolve_network_source(config.network)
+    if isinstance(source, Network):
+        clusters = source.clusters
+    elif isinstance(source, BlockModel):
+        clusters = source.labels()
+    else:
+        clusters = source.to_block_model().labels()
+    return source, clusters, _resolve_profile(config.profile, clusters)
+
+
 @dataclass
 class ErrorReport:
     """Per-agent empirical error probabilities over the steady-state window."""
@@ -207,72 +235,6 @@ class ErrorReport:
                 writer.writerow([k, int(self.clusters[k]), f"{p[k]:.17g}", f"{se[k]:.17g}"])
 
 
-class _ReplicatePayload(NamedTuple):
-    index: int
-    psi_series: np.ndarray
-    counts: np.ndarray
-    psi_mean: np.ndarray
-    mu_mean: np.ndarray
-    psi_sq_sum: np.ndarray
-    mu_sq_sum: np.ndarray
-    trace: object
-
-
-def _run_replicate(task):
-    (index, source, profile, cfg) = task
-    seed = cfg.base_seed + index
-    if isinstance(source, Network):
-        network = source
-    else:
-        network = sample_sbm(source, seed=seed)
-    extra = {"burn_in": cfg.burn_in, "replicate": index}
-    if isinstance(source, SbmParams):
-        extra["sbm_params"] = source.to_dict()
-    elif isinstance(source, BlockModel):
-        extra["sbm_params"] = {"sizes": list(source.sizes), "probs": source.probs.tolist()}
-    trace = run(
-        network,
-        profile,
-        strategy=cfg.strategy,
-        delta=cfg.delta,
-        horizon=cfg.horizon,
-        seed=seed,
-        pair=cfg.pair,
-        estimator=cfg.estimator,
-        record_mu_ratio=True,
-        record_observations=cfg.record_observations,
-        extra_metadata=extra,
-    )
-    window = slice(cfg.burn_in + 1, cfg.horizon + 1)
-    est = trace.estimates[window]
-    counts = np.zeros((profile.n_agents, profile.n_hypotheses), dtype=np.int64)
-    for h in range(profile.n_hypotheses):
-        counts[:, h] = (est == h).sum(axis=0)
-    psi_window = trace.log_ratio[window]
-    mu_window = trace.mu_log_ratio[window]
-    n_window = psi_window.shape[0]
-    if n_window:
-        psi_mean = psi_window.mean(axis=0)
-        mu_mean = mu_window.mean(axis=0)
-        psi_sq = (psi_window**2).sum(axis=0)
-        mu_sq = (mu_window**2).sum(axis=0)
-    else:
-        psi_mean = np.full(profile.n_agents, np.nan)
-        mu_mean = np.full(profile.n_agents, np.nan)
-        psi_sq = np.zeros(profile.n_agents)
-        mu_sq = np.zeros(profile.n_agents)
-    return _ReplicatePayload(
-        index=index,
-        psi_series=trace.log_ratio,
-        counts=counts,
-        psi_mean=psi_mean,
-        mu_mean=mu_mean,
-        psi_sq_sum=psi_sq,
-        mu_sq_sum=mu_sq,
-        trace=trace if cfg.store_traces else None,
-    )
-
-
 @dataclass
 class ExperimentResult:
     """Aggregates over replicates plus the audit trail to reproduce them."""
@@ -289,6 +251,10 @@ class ExperimentResult:
     pooled_var_mu: np.ndarray
     failures: list
     traces: list = field(default_factory=list, repr=False)
+    # the Network every replicate used (fixed graph or network file), or the
+    # SbmParams/BlockModel law each replicate drew its own graph from
+    network: object = field(default=None, repr=False)
+    profile: LikelihoodProfile = field(default=None, repr=False)
 
     @property
     def n_ok(self):
@@ -334,14 +300,16 @@ class ExperimentResult:
         self.error_report.to_csv(out / "error_report.csv")
         outputs.append("error_report.csv")
 
+        steps, n = self.iter_mean.shape
         with open(out / "iteration_stats.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iter", "agent", "mean_log_ratio", "std_log_ratio"])
-            for i in range(self.iter_mean.shape[0]):
-                for k in range(self.iter_mean.shape[1]):
-                    writer.writerow(
-                        [i, k, f"{self.iter_mean[i, k]:.17g}", f"{self.iter_std[i, k]:.17g}"]
-                    )
+            fh.write("iter,agent,mean_log_ratio,std_log_ratio\r\n")
+            columns = [
+                np.repeat(np.arange(steps), n),
+                np.tile(np.arange(n), steps),
+                self.iter_mean.ravel(),
+                self.iter_std.ravel(),
+            ]
+            write_rows(fh, "%d,%d,%.17g,%.17g\r\n", columns)
         outputs.append("iteration_stats.csv")
 
         for i, trace in enumerate(self.traces):
@@ -358,64 +326,144 @@ class ExperimentResult:
         return outputs
 
 
+# Replicates stepped together by one recursion.  Blocks are reduced in
+# replicate order, so equal seeds give bitwise-equal aggregates.
+BLOCK_SIZE = 64
+
+
+def _draw_block(indices, source, profile, config):
+    """Graphs and observation symbols of one block of replicates.
+
+    Returns ``(replicates, networks, symbols, failures)``: the replicates
+    whose inputs could be drawn, their networks, their symbols as one
+    ``(horizon, B, N)`` array, and a record of each replicate that failed.
+    """
+    n = profile.n_agents
+    # the smallest unsigned type that holds every symbol
+    dtype = np.min_scalar_type(profile.alphabet_size - 1)
+    symbols = np.empty((config.horizon, len(indices), n), dtype=dtype)
+    replicates, networks, failures = [], [], []
+    for r in indices:
+        seed = config.base_seed + r
+        try:
+            network = source if isinstance(source, Network) else sample_sbm(source, seed=seed)
+            if network.size != n:
+                raise ValueError("network and profile disagree on the number of agents")
+            # looked up on the module at call time, so it can be wrapped
+            symbols[:, len(replicates)] = learning.observation_matrix(profile, config.horizon, seed).T
+        except Exception as exc:  # noqa: BLE001 - collect per-replicate failures
+            failures.append({"replicate": r, "error": f"{type(exc).__name__}: {exc}"})
+            continue
+        replicates.append(r)
+        networks.append(network)
+    return replicates, networks, symbols[:, : len(replicates)], failures
+
+
 def run_experiment(config):
     """Execute all replicates of an experiment and aggregate the results.
 
     Replicate r uses seed ``base_seed + r`` for both its graph draw (unless
-    the graph is fixed) and its observation streams, so results do not depend
-    on scheduling.  Failed replicates are recorded and skipped.
+    the graph is fixed) and its observation streams.  Replicates run in
+    blocks of ``BLOCK_SIZE`` through one batched log-ratio recursion, and
+    each iteration is reduced as it is produced; per-replicate traces are
+    kept only with ``store_traces``.  Failed replicates are recorded and
+    skipped.
     """
-    source = _resolve_network_source(config.network)
-    if isinstance(source, Network):
-        clusters = source.clusters
-    else:
-        clusters = source.labels() if isinstance(source, BlockModel) else source.to_block_model().labels()
-    profile = _resolve_profile(config.profile, clusters)
+    source, clusters, profile = resolve_inputs(config)
     if isinstance(source, (SbmParams, BlockModel)) and config.fixed_graph:
         source = sample_sbm(source, seed=config.base_seed)
+    fixed_t = np.ascontiguousarray(source.combination.T) if isinstance(source, Network) else None
+    law_metadata = {}
+    if isinstance(source, SbmParams):
+        law_metadata["sbm_params"] = source.to_dict()
+    elif isinstance(source, BlockModel):
+        law_metadata["sbm_params"] = {"sizes": list(source.sizes), "probs": source.probs.tolist()}
 
     n, h = profile.n_agents, profile.n_hypotheses
-    window = config.horizon - config.burn_in
+    horizon, burn_in, pair = config.horizon, config.burn_in, config.pair
+    window = horizon - burn_in
+    w_like, w_prior = (config.delta, 1.0 - config.delta) if config.strategy == "asl" else (1.0, 1.0)
+    table = llr_table(profile)
+    count_index = np.arange(n) * h  # flat (agent, hypothesis) bins
 
-    iter_sum = np.zeros((config.horizon + 1, n))
-    iter_sq = np.zeros((config.horizon + 1, n))
-    counts = np.zeros((n, h), dtype=np.int64)
+    iter_sum = np.zeros((horizon + 1, n))
+    iter_sq = np.zeros((horizon + 1, n))
+    counts = np.zeros(n * h, dtype=np.int64)
     psi_sq = np.zeros(n)
     mu_sq = np.zeros(n)
     rep_psi, rep_mu, traces, failures = [], [], [], []
 
-    def _results():
-        if config.n_jobs > 1:
-            with ProcessPoolExecutor(max_workers=config.n_jobs) as executor:
-                futures = [
-                    executor.submit(_run_replicate, (r, source, profile, config))
-                    for r in range(config.replicates)
-                ]
-                for r, future in enumerate(futures):
-                    yield r, future.result, None
-        else:
-            for r in range(config.replicates):
-                yield r, None, (r, source, profile, config)
-
-    # reduce in replicate order regardless of scheduling, so serial and
-    # parallel execution produce identical aggregates
-    for r, get_result, task in _results():
-        try:
-            payload = get_result() if get_result is not None else _run_replicate(task)
-        except Exception as exc:  # noqa: BLE001 - collect per-replicate failures
-            failures.append({"replicate": r, "error": f"{type(exc).__name__}: {exc}"})
+    for first in range(0, config.replicates, BLOCK_SIZE):
+        indices = range(first, min(first + BLOCK_SIZE, config.replicates))
+        replicates, networks, symbols, block_failures = _draw_block(indices, source, profile, config)
+        failures += block_failures
+        if not replicates:
             continue
-        iter_sum += payload.psi_series
-        iter_sq += payload.psi_series**2
-        counts += payload.counts
-        psi_sq += payload.psi_sq_sum
-        mu_sq += payload.mu_sq_sum
-        rep_psi.append(payload.psi_mean)
-        rep_mu.append(payload.mu_mean)
-        if payload.trace is not None:
-            traces.append(payload.trace)
+        size = len(replicates)
+        if fixed_t is not None:
+            combination_t = fixed_t
+        else:
+            combination_t = np.stack([net.combination.T for net in networks])
+        if config.store_traces:
+            # iteration 0 is the uniform initial state: log-ratios zero, estimate 0
+            trace_psi = np.zeros((size, horizon + 1, n))
+            trace_mu = np.zeros((size, horizon + 1, n))
+            trace_est = np.zeros((size, horizon + 1, n), dtype=np.int64)
+        psi_sum = np.zeros((size, n))
+        mu_sum = np.zeros((size, n))
+        last_psi = last_mu = np.zeros((size, n, h - 1))
 
-    n_ok = len(rep_mu)
+        for start, x_psi, x_mu in log_ratio_chunks(combination_t, table, symbols, w_like, w_prior):
+            rows = slice(start + 1, start + 1 + x_psi.shape[0])
+            psi = pair_ratio(x_psi, pair)  # (K, B, N)
+            mu = pair_ratio(x_mu, pair)
+            est = ratio_estimates(x_mu if config.estimator == "mu" else x_psi)
+            iter_sum[rows] += psi.sum(axis=1)
+            iter_sq[rows] += (psi * psi).sum(axis=1)
+            if config.store_traces:
+                trace_psi[:, rows] = psi.transpose(1, 0, 2)
+                trace_mu[:, rows] = mu.transpose(1, 0, 2)
+                trace_est[:, rows] = est.transpose(1, 0, 2)
+                last_psi, last_mu = x_psi[-1].copy(), x_mu[-1].copy()
+            # steady-state window: iterations burn_in + 1 .. horizon
+            in_window = slice(max(burn_in - start, 0), None)
+            psi, mu, est = psi[in_window], mu[in_window], est[in_window]
+            psi_sum += psi.sum(axis=0)
+            mu_sum += mu.sum(axis=0)
+            psi_sq += (psi * psi).sum(axis=(0, 1))
+            mu_sq += (mu * mu).sum(axis=(0, 1))
+            counts += np.bincount((est + count_index).ravel(), minlength=n * h)
+
+        if window:
+            rep_psi.append(psi_sum / window)
+            rep_mu.append(mu_sum / window)
+        else:
+            rep_psi.append(np.full((size, n), np.nan))
+            rep_mu.append(np.full((size, n), np.nan))
+        if config.store_traces:
+            for j, (r, network) in enumerate(zip(replicates, networks)):
+                seed = config.base_seed + r
+                extra = {"burn_in": burn_in, "replicate": r, **law_metadata}
+                traces.append(
+                    Trace(
+                        log_ratio=trace_psi[j],
+                        estimates=trace_est[j],
+                        clusters=network.clusters.copy(),
+                        metadata=trace_metadata(network, profile, seed, config.strategy,
+                                                config.delta, horizon, pair, config.estimator,
+                                                extra),
+                        mu_log_ratio=trace_mu[j],
+                        observations=(symbols[:, j].T.astype(np.int64)
+                                      if config.record_observations else None),
+                        final_state=BeliefState(
+                            log_private=ratio_log_beliefs(last_mu[j]),
+                            log_public=ratio_log_beliefs(last_psi[j]),
+                            iteration=horizon,
+                        ),
+                    )
+                )
+
+    n_ok = sum(block.shape[0] for block in rep_mu)
     if n_ok == 0:
         raise RuntimeError(f"all {config.replicates} replicates failed: {failures}")
 
@@ -432,7 +480,7 @@ def run_experiment(config):
         pooled_var_mu = np.full(n, np.nan)
 
     report = ErrorReport(
-        counts=counts,
+        counts=counts.reshape(n, h),
         clusters=clusters,
         true_state=profile.true_state,
         samples=total_samples,
@@ -450,6 +498,8 @@ def run_experiment(config):
         pooled_var_mu=np.clip(pooled_var_mu, 0.0, None),
         failures=failures,
         traces=traces,
+        network=source,
+        profile=profile,
     )
 
 

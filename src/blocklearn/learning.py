@@ -2,15 +2,26 @@
 
 One iteration is an update step (full Bayesian or step-size-discounted) that
 turns private beliefs into public beliefs, followed by geometric averaging of
-neighbors' public beliefs through the combination matrix.  Beliefs live as
-per-agent rows of log-probabilities; log-sum-exp renormalization keeps them
-on the simplex even when the linear-domain values underflow.
+neighbors' public beliefs through the combination matrix.
+
+``bayesian_update``, ``asl_update`` and ``geometric_combine`` keep beliefs as
+per-agent rows of log-probabilities, renormalized by log-sum-exp.  The
+simulator steps an equivalent recursion instead: under geometric averaging the
+log-ratios of the beliefs against hypothesis 0 evolve linearly and need no
+normalization (Bordignon, Matta & Sayed, "Adaptive Social Learning", IEEE
+Trans. Inf. Theory 67(9), 2021)::
+
+    x_psi = w_like * l + w_prior * x_mu,        x_mu = A^T x_psi
+
+where ``l`` holds the log-likelihood ratios of the observed symbols against
+hypothesis 0.  ``log_ratio_chunks`` steps a block of replicates at once; the
+log-domain functions are its oracle in ``blocklearn verify``.
 """
 
 from __future__ import annotations
 
-import csv
 import json
+from itertools import chain
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +38,11 @@ __all__ = [
     "asl_update",
     "geometric_combine",
     "estimate_state",
+    "llr_table",
+    "log_ratio_chunks",
+    "pair_ratio",
+    "ratio_estimates",
+    "ratio_log_beliefs",
     "run",
     "windowed_mean_log_ratio",
 ]
@@ -123,29 +139,152 @@ class Trace:
 
     def to_csv(self, path, sidecar=True):
         """Write rows ``iter, agent, cluster, log_ratio, estimate[, obs]`` and
-        a JSON metadata sidecar next to the CSV."""
-        with_obs = self.observations is not None
+        a JSON metadata sidecar next to the CSV.
+
+        Rows are formatted ``ROWS_PER_WRITE`` at a time, in the text a
+        ``csv.writer`` row loop gives (``%.17g`` log-ratios, CRLF endings).
+        """
+        n, steps = self.n_agents, self.horizon + 1
+        columns = [
+            np.repeat(np.arange(steps), n),
+            np.tile(np.arange(n), steps),
+            np.tile(np.asarray(self.clusters, dtype=np.int64), steps),
+            self.log_ratio.ravel(),
+            self.estimates.ravel(),
+        ]
+        header = "iter,agent,cluster,log_ratio,estimate"
+        row = "%d,%d,%d,%.17g,%d"
+        if self.observations is not None:
+            obs = np.empty((steps, n), dtype=object)
+            obs[0] = ""  # no observation before the first update
+            obs[1:] = self.observations.T
+            columns.append(obs.ravel())
+            header += ",obs"
+            row += ",%s"
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            header = ["iter", "agent", "cluster", "log_ratio", "estimate"]
-            if with_obs:
-                header.append("obs")
-            writer.writerow(header)
-            for i in range(self.horizon + 1):
-                for k in range(self.n_agents):
-                    row = [
-                        i,
-                        k,
-                        int(self.clusters[k]),
-                        f"{self.log_ratio[i, k]:.17g}",
-                        int(self.estimates[i, k]),
-                    ]
-                    if with_obs:
-                        row.append(int(self.observations[k, i - 1]) if i >= 1 else "")
-                    writer.writerow(row)
+            fh.write(header + "\r\n")
+            write_rows(fh, row + "\r\n", columns)
         if sidecar:
             with open(str(path) + ".meta.json", "w") as fh:
                 json.dump(self.metadata, fh, indent=2, default=str)
+
+
+ROWS_PER_WRITE = 4096
+
+
+def write_rows(fh, row_format, columns):
+    """Write equal-length columns as text rows, ``ROWS_PER_WRITE`` at a time.
+
+    ``row_format`` is a %-format for one row; it is applied to many rows by
+    a single string operation, which is what keeps large CSVs cheap.
+    """
+    total = len(columns[0])
+    for start in range(0, total, ROWS_PER_WRITE):
+        part = [col[start : start + ROWS_PER_WRITE].tolist() for col in columns]
+        fh.write((row_format * len(part[0])) % tuple(chain.from_iterable(zip(*part))))
+
+
+# -- the log-ratio engine ------------------------------------------------------
+
+# Iterations handed to the caller at once: callers reduce or record a chunk
+# with a few array operations instead of a few per iteration.
+STEPS_PER_CHUNK = 16
+
+
+def llr_table(profile):
+    """``(N, m, H-1)`` log-likelihood ratios of every symbol against hypothesis 0."""
+    log_like = profile.log_likelihoods
+    return np.ascontiguousarray(np.moveaxis(log_like[:, 1:] - log_like[:, :1], 1, 2))
+
+
+def log_ratio_chunks(combination_t, table, symbols, w_like, w_prior):
+    """Step the normalization-free log-ratio recursion for a block of replicates.
+
+    Parameters
+    ----------
+    combination_t : ndarray, shape (N, N) or (B, N, N)
+        Transposed combination matrix shared by every replicate, or one per
+        replicate.
+    table : ndarray, shape (N, m, H-1)
+        Log-likelihood ratios from ``llr_table``.
+    symbols : ndarray, shape (T, B, N)
+        Observed symbols of each replicate, one row per iteration.
+    w_like, w_prior : float
+        Weights of the likelihood and of the prior: ``(delta, 1 - delta)``
+        for the step-size update, ``(1, 1)`` for the Bayesian one.
+
+    Yields
+    ------
+    (start, x_psi, x_mu)
+        Public and private log-ratios against hypothesis 0, each of shape
+        ``(K, B, N, H-1)``, for iterations ``start + 1 .. start + K``.  The
+        recursion starts from uniform beliefs (all log-ratios zero).  The
+        arrays are overwritten by the next chunk.
+    """
+    horizon, n_reps, n = symbols.shape
+    alphabet, n_ratios = table.shape[1:]
+    flat = table.reshape(n * alphabet, n_ratios)
+    offsets = np.arange(n) * alphabet
+    x_psi = np.empty((min(STEPS_PER_CHUNK, horizon), n_reps, n, n_ratios))
+    x_mu = np.empty_like(x_psi)
+    prev_mu = np.zeros((n_reps, n, n_ratios))
+    for start in range(0, horizon, STEPS_PER_CHUNK):
+        size = min(STEPS_PER_CHUNK, horizon - start)
+        for i in range(size):
+            psi = x_psi[i]
+            np.multiply(flat.take(offsets + symbols[start + i], axis=0), w_like, out=psi)
+            psi += w_prior * prev_mu
+            prev_mu = np.matmul(combination_t, psi, out=x_mu[i])
+        yield start, x_psi[:size], x_mu[:size]
+
+
+def pair_ratio(x, pair):
+    """``log(belief_a / belief_b)`` from log-ratios against hypothesis 0
+    (the last axis of ``x``)."""
+    a, b = pair
+    ratio = np.zeros(x.shape[:-1])
+    if a:
+        ratio += x[..., a - 1]
+    if b:
+        ratio -= x[..., b - 1]
+    return ratio
+
+
+def ratio_estimates(x):
+    """Argmax hypothesis from log-ratios against hypothesis 0; ties go to the
+    lowest index, as in ``estimate_state``."""
+    estimates = np.zeros(x.shape[:-1], dtype=np.int64)
+    best = np.zeros(x.shape[:-1])  # hypothesis 0
+    for h in range(x.shape[-1]):
+        ratio = x[..., h]
+        estimates[ratio > best] = h + 1
+        np.maximum(best, ratio, out=best)
+    return estimates
+
+
+def ratio_log_beliefs(x):
+    """Normalized log-beliefs ``log_normalize([0, x])`` from log-ratios."""
+    return log_normalize(np.concatenate([np.zeros(x.shape[:-1] + (1,)), x], axis=-1))
+
+
+def trace_metadata(network, profile, seed, strategy, delta, horizon, pair, estimator, extra=None):
+    """Metadata a trace records about the run that produced it."""
+    metadata = {
+        "seed": int(seed),
+        "strategy": strategy,
+        "delta": delta,
+        "horizon": int(horizon),
+        "pair": [int(pair[0]), int(pair[1])],
+        "estimator": estimator,
+        "n_agents": int(profile.n_agents),
+        "cluster_sizes": np.bincount(network.clusters).tolist(),
+        "network_retries": int(network.retries),
+        "profile": profile.reference,
+        "version": __version__,
+    }
+    if extra:
+        metadata.update(extra)
+    return metadata
 
 
 def run(
@@ -192,63 +331,45 @@ def run(
             raise DeltaOutOfRange(f"delta must be in (0, 1), got {delta}")
     if estimator not in ("mu", "psi"):
         raise ValueError(f"estimator must be 'mu' or 'psi', got {estimator!r}")
-    a, b = pair
-
-    n, h = profile.n_agents, profile.n_hypotheses
-    combination_t = np.ascontiguousarray(network.combination.T)
+    n = profile.n_agents
     symbols = observation_matrix(profile, horizon, seed)
-    # (N, horizon, H) gather of log-likelihood rows, done once up front
-    log_like_series = np.moveaxis(profile.log_likelihoods, 1, 2)[
-        np.arange(n)[:, None], symbols, :
-    ]
+    w_like, w_prior = (delta, 1.0 - delta) if strategy == "asl" else (1.0, 1.0)
 
-    if strategy == "asl":
-        w_like, w_prior = delta, 1.0 - delta
-    else:
-        w_like, w_prior = 1.0, 1.0
-
-    log_mu = np.full((n, h), -np.log(h))
-    log_ratio = np.empty((horizon + 1, n))
-    estimates = np.empty((horizon + 1, n), dtype=np.int64)
-    mu_ratio = np.empty((horizon + 1, n)) if record_mu_ratio else None
-
-    log_ratio[0] = log_mu[:, a] - log_mu[:, b]
-    estimates[0] = estimate_state(log_mu)
-    if record_mu_ratio:
-        mu_ratio[0] = log_ratio[0]
-
-    log_psi = log_mu
-    for i in range(1, horizon + 1):
-        log_psi = log_normalize(w_like * log_like_series[:, i - 1, :] + w_prior * log_mu)
-        log_mu = log_normalize(combination_t @ log_psi)
-        log_ratio[i] = log_psi[:, a] - log_psi[:, b]
-        estimates[i] = estimate_state(log_mu if estimator == "mu" else log_psi)
+    # row 0 is the uniform initial state: all log-ratios zero, estimate 0
+    log_ratio = np.zeros((horizon + 1, n))
+    estimates = np.zeros((horizon + 1, n), dtype=np.int64)
+    mu_ratio = np.zeros((horizon + 1, n)) if record_mu_ratio else None
+    last_psi = last_mu = np.zeros((n, profile.n_hypotheses - 1))
+    chunks = log_ratio_chunks(
+        np.ascontiguousarray(network.combination.T),
+        llr_table(profile),
+        symbols.T[:, None, :],
+        w_like,
+        w_prior,
+    )
+    for start, x_psi, x_mu in chunks:
+        x_psi, x_mu = x_psi[:, 0], x_mu[:, 0]
+        rows = slice(start + 1, start + 1 + x_psi.shape[0])
+        log_ratio[rows] = pair_ratio(x_psi, pair)
+        estimates[rows] = ratio_estimates(x_mu if estimator == "mu" else x_psi)
         if record_mu_ratio:
-            mu_ratio[i] = log_mu[:, a] - log_mu[:, b]
+            mu_ratio[rows] = pair_ratio(x_mu, pair)
+        last_psi, last_mu = x_psi[-1].copy(), x_mu[-1].copy()
 
-    metadata = {
-        "seed": int(seed),
-        "strategy": strategy,
-        "delta": delta,
-        "horizon": int(horizon),
-        "pair": [int(a), int(b)],
-        "estimator": estimator,
-        "n_agents": int(n),
-        "cluster_sizes": np.bincount(network.clusters).tolist(),
-        "network_retries": int(network.retries),
-        "profile": profile.reference,
-        "version": __version__,
-    }
-    if extra_metadata:
-        metadata.update(extra_metadata)
     return Trace(
         log_ratio=log_ratio,
         estimates=estimates,
         clusters=network.clusters.copy(),
-        metadata=metadata,
+        metadata=trace_metadata(
+            network, profile, seed, strategy, delta, horizon, pair, estimator, extra_metadata
+        ),
         mu_log_ratio=mu_ratio,
         observations=symbols if record_observations else None,
-        final_state=BeliefState(log_private=log_mu, log_public=log_psi, iteration=horizon),
+        final_state=BeliefState(
+            log_private=ratio_log_beliefs(last_mu),
+            log_public=ratio_log_beliefs(last_psi),
+            iteration=horizon,
+        ),
     )
 
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import SupportMismatch
+from .exceptions import MalformedFile, SupportMismatch
 
 __all__ = [
     "HypothesisSet",
@@ -307,15 +307,30 @@ def save_profile(path, profile):
 
 
 def load_profile(path):
+    """Read a profile file.
+
+    Raises
+    ------
+    MalformedFile
+        If the file is shorter than its header declares or a line has the
+        wrong number of fields.
+    """
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-    n, h, m = (int(tok) for tok in lines[0].split())
-    labels = tuple(lines[1].split())
-    true_state = np.fromstring(lines[2], dtype=int, sep=" ")
-    rows = [np.fromstring(ln, dtype=float, sep=" ") for ln in lines[3 : 3 + n * h]]
-    likelihoods = np.vstack(rows).reshape(n, h, m)
+        lines = [ln.split() for ln in fh if ln.strip() and not ln.startswith("#")]
+    try:
+        n, h, m = (int(tok) for tok in lines[0])
+        true_state = np.array([int(tok) for tok in lines[2]])
+        rows = np.array(lines[3:], dtype=float)
+    except (IndexError, ValueError):
+        raise MalformedFile(f"{path}: not a profile file (header 'N H m', labels, states, rows)") from None
+    labels = tuple(lines[1])
+    if len(labels) != h or true_state.shape != (n,) or rows.shape != (n * h, m):
+        raise MalformedFile(
+            f"{path}: expected {h} labels, {n} true states and {n * h} rows of {m} "
+            f"probabilities, found {len(labels)}, {true_state.size} and {len(lines) - 3} rows"
+        )
     return LikelihoodProfile(
-        likelihoods=likelihoods,
+        likelihoods=rows.reshape(n, h, m),
         true_state=true_state,
         hypotheses=HypothesisSet(labels),
         reference=str(path),

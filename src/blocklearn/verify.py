@@ -30,7 +30,16 @@ from .inverse import (
     recursion_series,
     scan_delta,
 )
-from .learning import BeliefState, asl_update, bayesian_update, geometric_combine, run
+from .learning import (
+    BeliefState,
+    asl_update,
+    bayesian_update,
+    estimate_state,
+    geometric_combine,
+    llr_table,
+    log_ratio_chunks,
+    ratio_estimates,
+)
 from .models import LikelihoodProfile, bernoulli_profile, divergence_table
 from .theory import expected_log_ratio, symmetric_log_ratio_closed_form
 
@@ -181,6 +190,61 @@ def check_delta_interpolation(tol=1e-12, seed=11, steps=300):
         "delta-interpolation",
         worst <= tol,
         f"max per-step identity deviation = {worst:.3e} (tol {tol:g})",
+    )
+
+
+def check_engine_vs_log_domain(tol=1e-12, tie_tol=1e-9, seed=29, trials=24, steps=40):
+    """The batched log-ratio engine against the log-domain recursion.
+
+    Random profiles (N <= 12, H <= 5) and blocks of up to four replicates,
+    on one shared graph or one graph per replicate, for both strategies.
+    The oracle steps each replicate through ``asl_update`` or
+    ``bayesian_update`` and ``geometric_combine``.  Log-ratios must agree to
+    ``tol``; estimates must agree except where the oracle's top two
+    log-beliefs are within ``tie_tol``.
+    """
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    compared = mismatches = 0
+    for trial in range(trials):
+        n, h, m = int(rng.integers(2, 13)), int(rng.integers(2, 6)), int(rng.integers(2, 7))
+        reps = int(rng.integers(1, 5))
+        profile = _random_profile(rng, n, h, m)
+        shared = trial % 2 == 0
+        combinations = [_random_combination(rng, n) for _ in range(1 if shared else reps)]
+        combination_t = combinations[0].T if shared else np.stack([c.T for c in combinations])
+        asl = trial % 4 < 2
+        delta = float(rng.uniform(0.05, 0.95))
+        weights = (delta, 1.0 - delta) if asl else (1.0, 1.0)
+        symbols = rng.integers(0, m, size=(steps, reps, n))
+        psi_chunks, mu_chunks = [], []
+        for _, x_psi, x_mu in log_ratio_chunks(combination_t, llr_table(profile), symbols, *weights):
+            psi_chunks.append(x_psi.copy())
+            mu_chunks.append(x_mu.copy())
+        engine_psi, engine_mu = np.concatenate(psi_chunks), np.concatenate(mu_chunks)
+        for r in range(reps):
+            state = BeliefState.uniform(n, h)
+            combination = combinations[0 if shared else r]
+            for t in range(steps):
+                if asl:
+                    log_psi = asl_update(state, symbols[t, r], profile, delta)
+                else:
+                    log_psi = bayesian_update(state, symbols[t, r], profile)
+                log_mu = geometric_combine(log_psi, combination)
+                for log_beliefs, engine in ((log_psi, engine_psi[t, r]), (log_mu, engine_mu[t, r])):
+                    oracle = log_beliefs[:, 1:] - log_beliefs[:, :1]
+                    worst = max(worst, float(np.abs(engine - oracle).max()))
+                top2 = np.sort(log_mu, axis=1)[:, -2:]
+                clear = top2[:, 1] - top2[:, 0] >= tie_tol
+                differ = estimate_state(log_mu) != ratio_estimates(engine_mu[t, r])
+                mismatches += int((differ & clear).sum())
+                compared += n
+                state = BeliefState(log_private=log_mu)
+    return CheckResult(
+        "engine-vs-log-domain",
+        worst <= tol and mismatches == 0,
+        f"max log-ratio deviation = {worst:.3e} (tol {tol:g}); {mismatches} estimate "
+        f"mismatches outside near ties in {compared} agent-steps over {trials} blocks",
     )
 
 
@@ -341,6 +405,7 @@ def all_checks():
         check_inverse_binomial,
         check_perron_closed_form,
         check_delta_interpolation,
+        check_engine_vs_log_domain,
         check_inverse_round_trip,
         check_scan_recovery,
         check_expected_matrix_trend,

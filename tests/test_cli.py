@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -8,6 +9,7 @@ from blocklearn.graphs import SbmParams, load_network, sample_sbm, save_network
 from blocklearn.inverse import recursion_series
 from blocklearn.learning import run
 from blocklearn.models import bernoulli_profile
+from blocklearn.theory import expected_log_ratio
 
 
 def write_config(tmp_path, **overrides):
@@ -106,6 +108,30 @@ class TestSimulate:
         config = write_config(tmp_path)
         assert main(["simulate", "--config", str(config)]) == 2
         assert "output directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["fixed-graph", "network-file"])
+    def test_one_graph_compared_with_its_own_prediction(self, tmp_path, source):
+        # a run on one drawn graph is compared with the prediction for that
+        # graph; the graph-averaged one is off by about 30 standard errors
+        network = sample_sbm(SbmParams(n0=15, n1=15, p0=0.8, p1=0.8, q0=0.1, q1=0.1), seed=42)
+        overrides = dict(delta=0.1, horizon=1500, burn_in=500, replicates=20, base_seed=42)
+        argv = []
+        if source == "fixed-graph":
+            argv = ["--fixed-graph"]
+        else:
+            save_network(tmp_path / "network.txt", network)
+            overrides["network"] = {"kind": "file", "path": str(tmp_path / "network.txt")}
+        config = write_config(tmp_path, **overrides)
+        out = tmp_path / "one_graph"
+        assert main(["simulate", "--config", str(config), "--out", str(out), *argv]) == 0
+        with open(out / "theory_comparison.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        profile = bernoulli_profile(network.clusters, (0.1, 0.5))
+        expected = expected_log_ratio(network.combination, profile, 0.1).cluster_means(network.clusters)
+        assert [float(row["theory_value"]) for row in rows] == pytest.approx(
+            [expected[0], expected[1]], abs=1e-15
+        )
+        assert [int(row["flagged"]) for row in rows] == [0, 0]
 
 
 class TestPredict:

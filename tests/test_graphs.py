@@ -2,16 +2,20 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blocklearn.exceptions import (
     DegenerateBlock,
     InvalidRegimeWarning,
+    MalformedFile,
     NoConvergence,
     NotStronglyConnected,
     ZeroColumn,
 )
 from blocklearn.graphs import (
     BlockModel,
+    Network,
     SbmParams,
     averaging_combination,
     closed_form_power,
@@ -312,6 +316,54 @@ class TestNetworkIO:
         loaded = load_network(path)
         assert np.array_equal(loaded.adjacency, network.adjacency)
         assert path.read_text().splitlines()[0].split() == ["15", "3", "4", "5", "6"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_round_trip_one_to_four_communities(self, tmp_path_factory, sizes, seed):
+        n = sum(sizes)
+        adjacency = (np.random.default_rng(seed).random((n, n)) < 0.4).astype(np.int8)
+        np.fill_diagonal(adjacency, 1)  # no agent without in-neighbors
+        network = Network(
+            adjacency=adjacency,
+            combination=averaging_combination(adjacency),
+            clusters=np.repeat(np.arange(len(sizes)), sizes),
+        )
+        path = tmp_path_factory.mktemp("net") / "network.txt"
+        save_network(path, network)
+        loaded = load_network(path)
+        assert np.array_equal(loaded.adjacency, network.adjacency)
+        assert np.array_equal(loaded.clusters, network.clusters)
+        assert np.array_equal(loaded.combination, network.combination)
+
+    def test_single_community_header(self, tmp_path):
+        network = sample_sbm(BlockModel(sizes=(6,), probs=[[0.9]]), seed=1)
+        path = tmp_path / "network.txt"
+        save_network(path, network)
+        assert path.read_text().splitlines()[0].split() == ["6", "1", "6"]
+        assert np.array_equal(load_network(path).clusters, np.zeros(6))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "3 2 1\n1 1 0\n0 1 2\n1 0 1\n",  # entry 2
+            "3 2 1\n1 1 0\n0 1 0.5\n1 0 1\n",  # fractional entry
+            "3 2 1\n1 1 0\n0 1 x\n1 0 1\n",  # not a number
+            "3 2 1\n1 1 0\n0 1\n1 0 1\n",  # short row
+            "3 2 1\n1 1 0\n0 1 1\n",  # missing row
+            "3 2 2\n1 1 0\n0 1 1\n1 0 1\n",  # sizes do not sum to N
+            "3 3 1 1\n1 1 0\n0 1 1\n1 0 1\n",  # fewer sizes than communities
+            "3 1\n1 1 0\n0 1 1\n1 0 1\n",  # header too short
+            "",
+        ],
+    )
+    def test_malformed_file_rejected(self, tmp_path, text):
+        path = tmp_path / "network.txt"
+        path.write_text(text)
+        with pytest.raises(MalformedFile):
+            load_network(path)
 
     def test_combination_csv_exact_round_trip(self, tmp_path):
         network = sample_sbm(VB1, seed=8)

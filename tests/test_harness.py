@@ -1,15 +1,18 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
-from blocklearn.exceptions import DeltaOutOfRange, MismatchedConfig
-from blocklearn.graphs import SbmParams
+from blocklearn.exceptions import BlocklearnError, DeltaOutOfRange, MismatchedConfig
+from blocklearn.graphs import SbmParams, sample_sbm
 from blocklearn.harness import (
+    BLOCK_SIZE,
     ExperimentConfig,
     compare_theory,
     run_experiment,
 )
+from blocklearn.learning import run
 from blocklearn.theory import expected_log_ratio
 from blocklearn.models import bernoulli_profile
 
@@ -81,6 +84,7 @@ class TestRunExperiment:
         assert np.array_equal(a.rep_means_mu, b.rep_means_mu)
 
     def test_serial_equals_parallel(self):
+        # n_jobs is accepted and ignored: replicates run batched in one process
         serial = run_experiment(small_config(n_jobs=1))
         parallel = run_experiment(small_config(n_jobs=2))
         assert np.array_equal(serial.iter_mean, parallel.iter_mean)
@@ -114,6 +118,33 @@ class TestRunExperiment:
         assert result.n_ok == 2 and len(result.failures) == 6
         assert all("replicate" in f and "error" in f for f in result.failures)
         assert result.error_report.samples == 15 * result.n_ok
+
+    def test_blocks_match_standalone_runs(self):
+        # more replicates than one block, with failed graph draws in both
+        params = SbmParams(n0=4, n1=4, p0=0.35, p1=0.35, q0=0.04, q1=0.04)
+        config = ExperimentConfig(network=params, profile=PROFILE, strategy="asl",
+                                  delta=0.3, horizon=60, burn_in=20, replicates=70,
+                                  base_seed=0)
+        assert config.replicates > BLOCK_SIZE
+        result = run_experiment(config)
+
+        profile = bernoulli_profile(params.to_block_model().labels(), (0.1, 0.5))
+        failures, traces = [], []
+        for r in range(config.replicates):
+            try:
+                network = sample_sbm(params, seed=r)
+            except BlocklearnError as exc:
+                failures.append({"replicate": r, "error": f"{type(exc).__name__}: {exc}"})
+                continue
+            traces.append(run(network, profile, strategy="asl", delta=0.3, horizon=60, seed=r))
+        assert {f["replicate"] for f in failures} & set(range(BLOCK_SIZE, config.replicates))
+        assert result.failures == failures
+        rep_mu = np.array([t.mu_log_ratio[21:].mean(axis=0) for t in traces])
+        rep_psi = np.array([t.log_ratio[21:].mean(axis=0) for t in traces])
+        iter_mean = np.mean([t.log_ratio for t in traces], axis=0)
+        assert np.abs(result.rep_means_mu - rep_mu).max() <= 1e-12
+        assert np.abs(result.rep_means_psi - rep_psi).max() <= 1e-12
+        assert np.abs(result.iter_mean - iter_mean).max() <= 1e-12
 
     def test_all_failures_raise(self):
         params = SbmParams(n0=1, n1=1, p0=0.2, p1=0.2, q0=0.05, q1=0.05)
@@ -159,6 +190,16 @@ class TestRunExperiment:
         report_lines = (tmp_path / "error_report.csv").read_text().splitlines()
         assert report_lines[0] == "agent,cluster,p_err,stderr"
         assert len(report_lines) == 31
+
+        reference = tmp_path / "iteration_stats_rows.csv"
+        with open(reference, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["iter", "agent", "mean_log_ratio", "std_log_ratio"])
+            for i in range(result.iter_mean.shape[0]):
+                for k in range(result.iter_mean.shape[1]):
+                    writer.writerow([i, k, f"{result.iter_mean[i, k]:.17g}",
+                                     f"{result.iter_std[i, k]:.17g}"])
+        assert (tmp_path / "iteration_stats.csv").read_bytes() == reference.read_bytes()
 
 
 class TestCompareTheory:

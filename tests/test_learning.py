@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -11,6 +12,8 @@ from blocklearn.learning import (
     bayesian_update,
     estimate_state,
     geometric_combine,
+    ratio_estimates,
+    ratio_log_beliefs,
     run,
     windowed_mean_log_ratio,
 )
@@ -124,6 +127,12 @@ class TestEstimateState:
     def test_three_hypotheses(self):
         assert estimate_state(np.log(np.array([[0.2, 0.3, 0.5]])))[0] == 2
 
+    def test_log_ratio_estimates_break_ties_alike(self):
+        # log-ratios against hypothesis 0, with exact ties among the maxima
+        x = np.array([[0.0, 0.0], [1.0, 1.0], [-1.0, 0.0], [0.5, 2.0], [-0.5, -0.25]])
+        assert ratio_estimates(x).tolist() == [0, 1, 0, 2, 0]
+        assert np.array_equal(ratio_estimates(x), estimate_state(ratio_log_beliefs(x)))
+
 
 class TestRun:
     def test_zero_horizon_keeps_initial_state(self):
@@ -205,6 +214,36 @@ class TestRun:
         meta = json.loads((tmp_path / "trace.csv.meta.json").read_text())
         assert meta["delta"] == 0.1 and meta["strategy"] == "asl"
         assert meta["seed"] == 0 and meta["horizon"] == 20
+
+
+def row_loop_csv(trace, path):
+    """Reference trace writer: one csv.writer row per (iteration, agent)."""
+    with_obs = trace.observations is not None
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["iter", "agent", "cluster", "log_ratio", "estimate"]
+                        + (["obs"] if with_obs else []))
+        for i in range(trace.horizon + 1):
+            for k in range(trace.n_agents):
+                row = [i, k, int(trace.clusters[k]), f"{trace.log_ratio[i, k]:.17g}",
+                       int(trace.estimates[i, k])]
+                if with_obs:
+                    row.append(int(trace.observations[k, i - 1]) if i >= 1 else "")
+                writer.writerow(row)
+
+
+class TestTraceCsv:
+    @pytest.mark.parametrize("record_observations", [False, True])
+    def test_bytes_match_row_loop(self, tmp_path, record_observations):
+        network = sample_sbm(VB1, seed=3)
+        profile = bernoulli_profile(network.clusters, (0.1, 0.5))
+        trace = run(network, profile, strategy="asl", delta=0.2, horizon=150, seed=4,
+                    record_observations=record_observations)
+        # values whose %.17g text is easy to get wrong
+        trace.log_ratio[1, :4] = [-0.0, 1e-300, 123456789.123, -2.5e16]
+        trace.to_csv(tmp_path / "bulk.csv", sidecar=False)
+        row_loop_csv(trace, tmp_path / "loop.csv")
+        assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
 
 
 class TestWindowedMean:

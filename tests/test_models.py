@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from blocklearn.exceptions import SupportMismatch
+from blocklearn.exceptions import MalformedFile, SupportMismatch
 from blocklearn.models import (
     HypothesisSet,
     LikelihoodProfile,
@@ -212,3 +212,24 @@ class TestProfileIO:
         assert np.array_equal(loaded.likelihoods, profile.likelihoods)
         assert np.array_equal(loaded.true_state, profile.true_state)
         assert loaded.hypotheses.labels == profile.hypotheses.labels
+
+    @pytest.mark.parametrize("keep", [0, 1, 2, 3, 12, 13])
+    def test_short_file_rejected(self, tmp_path, keep):
+        # header, labels, true states, then 9 agents x 3 hypotheses = 27 rows
+        profile = random_multinomial_profile(np.repeat([0, 1, 2], 3), alphabet_size=7, seed=11)
+        path = tmp_path / "profile.txt"
+        save_profile(path, profile)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:keep]))
+        with pytest.raises(MalformedFile):
+            load_profile(path)
+
+    def test_short_row_rejected(self, tmp_path):
+        profile = random_multinomial_profile(np.repeat([0, 1], 2), alphabet_size=3, seed=2)
+        path = tmp_path / "profile.txt"
+        save_profile(path, profile)
+        lines = path.read_text().splitlines()
+        lines[-1] = " ".join(lines[-1].split()[:-1])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MalformedFile):
+            load_profile(path)
