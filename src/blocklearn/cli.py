@@ -124,8 +124,7 @@ def _cmd_simulate(args):
     if config.strategy == "asl" and law is not None:
         prediction = expected_log_ratio(law, result.profile, config.delta, config.pair)
         comparison = compare_theory(result, prediction)
-    outputs = result.write_outputs(config.out_dir, comparison=comparison)
-    _write_manifest(config.out_dir, "simulate", outputs)
+    result.write_outputs(config.out_dir, comparison=comparison)
     for cluster, stats in result.cluster_statistics("mu").items():
         print(f"cluster {cluster}: mean log-ratio {stats['mean']:+.4f} (se {stats['stderr']:.4f})")
     if result.failures:

@@ -32,6 +32,7 @@ from .models import (
     bernoulli_profile,
     load_profile,
     random_multinomial_profile,
+    seed_words,
 )
 
 __all__ = [
@@ -289,6 +290,10 @@ class ExperimentResult:
         }
 
     def write_outputs(self, out_dir, comparison=None):
+        """Write the run's files and a ``manifest.json`` listing them.
+
+        Returns the names of the files written, apart from the manifest.
+        """
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         outputs = []
@@ -315,14 +320,14 @@ class ExperimentResult:
         for i, trace in enumerate(self.traces):
             name = f"trace_{i:04d}.csv"
             trace.to_csv(out / name)
-            outputs.append(name)
+            outputs += [name, name + ".meta.json"]
 
         if comparison is not None:
             _write_comparison_csv(out / "theory_comparison.csv", comparison)
             outputs.append("theory_comparison.csv")
 
         with open(out / "manifest.json", "w") as fh:
-            json.dump({"version": __version__, "outputs": outputs}, fh, indent=2)
+            json.dump({"version": __version__, "command": "simulate", "outputs": outputs}, fh, indent=2)
         return outputs
 
 
@@ -336,27 +341,27 @@ def _draw_block(indices, source, profile, config):
 
     Returns ``(replicates, networks, symbols, failures)``: the replicates
     whose inputs could be drawn, their networks, their symbols as one
-    ``(horizon, B, N)`` array, and a record of each replicate that failed.
+    ``(B, N, horizon)`` array, and a record of each replicate that failed.
+    The graphs are drawn first; the symbols of every replicate that got one
+    are then drawn in one ``observation_matrix`` call.
     """
-    n = profile.n_agents
-    # the smallest unsigned type that holds every symbol
-    dtype = np.min_scalar_type(profile.alphabet_size - 1)
-    symbols = np.empty((config.horizon, len(indices), n), dtype=dtype)
     replicates, networks, failures = [], [], []
     for r in indices:
         seed = config.base_seed + r
         try:
             network = source if isinstance(source, Network) else sample_sbm(source, seed=seed)
-            if network.size != n:
+            if network.size != profile.n_agents:
                 raise ValueError("network and profile disagree on the number of agents")
-            # looked up on the module at call time, so it can be wrapped
-            symbols[:, len(replicates)] = learning.observation_matrix(profile, config.horizon, seed).T
+            seed_words(seed)  # a seed the streams cannot take fails this replicate only
         except Exception as exc:  # noqa: BLE001 - collect per-replicate failures
             failures.append({"replicate": r, "error": f"{type(exc).__name__}: {exc}"})
             continue
         replicates.append(r)
         networks.append(network)
-    return replicates, networks, symbols[:, : len(replicates)], failures
+    seeds = [config.base_seed + r for r in replicates]
+    # looked up on the module at call time, so it can be wrapped
+    symbols = learning.observation_matrix(profile, config.horizon, seeds)
+    return replicates, networks, symbols, failures
 
 
 def run_experiment(config):
@@ -413,7 +418,8 @@ def run_experiment(config):
         mu_sum = np.zeros((size, n))
         last_psi = last_mu = np.zeros((size, n, h - 1))
 
-        for start, x_psi, x_mu in log_ratio_chunks(combination_t, table, symbols, w_like, w_prior):
+        chunks = log_ratio_chunks(combination_t, table, symbols.transpose(2, 0, 1), w_like, w_prior)
+        for start, x_psi, x_mu in chunks:
             rows = slice(start + 1, start + 1 + x_psi.shape[0])
             psi = pair_ratio(x_psi, pair)  # (K, B, N)
             mu = pair_ratio(x_mu, pair)
@@ -453,7 +459,7 @@ def run_experiment(config):
                                                 config.delta, horizon, pair, config.estimator,
                                                 extra),
                         mu_log_ratio=trace_mu[j],
-                        observations=(symbols[:, j].T.astype(np.int64)
+                        observations=(symbols[j].astype(np.int64)
                                       if config.record_observations else None),
                         final_state=BeliefState(
                             log_private=ratio_log_beliefs(last_mu[j]),

@@ -92,16 +92,13 @@ class BeliefSeries:
 
 
 def _forward_fill(values):
-    filled = values.copy()
-    for k in range(filled.shape[1]):
-        col = filled[:, k]
-        last = 0.0  # before any post: the uniform-belief log-ratio
-        for i in range(col.size):
-            if np.isnan(col[i]):
-                col[i] = last
-            else:
-                last = col[i]
-    return filled
+    """Replace each NaN with the last value above it in its column; NaNs
+    before a column's first value become 0.0 (the uniform-belief log-ratio)."""
+    padded = np.vstack([np.zeros((1, values.shape[1])), values])
+    # per entry, the row of the last non-NaN value at or above it (row 0 is the zero pad)
+    source = np.where(np.isnan(padded), 0, np.arange(padded.shape[0])[:, None])
+    np.maximum.accumulate(source, axis=0, out=source)
+    return padded[source, np.arange(values.shape[1])][1:]
 
 
 def _check_delta(delta):

@@ -208,7 +208,9 @@ def log_ratio_chunks(combination_t, table, symbols, w_like, w_prior):
     table : ndarray, shape (N, m, H-1)
         Log-likelihood ratios from ``llr_table``.
     symbols : ndarray, shape (T, B, N)
-        Observed symbols of each replicate, one row per iteration.
+        Observed symbols of each replicate, one row per iteration (any
+        integer dtype; a transposed view of ``observation_matrix``'s
+        ``(B, N, T)`` block is fine).
     w_like, w_prior : float
         Weights of the likelihood and of the prior: ``(delta, 1 - delta)``
         for the step-size update, ``(1, 1)`` for the Bayesian one.
@@ -223,17 +225,19 @@ def log_ratio_chunks(combination_t, table, symbols, w_like, w_prior):
     """
     horizon, n_reps, n = symbols.shape
     alphabet, n_ratios = table.shape[1:]
-    flat = table.reshape(n * alphabet, n_ratios)
+    weighted = (table * w_like).reshape(n * alphabet, n_ratios)
     offsets = np.arange(n) * alphabet
     x_psi = np.empty((min(STEPS_PER_CHUNK, horizon), n_reps, n, n_ratios))
     x_mu = np.empty_like(x_psi)
     prev_mu = np.zeros((n_reps, n, n_ratios))
     for start in range(0, horizon, STEPS_PER_CHUNK):
         size = min(STEPS_PER_CHUNK, horizon - start)
+        # w_like * l for the whole chunk, in one gather
+        like = weighted.take(offsets + symbols[start : start + size], axis=0)
         for i in range(size):
             psi = x_psi[i]
-            np.multiply(flat.take(offsets + symbols[start + i], axis=0), w_like, out=psi)
-            psi += w_prior * prev_mu
+            np.multiply(prev_mu, w_prior, out=psi)
+            psi += like[i]
             prev_mu = np.matmul(combination_t, psi, out=x_mu[i])
         yield start, x_psi[:size], x_mu[:size]
 

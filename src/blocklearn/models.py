@@ -1,7 +1,9 @@
-"""Hypothesis sets, per-agent discrete likelihood models, and KL utilities."""
+"""Hypothesis sets, per-agent discrete likelihood models, KL utilities, and
+the per-agent observation streams."""
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +21,7 @@ __all__ = [
     "check_global_identifiability",
     "sample_observation",
     "observation_matrix",
+    "seed_words",
     "save_profile",
     "load_profile",
 ]
@@ -263,28 +266,178 @@ def check_global_identifiability(profile, theta_star):
     return ok, witnesses
 
 
-def _symbols_from_uniforms(cdf, u):
-    """Map uniform draws to alphabet symbols through a cdf row (shared by the
-    scalar and batch samplers so their streams agree)."""
-    idx = np.searchsorted(cdf, u, side="right")
-    return np.minimum(idx, cdf.size - 1)
-
-
 def sample_observation(profile, agent, rng):
-    """Draw one observation for ``agent`` from its true-hypothesis model."""
-    return int(_symbols_from_uniforms(profile._true_cdf[agent], rng.random()))
+    """Draw one observation for ``agent`` from its true-hypothesis model.
+
+    The symbol is the number of entries ``cdf[j] <= u`` over ``j < m - 1``
+    of the agent's true cdf, for one uniform draw ``u``: the rule
+    ``observation_matrix`` applies to every draw of a stream.
+    """
+    return int(np.count_nonzero(profile._true_cdf[agent, :-1] <= rng.random()))
+
+
+# -- observation streams -------------------------------------------------------
+#
+# Agent k of seed s draws from ``default_rng(SeedSequence(s).spawn(N)[k])``.
+# Building that SeedSequence and Generator per agent costs more than the
+# draws, so ``observation_matrix`` runs NumPy's documented SeedSequence hash
+# itself, for every (seed, agent) at once on uint32 arrays: ``mix_entropy``
+# over the seed's words (zero-padded to the pool size, since a spawned child
+# has a spawn key) followed by the key ``(k,)``, then
+# ``generate_state(4, uint64)``.  It seeds one reused PCG64 from those words
+# as ``PCG64(child)`` does.  The streams are NumPy's, draw for draw.
+
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def seed_words(seed):
+    """The 32-bit words ``SeedSequence`` reads from an integer seed, least
+    significant first.
+
+    Raises
+    ------
+    ValueError
+        If the seed is negative.
+    TypeError
+        If the seed is not an integer.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    words = [seed & _MASK32]
+    while seed := seed >> 32:
+        words.append(seed & _MASK32)
+    return words
+
+
+def _hashmix(value, const):
+    """SeedSequence's ``hashmix`` on a uint32 array; returns the hashed
+    value and the next hash constant."""
+    const_next = (const * _MULT_A) & _MASK32
+    value = (value ^ const) * np.uint32(const_next)
+    return value ^ (value >> 16), const_next
+
+
+def _mix(x, y):
+    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return result ^ (result >> 16)
+
+
+def _spawned_states(entropy, n_agents):
+    """``generate_state(4, uint64)`` of ``SeedSequence(words).spawn(n_agents)``.
+
+    ``entropy`` holds the words of G seeds that have the same word count,
+    zero-padded to at least the pool size: shape (G, W), uint32.  Returns
+    shape (G, n_agents, 4), uint64.
+    """
+    const = _INIT_A
+    pool = []
+    for i in range(_POOL_SIZE):
+        word, const = _hashmix(entropy[:, i], const)
+        pool.append(word)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                hashed, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], hashed)
+    # the words beyond the pool, then the spawn key (the agent index)
+    tail = [entropy[:, i, None] for i in range(_POOL_SIZE, entropy.shape[1])]
+    tail.append(np.arange(n_agents, dtype=np.uint32)[None, :])
+    pool = [word[:, None] for word in pool]
+    for word in tail:
+        for dst in range(_POOL_SIZE):
+            hashed, const = _hashmix(word, const)
+            pool[dst] = _mix(pool[dst], hashed)
+
+    const = _INIT_B
+    state = []
+    for i in range(8):  # four uint64 words, as little-endian uint32 halves
+        value = pool[i % _POOL_SIZE] ^ np.uint32(const)
+        const = (const * _MULT_B) & _MASK32
+        value = value * np.uint32(const)
+        state.append((value ^ (value >> 16)).astype(np.uint64))
+    return np.stack([low | (high << np.uint64(32)) for low, high in zip(state[::2], state[1::2])],
+                    axis=-1)
+
+
+def _child_states(seeds, n_agents):
+    """``SeedSequence(s).spawn(n_agents)[k].generate_state(4, np.uint64)`` for
+    every seed s and agent k: shape (len(seeds), n_agents, 4)."""
+    words = [seed_words(s) for s in seeds]
+    states = np.empty((len(words), n_agents, 4), dtype=np.uint64)
+    for count in sorted(set(map(len, words))):
+        rows = [i for i, w in enumerate(words) if len(w) == count]
+        entropy = np.zeros((len(rows), max(count, _POOL_SIZE)), dtype=np.uint32)
+        entropy[:, :count] = [words[i] for i in rows]
+        states[rows] = _spawned_states(entropy, n_agents)
+    return states
+
+
+def _pcg64_state(words):
+    """The PCG64 state ``PCG64`` seeds from ``generate_state(4, uint64)``."""
+    initstate = (words[0] << 64) | words[1]
+    inc = ((((words[2] << 64) | words[3]) << 1) | 1) & _MASK128
+    return {
+        "bit_generator": "PCG64",
+        "state": {"state": ((inc + initstate) * _PCG64_MULT + inc) & _MASK128, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
+def _symbols_from_uniforms(cdf, u, out):
+    """Map uniform draws ``u`` (N, T) to symbols through the per-agent cdf
+    rows ``cdf`` (N, m), writing into ``out`` (N, T).
+
+    A symbol counts the entries ``cdf[k, j] <= u`` over ``j < m - 1``: the
+    same as ``searchsorted(cdf[k], u, side="right")`` clipped to ``m - 1``
+    (the last cdf entry can round below one), because each row is sorted.
+    """
+    out[...] = 0
+    for j in range(cdf.shape[1] - 1):
+        out += cdf[:, j, None] <= u
+    return out
 
 
 def observation_matrix(profile, horizon, seed):
-    """Draw ``(N, horizon)`` observation symbols, one independent substream
-    per agent (spawned by agent index, so the draws of agent k do not depend
-    on the network size)."""
+    """Draw observation symbols, one independent substream per agent.
+
+    Agent k of seed s draws its uniforms from
+    ``default_rng(SeedSequence(s).spawn(N)[k])``, so the draws of agent k do
+    not depend on the network size, and maps them through its true cdf.
+
+    Parameters
+    ----------
+    seed : int or sequence of int
+        One non-negative seed, or the seeds of a block of replicates.
+
+    Returns
+    -------
+    ndarray
+        ``(N, horizon)`` int64 symbols for one seed; ``(B, N, horizon)``
+        symbols in the smallest unsigned dtype that holds the alphabet for a
+        sequence of B seeds.  Each replicate fills one ``(N, horizon)``
+        buffer of uniforms, reused across the block.
+    """
+    if np.ndim(seed) == 0:
+        return observation_matrix(profile, horizon, [seed])[0].astype(np.int64)
     n = profile.n_agents
-    out = np.empty((n, horizon), dtype=np.int64)
-    children = np.random.SeedSequence(seed).spawn(n)
-    for k in range(n):
-        u = np.random.default_rng(children[k]).random(horizon)
-        out[k] = _symbols_from_uniforms(profile._true_cdf[k], u)
+    states = _child_states(seed, n).tolist()
+    out = np.empty((len(states), n, horizon), dtype=np.min_scalar_type(profile.alphabet_size - 1))
+    bit_generator = np.random.PCG64(0)
+    generator = np.random.Generator(bit_generator)
+    uniforms = np.empty((n, horizon))
+    for block_row, agent_states in zip(out, states):
+        for row, words in zip(uniforms, agent_states):
+            bit_generator.state = _pcg64_state(words)
+            generator.random(out=row)
+        _symbols_from_uniforms(profile._true_cdf, uniforms, block_row)
     return out
 
 

@@ -40,7 +40,7 @@ from .learning import (
     log_ratio_chunks,
     ratio_estimates,
 )
-from .models import LikelihoodProfile, bernoulli_profile, divergence_table
+from .models import LikelihoodProfile, bernoulli_profile, divergence_table, observation_matrix
 from .theory import expected_log_ratio, symmetric_log_ratio_closed_form
 
 __all__ = ["CheckResult", "all_checks", "run_all"]
@@ -248,6 +248,40 @@ def check_engine_vs_log_domain(tol=1e-12, tie_tol=1e-9, seed=29, trials=24, step
     )
 
 
+def check_streams_vs_numpy(horizon=50, seed=31):
+    """The block observation sampler against NumPy's per-agent streams.
+
+    The oracle draws agent k of seed s from
+    ``default_rng(SeedSequence(s).spawn(N)[k]).random(T)`` and maps the
+    uniforms with ``np.searchsorted(cdf, u, side="right")`` clipped to the
+    last symbol.  Symbols must be equal: tolerance 0.  Seeds cover one,
+    two, three and five 32-bit words (more than the four-word pool) and a
+    random draw; alphabets 2, 3 and 25; blocks of one and several seeds.
+    """
+    rng = np.random.default_rng(seed)
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**64 + 7, 2**130 + 5, int(rng.integers(0, 2**63))]
+    mismatches = compared = 0
+    for alphabet in (2, 3, 25):
+        profile = _random_profile(rng, int(rng.integers(2, 13)), 3, alphabet)
+        cdf = np.cumsum(profile.likelihoods[np.arange(profile.n_agents), profile.true_state], axis=1)
+        blocks = [[s] for s in seeds] + [seeds[:3], seeds[3:]]
+        for block in blocks:
+            symbols = observation_matrix(profile, horizon, block)
+            for b, s in enumerate(block):
+                children = np.random.SeedSequence(s).spawn(profile.n_agents)
+                for k, child in enumerate(children):
+                    u = np.random.default_rng(child).random(horizon)
+                    oracle = np.minimum(np.searchsorted(cdf[k], u, side="right"), alphabet - 1)
+                    mismatches += int(np.count_nonzero(symbols[b, k] != oracle))
+                    compared += horizon
+    return CheckResult(
+        "streams-vs-numpy",
+        mismatches == 0,
+        f"{mismatches} symbol mismatches in {compared} draws (tolerance 0) over seeds "
+        f"{seeds}, alphabets 2/3/25, blocks of 1, 3 and 4 seeds",
+    )
+
+
 def check_inverse_round_trip(tol=1e-10, seed=3):
     """Noiseless recursion: the estimator recovers the injected log-likelihood
     ratios at the true step size, which also minimizes the fit error."""
@@ -406,6 +440,7 @@ def all_checks():
         check_perron_closed_form,
         check_delta_interpolation,
         check_engine_vs_log_domain,
+        check_streams_vs_numpy,
         check_inverse_round_trip,
         check_scan_recovery,
         check_expected_matrix_trend,

@@ -88,6 +88,16 @@ class TestSimulate:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["replicates_ok"] == 2
 
+    def test_manifest_lists_the_files_written(self, tmp_path):
+        config = write_config(tmp_path, store_traces=True)
+        out = tmp_path / "results"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == "simulate"
+        written = {path.name for path in out.iterdir()} - {"manifest.json"}
+        assert sorted(manifest["outputs"]) == sorted(written)
+        assert "trace_0001.csv.meta.json" in written
+
     def test_zero_horizon(self, tmp_path):
         config = write_config(tmp_path, horizon=0, burn_in=0)
         out = tmp_path / "results0"

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from blocklearn import learning
 from blocklearn.exceptions import BlocklearnError, DeltaOutOfRange, MismatchedConfig
 from blocklearn.graphs import SbmParams, sample_sbm
 from blocklearn.harness import (
@@ -145,6 +146,46 @@ class TestRunExperiment:
         assert np.abs(result.rep_means_mu - rep_mu).max() <= 1e-12
         assert np.abs(result.rep_means_psi - rep_psi).max() <= 1e-12
         assert np.abs(result.iter_mean - iter_mean).max() <= 1e-12
+
+    def test_block_streams_match_per_seed_streams(self, monkeypatch):
+        # 70 replicates (two blocks) with failed graph draws in both: drawing
+        # each block's symbols in one call gives the aggregates and failure
+        # list of drawing every agent's stream on its own, through NumPy
+        params = SbmParams(n0=4, n1=4, p0=0.35, p1=0.35, q0=0.04, q1=0.04)
+        config = ExperimentConfig(network=params, profile=PROFILE, strategy="asl",
+                                  delta=0.3, horizon=60, burn_in=20, replicates=70,
+                                  base_seed=0, store_traces=True, record_observations=True)
+        blocked = run_experiment(config)
+
+        def per_seed(profile, horizon, seeds):
+            cdf = np.cumsum(profile.likelihoods[np.arange(8), profile.true_state], axis=1)
+            symbols = np.empty((len(seeds), 8, horizon), dtype=np.uint8)
+            for b, seed in enumerate(seeds):
+                for k, child in enumerate(np.random.SeedSequence(seed).spawn(8)):
+                    u = np.random.default_rng(child).random(horizon)
+                    symbols[b, k] = np.minimum(np.searchsorted(cdf[k], u, side="right"), 1)
+            return symbols
+
+        monkeypatch.setattr(learning, "observation_matrix", per_seed)
+        reference = run_experiment(config)
+        assert {f["replicate"] for f in blocked.failures} & set(range(BLOCK_SIZE, 70))
+        assert blocked.failures == reference.failures
+        for name in ("iter_mean", "iter_std", "rep_means_psi", "rep_means_mu",
+                     "pooled_var_psi", "pooled_var_mu"):
+            assert np.array_equal(getattr(blocked, name), getattr(reference, name))
+        assert np.array_equal(blocked.error_report.counts, reference.error_report.counts)
+        for a, b in zip(blocked.traces, reference.traces, strict=True):
+            assert np.array_equal(a.observations, b.observations)
+            assert np.array_equal(a.mu_log_ratio, b.mu_log_ratio)
+
+    def test_negative_seed_fails_only_its_replicates(self, tmp_path):
+        from blocklearn.graphs import save_network
+
+        path = tmp_path / "network.txt"
+        save_network(path, sample_sbm(VB1, seed=5))
+        result = run_experiment(small_config(network=str(path), replicates=5, base_seed=-2))
+        assert [f["replicate"] for f in result.failures] == [0, 1]
+        assert result.n_ok == 3
 
     def test_all_failures_raise(self):
         params = SbmParams(n0=1, n1=1, p0=0.2, p1=0.2, q0=0.05, q1=0.05)

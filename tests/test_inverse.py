@@ -38,6 +38,27 @@ class TestBeliefSeries:
         # leading gap falls back to the uniform-belief ratio 0
         assert np.array_equal(series.values, [[0.0, 1.0], [2.0, 1.0], [2.0, 3.0]])
 
+    def test_forward_fill_matches_row_loop(self):
+        def row_loop(values):
+            filled = values.copy()
+            for k in range(filled.shape[1]):
+                last = 0.0
+                for i in range(filled.shape[0]):
+                    if np.isnan(filled[i, k]):
+                        filled[i, k] = last
+                    else:
+                        last = filled[i, k]
+            return filled
+
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            values = rng.normal(size=(int(rng.integers(2, 40)), 5))
+            values[rng.random(values.shape) < rng.random()] = np.nan
+            values[:, 0] = np.nan  # an all-NaN column
+            values[-1, 1] = np.nan  # a NaN in the last row
+            series = BeliefSeries.from_array(values, split_index=1)
+            assert np.array_equal(series.values, row_loop(values))
+
     def test_trace_csv_ingestion(self, tmp_path):
         network = sample_sbm(VB1, seed=0)
         profile = bernoulli_profile(network.clusters, (0.1, 0.5))

@@ -12,6 +12,8 @@ from blocklearn.learning import (
     bayesian_update,
     estimate_state,
     geometric_combine,
+    llr_table,
+    log_ratio_chunks,
     ratio_estimates,
     ratio_log_beliefs,
     run,
@@ -244,6 +246,38 @@ class TestTraceCsv:
         trace.to_csv(tmp_path / "bulk.csv", sidecar=False)
         row_loop_csv(trace, tmp_path / "loop.csv")
         assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+
+
+class TestLogRatioChunks:
+    @pytest.mark.parametrize("horizon", [1, 15, 16, 17])
+    @pytest.mark.parametrize("asl", [True, False])
+    @pytest.mark.parametrize("shared", [True, False])
+    @pytest.mark.parametrize("n_hypotheses", [2, 3])
+    def test_matches_per_step_recursion(self, horizon, asl, shared, n_hypotheses):
+        rng = np.random.default_rng(horizon + 10 * n_hypotheses)
+        n, reps, alphabet = 6, 3, 4
+        raw = rng.random((n, n_hypotheses, alphabet)) + 0.05
+        profile = LikelihoodProfile(likelihoods=raw / raw.sum(axis=2, keepdims=True),
+                                    true_state=rng.integers(0, n_hypotheses, n))
+        combination_t = rng.random((n, n) if shared else (reps, n, n))
+        symbols = rng.integers(0, alphabet, size=(horizon, reps, n)).astype(np.uint8)
+        w_like, w_prior = (0.3, 0.7) if asl else (1.0, 1.0)
+
+        table = llr_table(profile)
+        psi, mu = [], []
+        prev_mu = np.zeros((reps, n, n_hypotheses - 1))
+        for t in range(horizon):
+            like = table[np.arange(n), symbols[t]]  # (reps, n, H - 1)
+            psi.append(w_like * like + w_prior * prev_mu)
+            prev_mu = np.matmul(combination_t, psi[-1])
+            mu.append(prev_mu)
+
+        chunks = [(start, x_psi.copy(), x_mu.copy())
+                  for start, x_psi, x_mu in log_ratio_chunks(combination_t, table, symbols,
+                                                             w_like, w_prior)]
+        assert [start for start, _, _ in chunks] == list(range(0, horizon, 16))
+        assert np.array_equal(np.concatenate([c[1] for c in chunks]), np.array(psi))
+        assert np.array_equal(np.concatenate([c[2] for c in chunks]), np.array(mu))
 
 
 class TestWindowedMean:

@@ -203,6 +203,28 @@ class TestObservationSampling:
             assert np.array_equal(obs[agent], scalar)
 
 
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 7, 6_029_717_381, 2**130 + 5]
+
+
+class TestObservationBlocks:
+    @pytest.mark.parametrize("alphabet", [2, 3, 25])
+    def test_block_equals_stacked_seed_calls(self, alphabet):
+        profile = random_multinomial_profile(np.repeat([0, 1, 2], 4), alphabet, seed=alphabet)
+        block = observation_matrix(profile, horizon=40, seed=SEEDS)
+        assert block.dtype == np.uint8
+        stacked = np.stack([observation_matrix(profile, horizon=40, seed=s) for s in SEEDS])
+        assert np.array_equal(block, stacked)
+
+    def test_empty_block(self):
+        block = observation_matrix(vb1_profile(), horizon=10, seed=[])
+        assert block.shape == (0, 30, 10)
+
+    @pytest.mark.parametrize("seed", [-1, [3, -2]])
+    def test_negative_seed_rejected(self, seed):
+        with pytest.raises(ValueError):
+            observation_matrix(vb1_profile(), horizon=10, seed=seed)
+
+
 class TestProfileIO:
     def test_round_trip(self, tmp_path):
         profile = random_multinomial_profile(np.repeat([0, 1, 2], 3), alphabet_size=7, seed=11)
