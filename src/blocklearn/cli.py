@@ -34,17 +34,11 @@ from .harness import (
     resolve_inputs,
     run_experiment,
     with_overrides,
+    write_manifest,
 )
 from .inverse import BeliefSeries, scan_delta, traditional_fit
 from .theory import asymmetric_delta_thresholds, expected_log_ratio, symmetric_delta_threshold
 from .verify import run_all
-
-
-def _write_manifest(out_dir, command, outputs):
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "manifest.json", "w") as fh:
-        json.dump({"version": __version__, "command": command, "outputs": outputs}, fh, indent=2)
 
 
 def _parse_float_list(text):
@@ -86,7 +80,7 @@ def _cmd_generate(args):
     out.mkdir(parents=True, exist_ok=True)
     save_network(out / "network.txt", network)
     save_matrix_csv(out / "combination.csv", network.combination)
-    _write_manifest(out, "generate", ["network.txt", "combination.csv"])
+    write_manifest(out, "generate", ["network.txt", "combination.csv"])
     print(f"wrote network with {network.size} agents to {out} (retries={network.retries})")
     return 0
 
@@ -113,15 +107,10 @@ def _cmd_simulate(args):
     config = _load_config(args, require_out=True)
     result = run_experiment(config)
     comparison = None
-    # a run on one graph is compared with the prediction for that graph, a
-    # run that redraws the graph with the graph-averaged one
-    if isinstance(result.network, Network):
-        law = result.network.combination
-    elif isinstance(result.network, SbmParams):
-        law = result.network
-    else:
-        law = None  # no closed form for k-community laws yet
-    if config.strategy == "asl" and law is not None:
+    if config.strategy == "asl":
+        # a run on one graph is compared with the prediction for that graph, a
+        # run that redraws the graph with the graph-averaged one
+        law = result.network.combination if isinstance(result.network, Network) else result.network
         prediction = expected_log_ratio(law, result.profile, config.delta, config.pair)
         comparison = compare_theory(result, prediction)
     result.write_outputs(config.out_dir, comparison=comparison)
@@ -147,28 +136,22 @@ def _cmd_thresholds(args):
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         (out / "thresholds.json").write_text(text + "\n")
-        _write_manifest(out, "thresholds", ["thresholds.json"])
+        write_manifest(out, "thresholds", ["thresholds.json"])
     return 0
 
 
 def _cmd_predict(args):
     config = _load_config(args)
     source, clusters, profile = resolve_inputs(config)
-    if isinstance(source, SbmParams):
-        law = source
-    elif isinstance(source, BlockModel):
-        raise ValueError("closed-form predictions need a two-community SBM or an explicit network file")
-    else:
-        law = source.combination
+    law = source.combination if isinstance(source, Network) else source
     prediction = expected_log_ratio(law, profile, config.delta, config.pair)
-    print(json.dumps({"cluster_means": prediction.cluster_means(clusters),
-                      "truncation_steps": prediction.truncation_steps}, indent=2))
+    print(json.dumps({"cluster_means": prediction.cluster_means(clusters)}, indent=2))
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         with open(out / "prediction.json", "w") as fh:
             json.dump(prediction.to_json(), fh, indent=2)
-        _write_manifest(out, "predict", ["prediction.json"])
+        write_manifest(out, "predict", ["prediction.json"])
     return 0
 
 
@@ -198,7 +181,7 @@ def _cmd_fit_delta(args):
                 writer.writerow([0.0, f"{result.traditional_error:.17g}"])
             for d, e in zip(result.deltas, result.errors):
                 writer.writerow([f"{d:.17g}", f"{e:.17g}"])
-        _write_manifest(out, "fit-delta", ["delta_scan.csv"])
+        write_manifest(out, "fit-delta", ["delta_scan.csv"])
     return 0
 
 

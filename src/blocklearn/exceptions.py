@@ -53,6 +53,10 @@ class MalformedFile(BlocklearnError, ValueError):
     """A network or profile file does not follow its text format."""
 
 
+class AllReplicatesFailed(BlocklearnError, RuntimeError):
+    """Every replicate of an experiment failed, so there is nothing to aggregate."""
+
+
 class MismatchedConfig(BlocklearnError):
     """Empirical results and theoretical prediction were produced for different setups."""
 

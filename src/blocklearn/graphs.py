@@ -117,8 +117,7 @@ class BlockModel:
     """General k-community SBM law: community sizes plus a k x k probability matrix.
 
     ``probs[i, j]`` is the probability of an edge from a cluster-i agent into
-    a cluster-j column.  The closed-form theory below is two-community only;
-    this generalization exists for sampling.
+    a cluster-j column.
     """
 
     sizes: tuple
@@ -153,6 +152,9 @@ class BlockModel:
         """Dense N x N matrix of per-entry edge probabilities."""
         lab = self.labels()
         return self.probs[np.ix_(lab, lab)]
+
+    def to_dict(self):
+        return {"sizes": list(self.sizes), "probs": self.probs.tolist()}
 
 
 def _as_block_model(params):
@@ -316,7 +318,7 @@ def is_strongly_connected(adjacency):
 
 @dataclass(frozen=True, eq=False)
 class ExpectedMatrix:
-    """Block form of the expected combination matrix for a two-community SBM.
+    """Block form of the expected combination matrix of an SBM law.
 
     ``block_values[i, j]`` is the constant entry of the (source-i, target-j)
     block; ``sizes`` are the community sizes.  ``dense()`` expands to the full
@@ -325,52 +327,44 @@ class ExpectedMatrix:
 
     block_values: np.ndarray
     sizes: tuple
-    params: SbmParams = field(repr=False, default=None)
+    params: object = field(repr=False, default=None)
 
     def dense(self):
-        n0, n1 = self.sizes
-        v = self.block_values
-        out = np.block(
-            [
-                [np.full((n0, n0), v[0, 0]), np.full((n0, n1), v[0, 1])],
-                [np.full((n1, n0), v[1, 0]), np.full((n1, n1), v[1, 1])],
-            ]
-        )
+        lab = self.labels()
+        out = self.block_values[np.ix_(lab, lab)]
         col_sums = out.sum(axis=0)
         if np.any(np.abs(col_sums - 1.0) > COLUMN_SUM_TOL):
             raise DegenerateBlock("expected matrix is not left-stochastic")
         return out
 
     def labels(self):
-        return np.repeat(np.arange(2), self.sizes)
+        return np.repeat(np.arange(len(self.sizes)), self.sizes)
 
 
 def expected_combination(params):
-    """Expected combination matrix of a two-community SBM, in block form.
+    """Expected combination matrix of an SBM law, in block form.
 
-    The four block values are ``p0/r0``, ``q0/r1``, ``q1/r0``, ``p1/r1``
-    with ``r0 = p0*n0 + q1*n1`` and ``r1 = q0*n0 + p1*n1`` (the expected
-    in-degree of a column in each community).  This approximates the true
-    entrywise expectation up to a residual of order ``min(n0, n1)**(-4/3)``.
+    The block values are ``V[i, j] = probs[i, j] / r[j]`` with
+    ``r[j] = sum_i probs[i, j] * n_i``, the expected in-degree of a column in
+    community j.  For two communities these are ``p0/r0``, ``q0/r1``,
+    ``q1/r0``, ``p1/r1`` with ``r0 = p0*n0 + q1*n1`` and
+    ``r1 = q0*n0 + p1*n1``.  This approximates the true entrywise expectation
+    up to a residual of order ``min(sizes)**(-4/3)``.
+
+    Parameters
+    ----------
+    params : SbmParams or BlockModel
 
     Raises
     ------
     DegenerateBlock
-        If a block normalizer ``r0`` or ``r1`` is zero.
+        If some community's expected in-degree ``r[j]`` is zero.
     """
-    if not isinstance(params, SbmParams):
-        raise TypeError("expected_combination is defined for two-community SbmParams")
-    r0 = params.p0 * params.n0 + params.q1 * params.n1
-    r1 = params.q0 * params.n0 + params.p1 * params.n1
-    if r0 <= 0 or r1 <= 0:
-        raise DegenerateBlock(f"zero expected in-degree (r0={r0}, r1={r1})")
-    values = np.array(
-        [
-            [params.p0 / r0, params.q0 / r1],
-            [params.q1 / r0, params.p1 / r1],
-        ]
-    )
-    return ExpectedMatrix(block_values=values, sizes=params.sizes, params=params)
+    model = _as_block_model(params)
+    in_degree = (np.array(model.sizes)[:, None] * model.probs).sum(axis=0)
+    if np.any(in_degree <= 0):
+        raise DegenerateBlock(f"zero expected in-degree (r={in_degree.tolist()})")
+    return ExpectedMatrix(block_values=model.probs / in_degree, sizes=model.sizes, params=params)
 
 
 def expected_perron(params):

@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__, learning
-from .exceptions import DeltaOutOfRange, MismatchedConfig
+from .exceptions import AllReplicatesFailed, DeltaOutOfRange, MismatchedConfig
 from .graphs import BlockModel, Network, SbmParams, load_network, sample_sbm
 from .learning import (
     BeliefState,
@@ -43,6 +43,7 @@ __all__ = [
     "run_experiment",
     "compare_theory",
     "ComparisonRow",
+    "write_manifest",
 ]
 
 
@@ -113,7 +114,7 @@ class ExperimentConfig:
             if isinstance(value, SbmParams):
                 return {"kind": "sbm", **value.to_dict()}
             if isinstance(value, BlockModel):
-                return {"kind": "blocks", "sizes": list(value.sizes), "probs": value.probs.tolist()}
+                return {"kind": "blocks", **value.to_dict()}
             if isinstance(value, Network):
                 return {"kind": "network", "size": value.size}
             if isinstance(value, LikelihoodProfile):
@@ -326,9 +327,15 @@ class ExperimentResult:
             _write_comparison_csv(out / "theory_comparison.csv", comparison)
             outputs.append("theory_comparison.csv")
 
-        with open(out / "manifest.json", "w") as fh:
-            json.dump({"version": __version__, "command": "simulate", "outputs": outputs}, fh, indent=2)
+        write_manifest(out, "simulate", outputs)
         return outputs
+
+
+def write_manifest(out_dir, command, outputs):
+    """Write ``manifest.json`` into an existing output directory: the package
+    version, the command and the names of the files it wrote."""
+    with open(Path(out_dir) / "manifest.json", "w") as fh:
+        json.dump({"version": __version__, "command": command, "outputs": outputs}, fh, indent=2)
 
 
 # Replicates stepped together by one recursion.  Blocks are reduced in
@@ -379,10 +386,8 @@ def run_experiment(config):
         source = sample_sbm(source, seed=config.base_seed)
     fixed_t = np.ascontiguousarray(source.combination.T) if isinstance(source, Network) else None
     law_metadata = {}
-    if isinstance(source, SbmParams):
+    if isinstance(source, (SbmParams, BlockModel)):
         law_metadata["sbm_params"] = source.to_dict()
-    elif isinstance(source, BlockModel):
-        law_metadata["sbm_params"] = {"sizes": list(source.sizes), "probs": source.probs.tolist()}
 
     n, h = profile.n_agents, profile.n_hypotheses
     horizon, burn_in, pair = config.horizon, config.burn_in, config.pair
@@ -471,7 +476,7 @@ def run_experiment(config):
 
     n_ok = sum(block.shape[0] for block in rep_mu)
     if n_ok == 0:
-        raise RuntimeError(f"all {config.replicates} replicates failed: {failures}")
+        raise AllReplicatesFailed(f"all {config.replicates} replicates failed: {failures}")
 
     rep_psi = np.vstack(rep_psi)
     rep_mu = np.vstack(rep_mu)

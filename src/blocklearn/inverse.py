@@ -9,12 +9,13 @@ scan a step-size grid for the best fit.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import DeltaOutOfRange, InsufficientSteps
+from .exceptions import DeltaOutOfRange, InsufficientSteps, MalformedFile
 
 __all__ = [
     "BeliefSeries",
@@ -70,19 +71,33 @@ class BeliefSeries:
 
     @classmethod
     def from_csv(cls, path, split_index=None, step_col="step", agent_col="agent", value_col="log_ratio"):
-        """Load a generic long-format CSV with step, agent and log-ratio columns."""
-        steps, agents, vals = [], [], []
+        """Load a generic long-format CSV with step, agent and log-ratio columns.
+
+        The header is read first; the three named columns are then parsed in
+        one ``np.loadtxt`` call, in any column order.
+
+        Raises
+        ------
+        MalformedFile
+            If the header lacks one of the named columns.
+        InsufficientSteps
+            If the file has no data rows.
+        """
         with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                steps.append(int(row[step_col]))
-                agents.append(int(row[agent_col]))
-                vals.append(float(row[value_col]))
-        if not steps:
+            header = next(csv.reader([fh.readline()]), [])
+            names = (step_col, agent_col, value_col)
+            missing = [name for name in names if name not in header]
+            if missing:
+                raise MalformedFile(f"{path}: no {', '.join(missing)} column in header {header}")
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # no data rows: reported below
+                data = np.loadtxt(fh, delimiter=",", usecols=[header.index(n) for n in names],
+                                  ndmin=2)
+        if not data.size:
             raise InsufficientSteps(f"no rows in {path}")
-        n_steps = max(steps) + 1
-        n_agents = max(agents) + 1
-        values = np.full((n_steps, n_agents), np.nan)
-        values[steps, agents] = vals
+        steps, agents = data[:, 0].astype(np.int64), data[:, 1].astype(np.int64)
+        values = np.full((steps.max() + 1, agents.max() + 1), np.nan)
+        values[steps, agents] = data[:, 2]
         return cls.from_array(values, split_index)
 
     @classmethod
@@ -174,20 +189,31 @@ def scan_delta(series, combination, grid, include_traditional=False):
     argmin; when ``include_traditional`` is set, the step-size-free fit is
     reported alongside (conventionally plotted in place of delta = 0) but
     does not participate in the argmin.
+
+    The fit residual is affine in the step size.  With fitting segment
+    ``y[:k]``, validation mean ``m``, ``u = m - mean(y[1:k])`` and
+    ``v = (m - mean(y[:k-1])) A``, the residual of
+    ``fit_error(estimate_log_likelihoods(delta))`` is ``(u - v) + delta v``
+    and that of ``traditional_fit`` is ``u - v``, so the whole grid is one
+    broadcast.
     """
     grid = np.asarray(list(grid), dtype=float)
     if grid.size == 0:
         raise ValueError("empty delta grid")
     for d in grid:
         _check_delta(d)
-    errors = np.empty(grid.size)
-    for i, d in enumerate(grid):
-        estimates = estimate_log_likelihoods(series, combination, d)
-        errors[i] = fit_error(series, combination, d, estimates)
+    k = series.split_index
+    if k < 2:
+        raise InsufficientSteps("need at least 2 fitting steps to form one increment")
+    y = series.values
+    m = y[k:].mean(axis=0)
+    u = m - y[1:k].mean(axis=0)
+    v = (m - y[: k - 1].mean(axis=0)) @ np.asarray(combination, dtype=float)
+    errors = np.linalg.norm((u - v) + grid[:, None] * v, axis=1) / series.n_agents
     best = int(np.argmin(errors))
     traditional_error = None
     if include_traditional:
-        _, traditional_error = traditional_fit(series, combination)
+        traditional_error = float(np.linalg.norm(u - v) / series.n_agents)
     return DeltaScan(
         deltas=grid,
         errors=errors,

@@ -2,10 +2,10 @@
 
 Covers the network divergence and the consensus set of the traditional
 recursion, the steady-state expected log-belief ratios of the step-size
-recursion (as a truncated geometric series over powers of the expected
-combination matrix, plus the symmetric-community closed form), the step-size
-thresholds that let each community keep its own hypothesis, and the
-information-theoretic exact-recovery margin.
+recursion (one linear solve with the expected or an explicit combination
+matrix, for any number of communities, plus the symmetric-community closed
+form), the step-size thresholds that let each community keep its own
+hypothesis, and the information-theoretic exact-recovery margin.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .exceptions import (
     PreconditionFailed,
     ZeroInformativeness,
 )
-from .graphs import SbmParams, expected_combination
+from .graphs import BlockModel, SbmParams, expected_combination
 from .models import divergence_table
 
 __all__ = [
@@ -94,19 +94,21 @@ class LogRatioPrediction:
     """Steady-state expected log-belief ratios under the step-size recursion.
 
     ``values[k]`` predicts the long-run mean of agent k's private log-belief
-    ratio for the configured pair.  ``truncation_steps`` is the number of
-    matrix powers summed before the geometric tail fell below tolerance (or
-    was replaced by its exact limit once the powers reached stationarity).
+    ratio for the configured pair.
     """
 
     values: np.ndarray
     delta: float
     pair: tuple
-    truncation_steps: int
-    truncation_tol: float
     matrix_kind: str
-    residual_note: str
     inputs: dict
+
+    # Not a field: the prediction is a linear solve, so no series terms are
+    # summed.  perfbench/tracing.py reads this attribute on every traced
+    # cli_roundtrip round.
+    truncation_steps = 0
+
+    SCHEMA_VERSION = 2
 
     def cluster_means(self, clusters):
         clusters = np.asarray(clusters)
@@ -114,82 +116,54 @@ class LogRatioPrediction:
 
     def to_json(self):
         return {
+            "schema_version": self.SCHEMA_VERSION,
             "values": self.values.tolist(),
             "delta": self.delta,
             "pair": list(self.pair),
-            "truncation_steps": self.truncation_steps,
-            "truncation_tol": self.truncation_tol,
             "matrix_kind": self.matrix_kind,
-            "residual_note": self.residual_note,
             "inputs": self.inputs,
         }
 
 
-def _series_sum(apply_t, start, delta, tol, max_nu):
-    """Accumulate ``delta * sum_t (1-delta)^t y_t`` with ``y_{t+1} = apply_t(y_t)``.
-
-    Stops when the geometric tail bound ``(1-delta)^t * max_nu / delta``
-    drops below ``tol``; if the iterates reach stationarity first (the matrix
-    powers have converged to the Perron limit), the remaining tail is added
-    in closed form.
-    """
-    total = np.zeros_like(start)
-    y = start
-    weight = 1.0  # (1 - delta)^t
-    t = 0
-    stationary_eps = 1e-15 * max(1.0, float(np.max(np.abs(start))))
-    while weight * max_nu / delta >= tol:
-        total += delta * weight * y
-        y_next = apply_t(y)
-        if t >= 2 and np.max(np.abs(y_next - y)) < stationary_eps:
-            # powers have converged; the rest of the series is exactly geometric
-            total += weight * (1.0 - delta) * y_next
-            return total, t + 1, "tail summed in closed form after power convergence"
-        y = y_next
-        weight *= 1.0 - delta
-        t += 1
-    return total, t, f"geometric tail bound below {tol:g}"
-
-
-def expected_log_ratio(network_law, profile, delta, pair=(0, 1), truncation_tol=1e-10):
+def expected_log_ratio(network_law, profile, delta, pair=(0, 1)):
     """Per-agent steady-state expected log-belief ratio.
 
-    The prediction is ``delta * sum_t (1-delta)^t * M^(t+1)^T nu`` where
-    ``nu`` holds the expected per-agent log-likelihood ratios and ``M`` is
-    either the block-form expected combination matrix (when ``network_law``
-    is SbmParams, averaging over graph draws) or an explicit combination
-    matrix (conditioning on one realized graph).
+    The prediction is ``delta * sum_t (1-delta)^t * (M^(t+1))^T nu``, which
+    is the solution of one linear system,
+    ``delta * (I - (1-delta) M^T)^(-1) M^T nu`` (Bordignon, Matta & Sayed,
+    "Adaptive Social Learning", IEEE T-IT 67(9), 2021).  ``nu`` holds the
+    expected per-agent log-likelihood ratios and ``M`` is either the
+    expected combination matrix of an SBM law (averaging over graph draws)
+    or an explicit combination matrix (conditioning on one realized graph).
+
+    For a law with k communities the solution is constant within each
+    community, so the system is solved on the community sums: with block
+    values ``V``, sizes ``n`` and ``S_c = sum_{l in c} nu_l``,
+    ``z = delta * solve(I - (1-delta) (n[:, None] * V)^T, V^T S)`` and agent
+    k gets ``z`` of its community.  An explicit matrix gets the N x N solve.
 
     Parameters
     ----------
-    network_law : SbmParams or ndarray
+    network_law : SbmParams, BlockModel or ndarray
     profile : LikelihoodProfile
     delta : float in (0, 1)
     pair : (int, int)
-    truncation_tol : float
-        Bound on the neglected geometric tail.
     """
     if not 0.0 < delta < 1.0:
         raise DeltaOutOfRange(f"delta must be in (0, 1), got {delta}")
     nu = mean_log_likelihood_ratios(profile, pair)
-    max_nu = float(np.max(np.abs(nu))) if nu.size else 0.0
-    if max_nu == 0.0:
-        max_nu = truncation_tol  # all-zero series: one term, exact
 
-    if isinstance(network_law, SbmParams):
-        sizes = np.array(network_law.sizes)
+    if isinstance(network_law, (SbmParams, BlockModel)):
         if profile.n_agents != network_law.size:
             raise ValueError("profile size does not match the SBM law")
-        values = expected_combination(network_law).block_values
-        clusters = np.repeat(np.arange(2), sizes)
-        cluster_nu = np.array([nu[clusters == c].sum() for c in range(2)])
-        # iterate per-cluster sums: y[c] = sum_l [M^(t+1)]_{l,k in c} nu_l
-        step = (values * sizes[:, None]).T  # y_{t+1} = step @ y_t
-
-        total, steps, note = _series_sum(
-            lambda y: step @ y, values.T @ cluster_nu, delta, truncation_tol, max_nu
-        )
-        per_agent = total[clusters]
+        expected = expected_combination(network_law)
+        values, labels = expected.block_values, expected.labels()
+        sizes = np.array(expected.sizes)
+        cluster_nu = np.bincount(labels, weights=nu, minlength=sizes.size)
+        step_t = (sizes[:, None] * values).T
+        z = delta * np.linalg.solve(np.eye(sizes.size) - (1.0 - delta) * step_t,
+                                    values.T @ cluster_nu)
+        per_agent = z[labels]
         kind = "expected-block"
         inputs = {"params": network_law.to_dict(), "profile": profile.reference}
     else:
@@ -197,10 +171,7 @@ def expected_log_ratio(network_law, profile, delta, pair=(0, 1), truncation_tol=
         if matrix.shape != (profile.n_agents, profile.n_agents):
             raise ValueError("combination matrix does not match the profile size")
         mt = matrix.T
-        total, steps, note = _series_sum(
-            lambda y: mt @ y, mt @ nu, delta, truncation_tol, max_nu
-        )
-        per_agent = total
+        per_agent = delta * np.linalg.solve(np.eye(matrix.shape[0]) - (1.0 - delta) * mt, mt @ nu)
         kind = "explicit-matrix"
         inputs = {"matrix_shape": list(matrix.shape), "profile": profile.reference}
 
@@ -208,10 +179,7 @@ def expected_log_ratio(network_law, profile, delta, pair=(0, 1), truncation_tol=
         values=per_agent,
         delta=float(delta),
         pair=(int(pair[0]), int(pair[1])),
-        truncation_steps=steps,
-        truncation_tol=float(truncation_tol),
         matrix_kind=kind,
-        residual_note=note,
         inputs=inputs,
     )
 

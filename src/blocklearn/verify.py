@@ -411,24 +411,32 @@ def check_expected_matrix_trend(seed=42, samples=400):
 
 
 def check_series_vs_closed_form(tol=1e-9):
-    """Truncated-series evaluation against the symmetric closed form, both
-    driven by the same block expected matrix."""
+    """The steady-state solve against two oracles: the block-law solve
+    against the symmetric closed form, and the solve on one sampled graph's
+    combination matrix against the noiseless recursion iterated until
+    ``(1 - delta)^t < 1e-14``."""
     params = SbmParams(n0=15, n1=15, p0=0.8, p1=0.8, q0=0.1, q1=0.1)
     clusters = np.repeat([0, 1], 15)
     profile = bernoulli_profile(clusters, (0.1, 0.5))
     table = divergence_table(profile)
     d0 = float(table[0, 1])
     d1 = float(table[-1, 0])
-    worst = 0.0
+    combination = sample_sbm(params, seed=5).combination
+    nu = table[:, 1] - table[:, 0]
+    block_gap = explicit_gap = 0.0
     for delta in (0.01, 0.1, 0.3, 0.7):
-        prediction = expected_log_ratio(params, profile, delta, truncation_tol=1e-13)
+        means = expected_log_ratio(params, profile, delta).cluster_means(clusters)
         closed0, closed1 = symmetric_log_ratio_closed_form(d0, d1, 0.8, 0.1, delta)
-        means = prediction.cluster_means(clusters)
-        worst = max(worst, abs(means[0] - closed0), abs(means[1] - closed1))
+        block_gap = max(block_gap, abs(means[0] - closed0), abs(means[1] - closed1))
+        steps = int(np.ceil(np.log(1e-14) / np.log1p(-delta)))
+        iterated = recursion_series(nu @ combination, combination, delta, steps)[-1]
+        solved = expected_log_ratio(combination, profile, delta).values
+        explicit_gap = max(explicit_gap, float(np.abs(solved - iterated).max()))
     return CheckResult(
         "series-vs-closed-form",
-        worst <= tol,
-        f"max |truncated series - closed form| = {worst:.3e} (tol {tol:g})",
+        max(block_gap, explicit_gap) <= tol,
+        f"max |block solve - closed form| = {block_gap:.3e}, "
+        f"max |explicit solve - iterated recursion| = {explicit_gap:.3e} (tol {tol:g})",
     )
 
 

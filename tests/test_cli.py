@@ -114,6 +114,22 @@ class TestSimulate:
         assert summary["config"]["replicates"] == 3
         assert summary["config"]["delta"] == 0.3
 
+    def test_block_model_run_gets_theory_rows(self, tmp_path):
+        config = write_config(tmp_path, **THREE_COMMUNITY)
+        out = tmp_path / "results3"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        with open(out / "theory_comparison.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["cluster"] for row in rows] == ["0", "1", "2"]
+
+    def test_every_replicate_failing_is_a_typed_error(self, tmp_path, capsys):
+        config = write_config(tmp_path, base_seed=-5, replicates=3)
+        code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "neg")])
+        assert code == 2
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "AllReplicatesFailed"
+
     def test_missing_out_dir_fails(self, tmp_path, capsys):
         config = write_config(tmp_path)
         assert main(["simulate", "--config", str(config)]) == 2
@@ -144,7 +160,29 @@ class TestSimulate:
         assert [int(row["flagged"]) for row in rows] == [0, 0]
 
 
+THREE_COMMUNITY = {
+    "network": {"kind": "blocks", "sizes": [20, 25, 30],
+                "probs": [[0.9, 0.05, 0.05], [0.05, 0.8, 0.05], [0.05, 0.05, 0.9]]},
+    "profile": {"kind": "multinomial", "alphabet": 25, "seed": 10},
+}
+
+
 class TestPredict:
+    def test_block_model_config(self, tmp_path, capsys):
+        config = write_config(tmp_path, delta=0.1, **THREE_COMMUNITY)
+        out = tmp_path / "pred3"
+        assert main(["predict", "--config", str(config), "--out", str(out)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert sorted(payload) == ["cluster_means"]
+        assert sorted(payload["cluster_means"]) == ["0", "1", "2"]
+        prediction = json.loads((out / "prediction.json").read_text())
+        assert prediction["schema_version"] == 2
+        assert len(prediction["values"]) == 75
+        assert prediction["matrix_kind"] == "expected-block"
+        assert "truncation_steps" not in prediction
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == "predict" and manifest["outputs"] == ["prediction.json"]
+
     def test_prediction_table(self, tmp_path, capsys):
         config = write_config(tmp_path, delta=0.1)
         out = tmp_path / "pred"

@@ -152,6 +152,20 @@ class TestExpectedCombination:
         assert expected.block_values[0, 0] == pytest.approx(p / (n * (p + q)), abs=1e-15)
         assert expected.block_values[1, 0] == pytest.approx(q / (n * (p + q)), abs=1e-15)
 
+    def test_k_communities(self):
+        probs = np.array([[0.9, 0.05, 0.1], [0.05, 0.8, 0.05], [0.2, 0.05, 0.9]])
+        model = BlockModel(sizes=(20, 25, 30), probs=probs)
+        expected = expected_combination(model)
+        in_degree = [sum(probs[i, j] * model.sizes[i] for i in range(3)) for j in range(3)]
+        assert np.allclose(expected.block_values, probs / in_degree, rtol=1e-15, atol=0)
+        assert np.array_equal(expected.labels(), model.labels())
+        dense = expected.dense()
+        assert dense.shape == (75, 75)
+        assert np.all(np.abs(dense.sum(axis=0) - 1.0) <= 1e-12)
+        two = SbmParams(n0=20, n1=15, p0=0.8, p1=0.9, q0=0.1, q1=0.2)
+        assert np.array_equal(expected_combination(two.to_block_model()).block_values,
+                              expected_combination(two).block_values)
+
     def test_degenerate_block(self):
         with pytest.raises(DegenerateBlock):
             expected_combination(SbmParams(n0=2, n1=2, p0=0, p1=1, q0=1, q1=0))

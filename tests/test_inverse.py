@@ -1,7 +1,9 @@
+import csv
+
 import numpy as np
 import pytest
 
-from blocklearn.exceptions import DeltaOutOfRange, InsufficientSteps
+from blocklearn.exceptions import DeltaOutOfRange, InsufficientSteps, MalformedFile
 from blocklearn.graphs import SbmParams, averaging_combination, sample_sbm
 from blocklearn.inverse import (
     BeliefSeries,
@@ -68,6 +70,57 @@ class TestBeliefSeries:
         series = BeliefSeries.from_trace_csv(path, split_index=15)
         assert series.values.shape == (31, 30)
         assert np.allclose(series.values, trace.log_ratio, atol=1e-15)
+
+
+def dictreader_values(path, step_col="step", agent_col="agent", value_col="log_ratio"):
+    """Reference parser: one csv.DictReader row at a time, then forward fill."""
+    steps, agents, vals = [], [], []
+    with open(path, newline="") as fh:
+        for row in csv.DictReader(fh):
+            steps.append(int(row[step_col]))
+            agents.append(int(row[agent_col]))
+            vals.append(float(row[value_col]))
+    values = np.full((max(steps) + 1, max(agents) + 1), np.nan)
+    values[steps, agents] = vals
+    return BeliefSeries.from_array(values).values
+
+
+class TestCsvParsing:
+    def test_trace_with_observations_matches_row_loop(self, tmp_path):
+        network = sample_sbm(VB1, seed=4)
+        profile = bernoulli_profile(network.clusters, (0.1, 0.5))
+        trace = run(network, profile, strategy="asl", delta=0.3, horizon=120, seed=4,
+                    record_observations=True)
+        path = tmp_path / "trace.csv"
+        trace.to_csv(path, sidecar=False)
+        assert path.read_text().splitlines()[0].endswith(",obs")
+        series = BeliefSeries.from_trace_csv(path)
+        assert np.array_equal(series.values, dictreader_values(path, step_col="iter"))
+
+    def test_generic_csv_with_reordered_columns_and_gaps(self, tmp_path):
+        rng = np.random.default_rng(14)
+        rows = [(i, k, rng.normal()) for i in range(25) for k in range(7) if rng.random() < 0.7]
+        rng.shuffle(rows)
+        path = tmp_path / "generic.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["log_ratio", "note", "agent", "step"])
+            for i, k, value in rows:
+                writer.writerow([repr(value), "x", k, i])
+        series = BeliefSeries.from_csv(path)
+        assert np.array_equal(series.values, dictreader_values(path))
+
+    def test_header_only_file(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("iter,agent,log_ratio\r\n")
+        with pytest.raises(InsufficientSteps):
+            BeliefSeries.from_trace_csv(path)
+
+    def test_missing_column(self, tmp_path):
+        path = tmp_path / "nostep.csv"
+        path.write_text("agent,log_ratio\n0,1.5\n")
+        with pytest.raises(MalformedFile):
+            BeliefSeries.from_csv(path)
 
 
 class TestEstimateLogLikelihoods:
@@ -211,6 +264,30 @@ class TestScanDelta:
         estimates, error = traditional_fit(series, combination)
         assert error == pytest.approx(scan.traditional_error, abs=1e-15)
         assert estimates.shape == (6,)
+
+    def test_errors_match_per_point_fit(self):
+        network = sample_sbm(VB1, seed=8)
+        profile = bernoulli_profile(network.clusters, (0.1, 0.5))
+        trace = run(network, profile, strategy="asl", delta=0.3, horizon=400, seed=8)
+        rng = np.random.default_rng(15)
+        grid = np.arange(0.025, 0.98, 0.025)
+        for values, split in ((trace.log_ratio, 150), (rng.normal(size=(40, 30)), 2)):
+            series = BeliefSeries.from_array(values, split_index=split)
+            scan = scan_delta(series, network.combination, grid, include_traditional=True)
+            reference = [
+                fit_error(series, network.combination, d,
+                          estimate_log_likelihoods(series, network.combination, d))
+                for d in grid
+            ]
+            assert np.allclose(scan.errors, reference, rtol=1e-12, atol=0)
+            assert scan.best_delta == grid[int(np.argmin(reference))]
+            _, traditional = traditional_fit(series, network.combination)
+            assert scan.traditional_error == pytest.approx(traditional, rel=1e-12)
+
+    def test_needs_two_fitting_steps(self):
+        series = BeliefSeries(values=np.zeros((4, 2)), split_index=1)
+        with pytest.raises(InsufficientSteps):
+            scan_delta(series, np.eye(2), [0.5])
 
     def test_grid_validation(self):
         series = BeliefSeries(values=np.zeros((6, 2)), split_index=3)

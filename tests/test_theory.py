@@ -9,12 +9,18 @@ from blocklearn.exceptions import (
     PreconditionFailed,
     ZeroInformativeness,
 )
-from blocklearn.graphs import SbmParams, expected_combination
-from blocklearn.models import LikelihoodProfile, bernoulli_profile, cluster_informativeness
+from blocklearn.graphs import BlockModel, SbmParams, expected_combination, sample_sbm
+from blocklearn.models import (
+    LikelihoodProfile,
+    bernoulli_profile,
+    cluster_informativeness,
+    random_multinomial_profile,
+)
 from blocklearn.theory import (
     asymmetric_delta_thresholds,
     exact_recovery_infeasible,
     expected_log_ratio,
+    mean_log_likelihood_ratios,
     network_divergence,
     optimal_hypothesis_set,
     symmetric_delta_threshold,
@@ -98,7 +104,7 @@ class TestExpectedLogRatio:
     def test_matches_closed_form(self):
         profile = vb1_profile()
         for delta in (0.01, 0.1, 0.3, 0.9):
-            prediction = expected_log_ratio(VB1, profile, delta, truncation_tol=1e-13)
+            prediction = expected_log_ratio(VB1, profile, delta)
             closed = symmetric_log_ratio_closed_form(D0, D1, 0.8, 0.1, delta)
             means = prediction.cluster_means(CLUSTERS)
             assert means[0] == pytest.approx(closed[0], abs=1e-9)
@@ -113,7 +119,7 @@ class TestExpectedLogRatio:
     def test_small_delta_approaches_network_divergence(self):
         profile = vb1_profile()
         k = network_divergence(profile, uniform_u(), 0, 1)
-        prediction = expected_log_ratio(VB1, profile, 1e-6, truncation_tol=1e-9)
+        prediction = expected_log_ratio(VB1, profile, 1e-6)
         means = prediction.cluster_means(CLUSTERS)
         assert means[0] == pytest.approx(k, abs=1e-3)
         assert means[1] == pytest.approx(k, abs=1e-3)
@@ -127,9 +133,44 @@ class TestExpectedLogRatio:
     def test_block_and_explicit_paths_agree(self):
         profile = vb1_profile()
         dense = expected_combination(VB1).dense()
-        block_path = expected_log_ratio(VB1, profile, 0.2, truncation_tol=1e-12)
-        dense_path = expected_log_ratio(dense, profile, 0.2, truncation_tol=1e-12)
+        block_path = expected_log_ratio(VB1, profile, 0.2)
+        dense_path = expected_log_ratio(dense, profile, 0.2)
         assert np.abs(block_path.values - dense_path.values).max() < 1e-10
+
+    @pytest.mark.parametrize("delta", [0.001, 0.01, 0.1, 0.7])
+    def test_explicit_solve_matches_power_sum(self, delta):
+        network = sample_sbm(VB1, seed=42)
+        profile = vb1_profile()
+        nu = mean_log_likelihood_ratios(profile)
+        # delta * sum_t (1 - delta)^t (M^(t+1))^T nu, until the tail is below 1e-15 |nu|
+        mt = network.combination.T
+        total, y, weight = np.zeros(30), mt @ nu, 1.0
+        while weight >= 1e-15:
+            total += delta * weight * y
+            y = mt @ y
+            weight *= 1.0 - delta
+        prediction = expected_log_ratio(network.combination, profile, delta)
+        assert np.abs(prediction.values - total).max() < 1e-10
+
+    def test_sbm_params_and_block_model_agree(self):
+        profile = vb1_profile()
+        for delta in (0.01, 0.1, 0.7):
+            from_params = expected_log_ratio(VB1, profile, delta)
+            from_blocks = expected_log_ratio(VB1.to_block_model(), profile, delta)
+            assert np.array_equal(from_params.values, from_blocks.values)
+
+    def test_three_community_block_path_matches_dense(self):
+        probs = np.full((3, 3), 0.05)
+        np.fill_diagonal(probs, [0.9, 0.8, 0.9])
+        model = BlockModel(sizes=(20, 25, 30), probs=probs)
+        profile = random_multinomial_profile(model.labels(), alphabet_size=25, seed=10)
+        dense = expected_combination(model).dense()
+        for pair in ((0, 1), (2, 0)):
+            for delta in (0.01, 0.1, 0.7):
+                block_path = expected_log_ratio(model, profile, delta, pair)
+                dense_path = expected_log_ratio(dense, profile, delta, pair)
+                assert block_path.matrix_kind == "expected-block"
+                assert np.abs(block_path.values - dense_path.values).max() < 1e-12
 
     def test_delta_validation(self):
         with pytest.raises(DeltaOutOfRange):
