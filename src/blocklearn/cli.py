@@ -9,7 +9,6 @@ file), verify (built-in property/oracle suites).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -20,7 +19,6 @@ from . import __version__
 from .exceptions import BlocklearnError
 from .graphs import (
     BlockModel,
-    Network,
     SbmParams,
     load_matrix_csv,
     load_network,
@@ -36,7 +34,8 @@ from .harness import (
     with_overrides,
     write_manifest,
 )
-from .inverse import BeliefSeries, scan_delta, traditional_fit
+from .inverse import BeliefSeries, scan_delta
+from .learning import write_rows
 from .theory import asymmetric_delta_thresholds, expected_log_ratio, symmetric_delta_threshold
 from .verify import run_all
 
@@ -110,8 +109,7 @@ def _cmd_simulate(args):
     if config.strategy == "asl":
         # a run on one graph is compared with the prediction for that graph, a
         # run that redraws the graph with the graph-averaged one
-        law = result.network.combination if isinstance(result.network, Network) else result.network
-        prediction = expected_log_ratio(law, result.profile, config.delta, config.pair)
+        prediction = expected_log_ratio(result.network, result.profile, config.delta, config.pair)
         comparison = compare_theory(result, prediction)
     result.write_outputs(config.out_dir, comparison=comparison)
     for cluster, stats in result.cluster_statistics("mu").items():
@@ -143,8 +141,7 @@ def _cmd_thresholds(args):
 def _cmd_predict(args):
     config = _load_config(args)
     source, clusters, profile = resolve_inputs(config)
-    law = source.combination if isinstance(source, Network) else source
-    prediction = expected_log_ratio(law, profile, config.delta, config.pair)
+    prediction = expected_log_ratio(source, profile, config.delta, config.pair)
     print(json.dumps({"cluster_means": prediction.cluster_means(clusters)}, indent=2))
     if args.out:
         out = Path(args.out)
@@ -175,12 +172,10 @@ def _cmd_fit_delta(args):
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         with open(out / "delta_scan.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["delta", "fit_error"])
+            fh.write("delta,fit_error\r\n")
             if result.traditional_error is not None:
-                writer.writerow([0.0, f"{result.traditional_error:.17g}"])
-            for d, e in zip(result.deltas, result.errors):
-                writer.writerow([f"{d:.17g}", f"{e:.17g}"])
+                fh.write("0.0,%.17g\r\n" % result.traditional_error)  # delta 0: traditional
+            write_rows(fh, "%.17g,%.17g\r\n", [result.deltas, result.errors])
         write_manifest(out, "fit-delta", ["delta_scan.csv"])
     return 0
 

@@ -231,21 +231,18 @@ def averaging_combination(adjacency):
     return adjacency / col_sums
 
 
-def sample_sbm(params, seed, require_strong_connectivity=True, max_retries=100):
+def sample_sbm(params, seed, max_retries=100):
     """Sample an SBM network with an averaging-rule combination matrix.
 
     Whole graphs are redrawn until the realization has no isolated column
-    and, when ``require_strong_connectivity`` is set, is strongly connected
-    with at least one self-loop (so the combination matrix is primitive).
+    and is strongly connected with at least one self-loop (so the
+    combination matrix is primitive).
 
     Parameters
     ----------
     params : SbmParams or BlockModel
     seed : int
         Seed for the draw; equal seeds give identical networks.
-    require_strong_connectivity : bool
-        Redraw until the directed graph is strongly connected and has a
-        self-loop.
     max_retries : int
         Redraw budget (at least 1).
 
@@ -266,13 +263,12 @@ def sample_sbm(params, seed, require_strong_connectivity=True, max_retries=100):
         if np.any(adjacency.sum(axis=0) == 0):
             last_failure = ZeroColumn(int(np.flatnonzero(adjacency.sum(axis=0) == 0)[0]))
             continue
-        if require_strong_connectivity:
-            connected, has_loop = is_strongly_connected(adjacency)
-            if not (connected and has_loop):
-                last_failure = NotStronglyConnected(
-                    f"draw {attempt} not primitive (connected={connected}, self_loop={has_loop})"
-                )
-                continue
+        connected, has_loop = is_strongly_connected(adjacency)
+        if not (connected and has_loop):
+            last_failure = NotStronglyConnected(
+                f"draw {attempt} not primitive (connected={connected}, self_loop={has_loop})"
+            )
+            continue
         combination = averaging_combination(adjacency)
         return Network(
             adjacency=adjacency,

@@ -3,7 +3,6 @@ and theory-versus-simulation comparison."""
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -13,18 +12,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__, learning
-from .exceptions import AllReplicatesFailed, DeltaOutOfRange, MismatchedConfig
+from .exceptions import AllReplicatesFailed, MismatchedConfig
 from .graphs import BlockModel, Network, SbmParams, load_network, sample_sbm
 from .learning import (
-    BeliefState,
-    Trace,
-    llr_table,
-    log_ratio_chunks,
-    pair_ratio,
-    ratio_estimates,
-    ratio_log_beliefs,
+    check_strategy,
     run,  # noqa: F401 - part of this module's namespace, which perfbench/tracing.py wraps
-    trace_metadata,
     write_rows,
 )
 from .models import (
@@ -80,17 +72,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.replicates < 1:
             raise ValueError("replicates must be at least 1")
-        if self.strategy not in ("asl", "traditional"):
-            raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.strategy == "asl":
-            if self.delta is None or not 0.0 < self.delta < 1.0:
-                raise DeltaOutOfRange(f"asl strategy needs delta in (0, 1), got {self.delta}")
+        check_strategy(self.strategy, self.delta, self.estimator)
         if self.burn_in is None:
             self.burn_in = math.ceil(5.0 / self.delta) if self.strategy == "asl" else 0
         if self.horizon < self.burn_in:
             raise ValueError(f"horizon {self.horizon} must be at least burn_in {self.burn_in}")
-        if self.estimator not in ("mu", "psi"):
-            raise ValueError(f"estimator must be 'mu' or 'psi', got {self.estimator!r}")
         self.pair = (int(self.pair[0]), int(self.pair[1]))
 
     @classmethod
@@ -184,10 +170,13 @@ def _resolve_profile(spec, clusters):
 def resolve_inputs(config):
     """The network source, cluster labels and likelihood profile of a config.
 
-    The source is a fixed Network (a network file or object), or the
+    The source is a fixed Network (a network file or object, or with
+    ``fixed_graph`` the law's draw at ``base_seed``), or the
     SbmParams/BlockModel law each replicate draws its own graph from.
     """
     source = _resolve_network_source(config.network)
+    if config.fixed_graph and not isinstance(source, Network):
+        source = sample_sbm(source, seed=config.base_seed)
     if isinstance(source, Network):
         clusters = source.clusters
     elif isinstance(source, BlockModel):
@@ -229,12 +218,10 @@ class ErrorReport:
         return {int(c): float(p[self.clusters == c].mean()) for c in np.unique(self.clusters)}
 
     def to_csv(self, path):
-        p, se = self.p_err, self.stderr
+        columns = [np.arange(self.counts.shape[0]), self.clusters, self.p_err, self.stderr]
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["agent", "cluster", "p_err", "stderr"])
-            for k in range(self.counts.shape[0]):
-                writer.writerow([k, int(self.clusters[k]), f"{p[k]:.17g}", f"{se[k]:.17g}"])
+            fh.write("agent,cluster,p_err,stderr\r\n")
+            write_rows(fh, "%d,%d,%.17g,%.17g\r\n", columns)
 
 
 @dataclass
@@ -376,24 +363,18 @@ def run_experiment(config):
 
     Replicate r uses seed ``base_seed + r`` for both its graph draw (unless
     the graph is fixed) and its observation streams.  Replicates run in
-    blocks of ``BLOCK_SIZE`` through one batched log-ratio recursion, and
-    each iteration is reduced as it is produced; per-replicate traces are
-    kept only with ``store_traces``.  Failed replicates are recorded and
+    blocks of ``BLOCK_SIZE`` through ``learning.simulate_block``, and each
+    chunk of iterations is reduced as it is produced; per-replicate traces
+    are kept only with ``store_traces``.  Failed replicates are recorded and
     skipped.
     """
     source, clusters, profile = resolve_inputs(config)
-    if isinstance(source, (SbmParams, BlockModel)) and config.fixed_graph:
-        source = sample_sbm(source, seed=config.base_seed)
     fixed_t = np.ascontiguousarray(source.combination.T) if isinstance(source, Network) else None
-    law_metadata = {}
-    if isinstance(source, (SbmParams, BlockModel)):
-        law_metadata["sbm_params"] = source.to_dict()
+    law_metadata = {} if isinstance(source, Network) else {"sbm_params": source.to_dict()}
 
     n, h = profile.n_agents, profile.n_hypotheses
-    horizon, burn_in, pair = config.horizon, config.burn_in, config.pair
+    horizon, burn_in = config.horizon, config.burn_in
     window = horizon - burn_in
-    w_like, w_prior = (config.delta, 1.0 - config.delta) if config.strategy == "asl" else (1.0, 1.0)
-    table = llr_table(profile)
     count_index = np.arange(n) * h  # flat (agent, hypothesis) bins
 
     iter_sum = np.zeros((horizon + 1, n))
@@ -409,33 +390,19 @@ def run_experiment(config):
         failures += block_failures
         if not replicates:
             continue
-        size = len(replicates)
         if fixed_t is not None:
             combination_t = fixed_t
         else:
             combination_t = np.stack([net.combination.T for net in networks])
-        if config.store_traces:
-            # iteration 0 is the uniform initial state: log-ratios zero, estimate 0
-            trace_psi = np.zeros((size, horizon + 1, n))
-            trace_mu = np.zeros((size, horizon + 1, n))
-            trace_est = np.zeros((size, horizon + 1, n), dtype=np.int64)
+        size = len(replicates)
         psi_sum = np.zeros((size, n))
         mu_sum = np.zeros((size, n))
-        last_psi = last_mu = np.zeros((size, n, h - 1))
 
-        chunks = log_ratio_chunks(combination_t, table, symbols.transpose(2, 0, 1), w_like, w_prior)
-        for start, x_psi, x_mu in chunks:
-            rows = slice(start + 1, start + 1 + x_psi.shape[0])
-            psi = pair_ratio(x_psi, pair)  # (K, B, N)
-            mu = pair_ratio(x_mu, pair)
-            est = ratio_estimates(x_mu if config.estimator == "mu" else x_psi)
+        def reduce_chunk(start, psi, mu, est):
+            nonlocal counts, psi_sq, mu_sq, psi_sum, mu_sum
+            rows = slice(start + 1, start + 1 + psi.shape[0])
             iter_sum[rows] += psi.sum(axis=1)
             iter_sq[rows] += (psi * psi).sum(axis=1)
-            if config.store_traces:
-                trace_psi[:, rows] = psi.transpose(1, 0, 2)
-                trace_mu[:, rows] = mu.transpose(1, 0, 2)
-                trace_est[:, rows] = est.transpose(1, 0, 2)
-                last_psi, last_mu = x_psi[-1].copy(), x_mu[-1].copy()
             # steady-state window: iterations burn_in + 1 .. horizon
             in_window = slice(max(burn_in - start, 0), None)
             psi, mu, est = psi[in_window], mu[in_window], est[in_window]
@@ -445,34 +412,22 @@ def run_experiment(config):
             mu_sq += (mu * mu).sum(axis=(0, 1))
             counts += np.bincount((est + count_index).ravel(), minlength=n * h)
 
+        record = None
+        if config.store_traces:
+            record = [(network, config.base_seed + r,
+                       {"burn_in": burn_in, "replicate": r, **law_metadata})
+                      for r, network in zip(replicates, networks)]
+        traces += learning.simulate_block(
+            combination_t, profile, symbols, config.strategy, config.delta, config.pair,
+            config.estimator, on_chunk=reduce_chunk, record=record,
+            record_observations=config.record_observations,
+        )
         if window:
             rep_psi.append(psi_sum / window)
             rep_mu.append(mu_sum / window)
         else:
             rep_psi.append(np.full((size, n), np.nan))
             rep_mu.append(np.full((size, n), np.nan))
-        if config.store_traces:
-            for j, (r, network) in enumerate(zip(replicates, networks)):
-                seed = config.base_seed + r
-                extra = {"burn_in": burn_in, "replicate": r, **law_metadata}
-                traces.append(
-                    Trace(
-                        log_ratio=trace_psi[j],
-                        estimates=trace_est[j],
-                        clusters=network.clusters.copy(),
-                        metadata=trace_metadata(network, profile, seed, config.strategy,
-                                                config.delta, horizon, pair, config.estimator,
-                                                extra),
-                        mu_log_ratio=trace_mu[j],
-                        observations=(symbols[j].astype(np.int64)
-                                      if config.record_observations else None),
-                        final_state=BeliefState(
-                            log_private=ratio_log_beliefs(last_mu[j]),
-                            log_public=ratio_log_beliefs(last_psi[j]),
-                            iteration=horizon,
-                        ),
-                    )
-                )
 
     n_ok = sum(block.shape[0] for block in rep_mu)
     if n_ok == 0:
@@ -562,20 +517,10 @@ def compare_theory(result, prediction, series="mu"):
 
 
 def _write_comparison_csv(path, rows):
+    columns = [np.array([getattr(row, name) for row in rows]) for name in ComparisonRow._fields]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cluster", "empirical_mean", "theory_value", "stderr", "z_score", "flagged"])
-        for row in rows:
-            writer.writerow(
-                [
-                    row.cluster,
-                    f"{row.empirical_mean:.17g}",
-                    f"{row.theory_value:.17g}",
-                    f"{row.stderr:.17g}",
-                    f"{row.z_score:.17g}",
-                    int(row.flagged),
-                ]
-            )
+        fh.write(",".join(ComparisonRow._fields) + "\r\n")
+        write_rows(fh, "%d,%.17g,%.17g,%.17g,%.17g,%d\r\n", columns)
 
 
 def with_overrides(config, **overrides):

@@ -14,8 +14,9 @@ Trans. Inf. Theory 67(9), 2021)::
     x_psi = w_like * l + w_prior * x_mu,        x_mu = A^T x_psi
 
 where ``l`` holds the log-likelihood ratios of the observed symbols against
-hypothesis 0.  ``log_ratio_chunks`` steps a block of replicates at once; the
-log-domain functions are its oracle in ``blocklearn verify``.
+hypothesis 0.  ``log_ratio_chunks`` steps a block of replicates at once and
+``simulate_block`` drives it for every caller; the log-domain functions are
+its oracle in ``blocklearn verify``.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .models import observation_matrix
 __all__ = [
     "BeliefState",
     "Trace",
+    "check_strategy",
     "log_normalize",
     "bayesian_update",
     "asl_update",
@@ -44,6 +46,7 @@ __all__ = [
     "ratio_estimates",
     "ratio_log_beliefs",
     "run",
+    "simulate_block",
     "windowed_mean_log_ratio",
 ]
 
@@ -291,6 +294,94 @@ def trace_metadata(network, profile, seed, strategy, delta, horizon, pair, estim
     return metadata
 
 
+def check_strategy(strategy, delta, estimator):
+    """Reject an unknown strategy or estimator, and a step size outside
+    (0, 1) for the step-size strategy."""
+    if strategy not in ("asl", "traditional"):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    if strategy == "asl" and (delta is None or not 0.0 < delta < 1.0):
+        raise DeltaOutOfRange(f"asl strategy needs delta in (0, 1), got {delta}")
+    if estimator not in ("mu", "psi"):
+        raise ValueError(f"estimator must be 'mu' or 'psi', got {estimator!r}")
+
+
+def simulate_block(combination_t, profile, symbols, strategy, delta, pair, estimator,
+                   on_chunk=None, record=None, record_observations=False):
+    """Step a block of replicates through the log-ratio recursion.
+
+    Every simulation goes through here: ``run`` is its one-replicate case,
+    and ``harness.run_experiment`` calls it once per block of replicates.
+
+    Parameters
+    ----------
+    combination_t : ndarray, shape (N, N) or (B, N, N)
+        Transposed combination matrix shared by every replicate, or one per
+        replicate.
+    profile : LikelihoodProfile
+    symbols : ndarray, shape (B, N, T)
+        Observed symbols of each replicate, as ``observation_matrix`` draws
+        them for B seeds.
+    strategy, delta, pair, estimator
+        As in ``run``; ``check_strategy`` has accepted them.
+    on_chunk : callable, optional
+        Called as ``on_chunk(start, psi, mu, est)`` for iterations
+        ``start + 1 .. start + K``: the public and private log-ratios of
+        ``pair`` and the state estimates, each of shape ``(K, B, N)``.
+    record : sequence of (network, seed, extra), optional
+        One entry per replicate: its network, its seed and the metadata its
+        trace adds to ``trace_metadata``.  When given, the series of every
+        replicate are recorded and returned as traces.
+    record_observations : bool
+        Whether the recorded traces keep their symbols.
+
+    Returns
+    -------
+    list of Trace
+        One per replicate when ``record`` is given, else empty.
+    """
+    n_reps, n, horizon = symbols.shape
+    w_like, w_prior = (delta, 1.0 - delta) if strategy == "asl" else (1.0, 1.0)
+    if record is not None:
+        # iteration 0 is the uniform initial state: log-ratios zero, estimate 0
+        trace_psi = np.zeros((n_reps, horizon + 1, n))
+        trace_mu = np.zeros((n_reps, horizon + 1, n))
+        trace_est = np.zeros((n_reps, horizon + 1, n), dtype=np.int64)
+    # the last iteration's log-ratios; with no iterations, the initial state
+    x_psi = x_mu = np.zeros((1, n_reps, n, profile.n_hypotheses - 1))
+    chunks = log_ratio_chunks(combination_t, llr_table(profile), symbols.transpose(2, 0, 1),
+                              w_like, w_prior)
+    for start, x_psi, x_mu in chunks:
+        psi = pair_ratio(x_psi, pair)  # (K, B, N)
+        mu = pair_ratio(x_mu, pair)
+        est = ratio_estimates(x_mu if estimator == "mu" else x_psi)
+        if record is not None:
+            rows = slice(start + 1, start + 1 + psi.shape[0])
+            trace_psi[:, rows] = psi.transpose(1, 0, 2)
+            trace_mu[:, rows] = mu.transpose(1, 0, 2)
+            trace_est[:, rows] = est.transpose(1, 0, 2)
+        if on_chunk is not None:
+            on_chunk(start, psi, mu, est)
+    if record is None:
+        return []
+    return [
+        Trace(
+            log_ratio=trace_psi[j],
+            estimates=trace_est[j],
+            clusters=network.clusters.copy(),
+            metadata=trace_metadata(network, profile, seed, strategy, delta, horizon, pair,
+                                    estimator, extra),
+            mu_log_ratio=trace_mu[j],
+            observations=symbols[j].astype(np.int64) if record_observations else None,
+            final_state=BeliefState(
+                log_private=ratio_log_beliefs(x_mu[-1, j]),
+                log_public=ratio_log_beliefs(x_psi[-1, j]),
+                iteration=horizon,
+            ),
+        )
+        for j, (network, seed, extra) in enumerate(record)
+    ]
+
+
 def run(
     network,
     profile,
@@ -300,11 +391,10 @@ def run(
     seed=0,
     pair=(0, 1),
     estimator="mu",
-    record_mu_ratio=True,
     record_observations=False,
-    extra_metadata=None,
 ):
-    """Run one seeded social-learning trajectory.
+    """Run one seeded social-learning trajectory: ``simulate_block`` for a
+    block of one replicate.
 
     Parameters
     ----------
@@ -323,58 +413,24 @@ def run(
         Hypothesis pair (a, b) whose log-ratio log(psi_a / psi_b) is recorded.
     estimator : {"mu", "psi"}
         Whether state estimates argmax the private or the public beliefs.
+    record_observations : bool
+        Whether the trace keeps the observed symbols.
     """
     if network.size != profile.n_agents:
         raise ValueError("network and profile disagree on the number of agents")
-    if strategy not in ("asl", "traditional"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    if strategy == "asl":
-        if delta is None:
-            raise DeltaOutOfRange("asl strategy requires a delta in (0, 1)")
-        if not 0.0 < delta < 1.0:
-            raise DeltaOutOfRange(f"delta must be in (0, 1), got {delta}")
-    if estimator not in ("mu", "psi"):
-        raise ValueError(f"estimator must be 'mu' or 'psi', got {estimator!r}")
-    n = profile.n_agents
-    symbols = observation_matrix(profile, horizon, seed)
-    w_like, w_prior = (delta, 1.0 - delta) if strategy == "asl" else (1.0, 1.0)
-
-    # row 0 is the uniform initial state: all log-ratios zero, estimate 0
-    log_ratio = np.zeros((horizon + 1, n))
-    estimates = np.zeros((horizon + 1, n), dtype=np.int64)
-    mu_ratio = np.zeros((horizon + 1, n)) if record_mu_ratio else None
-    last_psi = last_mu = np.zeros((n, profile.n_hypotheses - 1))
-    chunks = log_ratio_chunks(
+    check_strategy(strategy, delta, estimator)
+    (trace,) = simulate_block(
         np.ascontiguousarray(network.combination.T),
-        llr_table(profile),
-        symbols.T[:, None, :],
-        w_like,
-        w_prior,
+        profile,
+        observation_matrix(profile, horizon, [seed]),
+        strategy,
+        delta,
+        pair,
+        estimator,
+        record=[(network, seed, None)],
+        record_observations=record_observations,
     )
-    for start, x_psi, x_mu in chunks:
-        x_psi, x_mu = x_psi[:, 0], x_mu[:, 0]
-        rows = slice(start + 1, start + 1 + x_psi.shape[0])
-        log_ratio[rows] = pair_ratio(x_psi, pair)
-        estimates[rows] = ratio_estimates(x_mu if estimator == "mu" else x_psi)
-        if record_mu_ratio:
-            mu_ratio[rows] = pair_ratio(x_mu, pair)
-        last_psi, last_mu = x_psi[-1].copy(), x_mu[-1].copy()
-
-    return Trace(
-        log_ratio=log_ratio,
-        estimates=estimates,
-        clusters=network.clusters.copy(),
-        metadata=trace_metadata(
-            network, profile, seed, strategy, delta, horizon, pair, estimator, extra_metadata
-        ),
-        mu_log_ratio=mu_ratio,
-        observations=symbols if record_observations else None,
-        final_state=BeliefState(
-            log_private=ratio_log_beliefs(last_mu),
-            log_public=ratio_log_beliefs(last_psi),
-            iteration=horizon,
-        ),
-    )
+    return trace
 
 
 def windowed_mean_log_ratio(trace, window):

@@ -174,14 +174,14 @@ def kl_divergence(p, q):
 
 
 def divergence_table(profile):
-    """Per-agent KL from the agent's true model to every hypothesis: (N, H)."""
-    n, h = profile.n_agents, profile.n_hypotheses
-    table = np.empty((n, h))
-    for k in range(n):
-        true_row = profile.likelihoods[k, profile.true_state[k]]
-        for j in range(h):
-            table[k, j] = kl_divergence(true_row, profile.likelihoods[k, j])
-    return table
+    """Per-agent KL from the agent's true model to every hypothesis: (N, H).
+
+    One array expression over the ``(N, H, m)`` likelihoods, whose entries
+    are all positive, so every symbol is in every support.
+    """
+    like = profile.likelihoods
+    truth = like[np.arange(profile.n_agents), profile.true_state][:, None, :]
+    return (truth * np.log(truth / like)).sum(axis=-1)
 
 
 @dataclass
@@ -251,19 +251,12 @@ def check_global_identifiability(profile, theta_star):
     """
     if isinstance(theta_star, str):
         theta_star = profile.hypotheses.index(theta_star)
-    witnesses = {}
-    ok = True
-    for h in range(profile.n_hypotheses):
-        if h == theta_star:
-            continue
-        agents = [
-            k
-            for k in range(profile.n_agents)
-            if kl_divergence(profile.likelihoods[k, theta_star], profile.likelihoods[k, h]) > 0
-        ]
-        witnesses[h] = agents
-        ok = ok and bool(agents)
-    return ok, witnesses
+    like = profile.likelihoods
+    star = like[:, theta_star, None, :]
+    distinguishes = (star * np.log(star / like)).sum(axis=-1) > 0  # (N, H) KL from theta_star
+    witnesses = {h: np.flatnonzero(distinguishes[:, h]).tolist()
+                 for h in range(profile.n_hypotheses) if h != theta_star}
+    return all(witnesses.values()), witnesses
 
 
 def sample_observation(profile, agent, rng):

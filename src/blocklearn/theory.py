@@ -23,7 +23,7 @@ from .exceptions import (
     PreconditionFailed,
     ZeroInformativeness,
 )
-from .graphs import BlockModel, SbmParams, expected_combination
+from .graphs import BlockModel, Network, SbmParams, expected_combination
 from .models import divergence_table
 
 __all__ = [
@@ -134,7 +134,8 @@ def expected_log_ratio(network_law, profile, delta, pair=(0, 1)):
     "Adaptive Social Learning", IEEE T-IT 67(9), 2021).  ``nu`` holds the
     expected per-agent log-likelihood ratios and ``M`` is either the
     expected combination matrix of an SBM law (averaging over graph draws)
-    or an explicit combination matrix (conditioning on one realized graph).
+    or an explicit combination matrix, given as such or as a Network's
+    (conditioning on one realized graph).
 
     For a law with k communities the solution is constant within each
     community, so the system is solved on the community sums: with block
@@ -144,7 +145,7 @@ def expected_log_ratio(network_law, profile, delta, pair=(0, 1)):
 
     Parameters
     ----------
-    network_law : SbmParams, BlockModel or ndarray
+    network_law : SbmParams, BlockModel, Network or ndarray
     profile : LikelihoodProfile
     delta : float in (0, 1)
     pair : (int, int)
@@ -152,6 +153,8 @@ def expected_log_ratio(network_law, profile, delta, pair=(0, 1)):
     if not 0.0 < delta < 1.0:
         raise DeltaOutOfRange(f"delta must be in (0, 1), got {delta}")
     nu = mean_log_likelihood_ratios(profile, pair)
+    if isinstance(network_law, Network):
+        network_law = network_law.combination
 
     if isinstance(network_law, (SbmParams, BlockModel)):
         if profile.n_agents != network_law.size:

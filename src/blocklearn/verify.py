@@ -91,8 +91,7 @@ def check_simplex_conservation(steps=10_000, seed=20240501, tol=1e-10):
             )
             state = BeliefState(log_private=log_mu)
             done += 1
-    return CheckResult(
-        "simplex-conservation",
+    return (
         worst <= tol,
         f"max |sum(beliefs) - 1| = {worst:.3e} over {done} steps (tol {tol:g})",
     )
@@ -107,8 +106,7 @@ def check_power_identity(tol=1e-10, max_power=50):
         for t in range(2, max_power + 1):
             acc = acc @ base
             worst = max(worst, float(np.abs(closed_form_power(p, q, n, t) - acc).max()))
-    return CheckResult(
-        "power-identity",
+    return (
         worst <= tol,
         f"max closed-form vs multiplied deviation = {worst:.3e} (tol {tol:g}, t <= {max_power})",
     )
@@ -138,8 +136,7 @@ def check_inverse_binomial(slope_limit=-1.18, seed=7):
     )
     slope = np.polyfit(np.log(sizes), np.log(gaps), 1)[0]
     passed = jensen_ok and slope <= slope_limit
-    return CheckResult(
-        "inverse-binomial-moment",
+    return (
         passed,
         f"jensen_ok={jensen_ok}, log-log slope = {slope:.3f} (limit {slope_limit})",
     )
@@ -157,8 +154,7 @@ def check_perron_closed_form(tol=1e-9):
         dense = expected_combination(params).dense()
         iterated = perron_vector(dense, tol=1e-14, max_iter=10**6)
         worst = max(worst, float(np.abs(iterated - expected_perron(params)).max()))
-    return CheckResult(
-        "perron-closed-form",
+    return (
         worst <= tol,
         f"max |power iteration - closed form| = {worst:.3e} (tol {tol:g})",
     )
@@ -186,8 +182,7 @@ def check_delta_interpolation(tol=1e-12, seed=11, steps=300):
                 )
                 worst = max(worst, float(np.abs(lhs - rhs).max()))
             state = BeliefState(log_private=geometric_combine(log_psi, combination))
-    return CheckResult(
-        "delta-interpolation",
+    return (
         worst <= tol,
         f"max per-step identity deviation = {worst:.3e} (tol {tol:g})",
     )
@@ -240,8 +235,7 @@ def check_engine_vs_log_domain(tol=1e-12, tie_tol=1e-9, seed=29, trials=24, step
                 mismatches += int((differ & clear).sum())
                 compared += n
                 state = BeliefState(log_private=log_mu)
-    return CheckResult(
-        "engine-vs-log-domain",
+    return (
         worst <= tol and mismatches == 0,
         f"max log-ratio deviation = {worst:.3e} (tol {tol:g}); {mismatches} estimate "
         f"mismatches outside near ties in {compared} agent-steps over {trials} blocks",
@@ -274,8 +268,7 @@ def check_streams_vs_numpy(horizon=50, seed=31):
                     oracle = np.minimum(np.searchsorted(cdf[k], u, side="right"), alphabet - 1)
                     mismatches += int(np.count_nonzero(symbols[b, k] != oracle))
                     compared += horizon
-    return CheckResult(
-        "streams-vs-numpy",
+    return (
         mismatches == 0,
         f"{mismatches} symbol mismatches in {compared} draws (tolerance 0) over seeds "
         f"{seeds}, alphabets 2/3/25, blocks of 1, 3 and 4 seeds",
@@ -297,8 +290,7 @@ def check_inverse_round_trip(tol=1e-10, seed=3):
     grid = np.arange(0.025, 0.98, 0.025)
     scan = scan_delta(series, combination, grid)
     passed = recovery_gap <= tol and r_true <= scan.best_error + 1e-12
-    return CheckResult(
-        "inverse-round-trip",
+    return (
         passed,
         f"recovery gap = {recovery_gap:.3e} (tol {tol:g}), "
         f"r(true)={r_true:.3e} <= grid min {scan.best_error:.3e}",
@@ -339,8 +331,7 @@ def check_scan_recovery(
         if abs(scan.best_delta - delta_true) <= window + 1e-12:
             hits += 1
     rate = hits / n_seeds
-    return CheckResult(
-        "scan-delta-recovery",
+    return (
         rate >= required,
         f"argmin within +-{window} of {delta_true} for {hits}/{n_seeds} seeds ({rate:.0%})",
     )
@@ -401,8 +392,7 @@ def check_expected_matrix_trend(seed=42, samples=400):
     mc_mean = block_means.mean()
     mc_se = block_means.std(ddof=1) / np.sqrt(samples)
     mc_ok = abs(mc_mean - exact_intra) <= 3 * mc_se
-    return CheckResult(
-        "expected-matrix-trend",
+    return (
         decreasing and mc_ok,
         f"bias at n=10/20/40: {biases[0]:.2e}/{biases[1]:.2e}/{biases[2]:.2e} "
         f"(decreasing={decreasing}); MC intra mean {mc_mean:.6f} vs exact {exact_intra:.6f} "
@@ -432,36 +422,35 @@ def check_series_vs_closed_form(tol=1e-9):
         iterated = recursion_series(nu @ combination, combination, delta, steps)[-1]
         solved = expected_log_ratio(combination, profile, delta).values
         explicit_gap = max(explicit_gap, float(np.abs(solved - iterated).max()))
-    return CheckResult(
-        "series-vs-closed-form",
+    return (
         max(block_gap, explicit_gap) <= tol,
         f"max |block solve - closed form| = {block_gap:.3e}, "
         f"max |explicit solve - iterated recursion| = {explicit_gap:.3e} (tol {tol:g})",
     )
 
 
+# Each check returns ``(passed, detail)``; ``verify`` prints and selects it
+# by its name here.
+SUITES = {
+    "simplex-conservation": check_simplex_conservation,
+    "power-identity": check_power_identity,
+    "inverse-binomial-moment": check_inverse_binomial,
+    "perron-closed-form": check_perron_closed_form,
+    "delta-interpolation": check_delta_interpolation,
+    "engine-vs-log-domain": check_engine_vs_log_domain,
+    "streams-vs-numpy": check_streams_vs_numpy,
+    "inverse-round-trip": check_inverse_round_trip,
+    "scan-delta-recovery": check_scan_recovery,
+    "expected-matrix-trend": check_expected_matrix_trend,
+    "series-vs-closed-form": check_series_vs_closed_form,
+}
+
+
 def all_checks():
-    return [
-        check_simplex_conservation,
-        check_power_identity,
-        check_inverse_binomial,
-        check_perron_closed_form,
-        check_delta_interpolation,
-        check_engine_vs_log_domain,
-        check_streams_vs_numpy,
-        check_inverse_round_trip,
-        check_scan_recovery,
-        check_expected_matrix_trend,
-        check_series_vs_closed_form,
-    ]
+    return list(SUITES.values())
 
 
 def run_all(names=None):
     """Run the selected suites (all by default) and return their results."""
-    results = []
-    for check in all_checks():
-        label = check.__name__.removeprefix("check_").replace("_", "-")
-        if names and label not in names:
-            continue
-        results.append(check())
-    return results
+    return [CheckResult(name, *check()) for name, check in SUITES.items()
+            if not names or name in names]

@@ -6,7 +6,7 @@ import pytest
 
 from blocklearn.cli import main
 from blocklearn.graphs import SbmParams, load_network, sample_sbm, save_network
-from blocklearn.inverse import recursion_series
+from blocklearn.inverse import BeliefSeries, recursion_series, scan_delta
 from blocklearn.learning import run
 from blocklearn.models import bernoulli_profile
 from blocklearn.theory import expected_log_ratio
@@ -193,6 +193,24 @@ class TestPredict:
         assert (out / "prediction.json").exists()
 
 
+    def test_fixed_graph_predicts_the_drawn_graph(self, tmp_path, capsys):
+        config = write_config(tmp_path, delta=0.1, base_seed=42)
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "sim"),
+                     "--fixed-graph"]) == 0
+        capsys.readouterr()
+        assert main(["predict", "--config", str(config), "--out", str(tmp_path / "pred"),
+                     "--fixed-graph"]) == 0
+        predicted = json.loads(capsys.readouterr().out)["cluster_means"]
+        with open(tmp_path / "sim" / "theory_comparison.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [predicted[row["cluster"]] for row in rows] == [
+            float(row["theory_value"]) for row in rows
+        ]
+        assert predicted["0"] != pytest.approx(0.0425, abs=1e-3)  # not the law's mean
+        prediction = json.loads((tmp_path / "pred" / "prediction.json").read_text())
+        assert prediction["matrix_kind"] == "explicit-matrix"
+
+
 class TestFitDelta:
     def test_scan_on_simulated_trace(self, tmp_path, capsys):
         params = SbmParams(n0=15, n1=15, p0=0.8, p1=0.8, q0=0.1, q1=0.1)
@@ -213,6 +231,17 @@ class TestFitDelta:
         lines = (out / "delta_scan.csv").read_text().splitlines()
         assert lines[0] == "delta,fit_error"
         assert len(lines) == 1 + 1 + 4  # header + traditional row + grid rows
+
+        scan = scan_delta(BeliefSeries.from_trace_csv(trace_path, split_index=30),
+                          network.combination, [0.1, 0.3, 0.5, 0.7], include_traditional=True)
+        reference = tmp_path / "loop.csv"
+        with open(reference, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["delta", "fit_error"])
+            writer.writerow([0.0, f"{scan.traditional_error:.17g}"])
+            for d, e in zip(scan.deltas, scan.errors):
+                writer.writerow([f"{d:.17g}", f"{e:.17g}"])
+        assert (out / "delta_scan.csv").read_bytes() == reference.read_bytes()
 
     def test_noiseless_trace_recovers_generator(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
@@ -238,6 +267,12 @@ class TestVerify:
         assert code == 0
         out = capsys.readouterr().out
         assert out.startswith("PASS power-identity")
+
+    def test_suite_selected_by_its_printed_name(self, capsys):
+        assert main(["verify", "--suite", "scan-delta-recovery"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("PASS scan-delta-recovery")
+        assert len(out.splitlines()) == 1
 
     def test_unknown_suite(self, capsys):
         assert main(["verify", "--suite", "nope"]) == 2

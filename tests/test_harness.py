@@ -9,7 +9,10 @@ from blocklearn.exceptions import BlocklearnError, DeltaOutOfRange, MismatchedCo
 from blocklearn.graphs import SbmParams, sample_sbm
 from blocklearn.harness import (
     BLOCK_SIZE,
+    ComparisonRow,
+    ErrorReport,
     ExperimentConfig,
+    _write_comparison_csv,
     compare_theory,
     run_experiment,
 )
@@ -271,3 +274,56 @@ class TestCompareTheory:
             result = run_experiment(config)
             variances.append(np.mean(result.pooled_var_psi))
         assert variances[0] < variances[1] < variances[2] < variances[3]
+
+
+class TestCsvWriters:
+    """The bulk writers give the bytes of a ``csv.writer`` row loop."""
+
+    @pytest.mark.parametrize("samples", [0, 7])
+    def test_error_report(self, tmp_path, samples):
+        counts = np.array([[7, 0], [3, 4], [0, 7]]) if samples else np.zeros((3, 2), int)
+        report = ErrorReport(counts=counts, clusters=np.array([0, 0, 1]),
+                             true_state=np.array([0, 0, 1]), samples=samples)
+        report.to_csv(tmp_path / "bulk.csv")
+        p, se = report.p_err, report.stderr
+        with open(tmp_path / "loop.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["agent", "cluster", "p_err", "stderr"])
+            for k in range(3):
+                writer.writerow([k, int(report.clusters[k]), f"{p[k]:.17g}", f"{se[k]:.17g}"])
+        assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+
+    def test_theory_comparison(self, tmp_path):
+        rows = [
+            ComparisonRow(0, 0.125, -1e-300, 0.0, float("inf"), True),
+            ComparisonRow(1, -0.0, 123456789.123, float("nan"), float("-inf"), False),
+            ComparisonRow(2, 1 / 3, 2.5e16, 0.1, -2.9, False),
+        ]
+        _write_comparison_csv(tmp_path / "bulk.csv", rows)
+        with open(tmp_path / "loop.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["cluster", "empirical_mean", "theory_value", "stderr", "z_score",
+                             "flagged"])
+            for row in rows:
+                writer.writerow([row.cluster, f"{row.empirical_mean:.17g}",
+                                 f"{row.theory_value:.17g}", f"{row.stderr:.17g}",
+                                 f"{row.z_score:.17g}", int(row.flagged)])
+        assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+
+
+class TestCheckStrategy:
+    @pytest.mark.parametrize("strategy, delta, estimator, error", [
+        ("greedy", 0.1, "mu", ValueError),
+        ("asl", None, "mu", DeltaOutOfRange),
+        ("asl", 1.0, "mu", DeltaOutOfRange),
+        ("traditional", None, "max", ValueError),
+    ])
+    def test_run_and_config_reject_alike(self, strategy, delta, estimator, error):
+        network = sample_sbm(VB1, seed=1)
+        profile = bernoulli_profile(network.clusters, (0.1, 0.5))
+        with pytest.raises(error) as from_run:
+            run(network, profile, strategy=strategy, delta=delta, estimator=estimator)
+        with pytest.raises(error) as from_config:
+            small_config(strategy=strategy, delta=delta, estimator=estimator)
+        assert type(from_run.value) is type(from_config.value)
+        assert str(from_run.value) == str(from_config.value)

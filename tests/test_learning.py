@@ -173,8 +173,7 @@ class TestRun:
         assert K < 0  # this draw favors hypothesis 1, as in the reference setup
         wins = 0
         for s in range(100):
-            trace = run(network, profile, strategy="traditional", horizon=2000, seed=s,
-                        record_mu_ratio=False)
+            trace = run(network, profile, strategy="traditional", horizon=2000, seed=s)
             wins += bool(np.all(trace.estimates[-1] == 1))
         assert wins >= 95
 

@@ -8,6 +8,7 @@ from blocklearn.models import (
     bernoulli_profile,
     check_global_identifiability,
     cluster_informativeness,
+    divergence_table,
     kl_divergence,
     load_profile,
     observation_matrix,
@@ -154,6 +155,41 @@ class TestGlobalIdentifiability:
         ok, witnesses = check_global_identifiability(profile, "theta0")
         assert ok
         assert witnesses[1] == [2]
+
+
+def random_profiles(seed=2024, count=40):
+    """Random profiles with H = 2..5 and m = 2..25; some agents have equal
+    hypothesis rows, so some divergences are exactly zero."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n, h, m = int(rng.integers(1, 9)), int(rng.integers(2, 6)), int(rng.integers(2, 26))
+        raw = rng.random((n, h, m)) + 1e-3
+        flat = rng.random(n) < 0.3
+        raw[flat] = raw[flat, :1]
+        yield LikelihoodProfile(likelihoods=raw / raw.sum(axis=2, keepdims=True),
+                                true_state=rng.integers(0, h, n))
+
+
+class TestVectorizedDivergences:
+    def test_table_matches_kl_loop(self):
+        for profile in random_profiles():
+            like, truth = profile.likelihoods, profile.true_state
+            reference = np.array([[kl_divergence(like[k, truth[k]], like[k, j])
+                                   for j in range(profile.n_hypotheses)]
+                                  for k in range(profile.n_agents)])
+            np.testing.assert_allclose(divergence_table(profile), reference,
+                                       rtol=1e-13, atol=1e-15)
+
+    def test_identifiability_matches_kl_loop(self):
+        for profile in random_profiles(seed=7):
+            like = profile.likelihoods
+            for star in range(profile.n_hypotheses):
+                reference = {h: [k for k in range(profile.n_agents)
+                                 if kl_divergence(like[k, star], like[k, h]) > 0]
+                             for h in range(profile.n_hypotheses) if h != star}
+                ok, witnesses = check_global_identifiability(profile, star)
+                assert witnesses == reference
+                assert ok == all(reference.values())
 
 
 class TestObservationSampling:
