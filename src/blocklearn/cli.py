@@ -31,7 +31,6 @@ from .harness import (
     compare_theory,
     resolve_inputs,
     run_experiment,
-    with_overrides,
     write_manifest,
 )
 from .inverse import BeliefSeries, scan_delta
@@ -85,18 +84,18 @@ def _cmd_generate(args):
 
 
 def _load_config(args, require_out=False):
-    overrides = {
-        "base_seed": args.seed,
-        "out_dir": args.out,
-        "replicates": args.replicates,
-        "delta": args.delta,
-        "estimator": args.estimator,
-        "n_jobs": args.jobs,
-    }
-    config = ExperimentConfig.from_json(args.config)
-    config = with_overrides(config, **{k: v for k, v in overrides.items() if v is not None})
-    if args.fixed_graph:
-        config = with_overrides(config, fixed_graph=True)
+    # flags are applied before the config is built, so a null burn_in
+    # follows a --delta override
+    config = ExperimentConfig.from_json(
+        args.config,
+        base_seed=args.seed,
+        out_dir=args.out,
+        replicates=args.replicates,
+        delta=args.delta,
+        estimator=args.estimator,
+        n_jobs=args.jobs,
+        fixed_graph=args.fixed_graph or None,
+    )
     if require_out and not config.out_dir:
         raise ValueError("an output directory is required (--out or out_dir in the config)")
     return config

@@ -19,7 +19,7 @@ cluster-0 agent into a cluster-1 column, ``q1`` the reverse.  Diagonal
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,58 +60,6 @@ def _check_probability(name, value):
         raise ValueError(f"{name} must lie in [0, 1], got {value}")
 
 
-@dataclass(frozen=True)
-class SbmParams:
-    """Two-community SBM law.
-
-    Parameters
-    ----------
-    n0, n1 : int
-        Community sizes (each at least 1).
-    p0, p1 : float
-        Intra-community edge probabilities.
-    q0 : float
-        Probability of an edge from a cluster-0 agent into a cluster-1 column.
-    q1 : float
-        Probability of an edge from a cluster-1 agent into a cluster-0 column.
-    """
-
-    n0: int
-    n1: int
-    p0: float
-    p1: float
-    q0: float
-    q1: float
-
-    def __post_init__(self):
-        if self.n0 < 1 or self.n1 < 1:
-            raise ValueError("community sizes must be at least 1")
-        for name in ("p0", "p1", "q0", "q1"):
-            _check_probability(name, getattr(self, name))
-
-    @property
-    def size(self):
-        return self.n0 + self.n1
-
-    @property
-    def sizes(self):
-        return (self.n0, self.n1)
-
-    def block_probabilities(self):
-        """2x2 block matrix indexed (source cluster, target cluster)."""
-        return np.array([[self.p0, self.q0], [self.q1, self.p1]])
-
-    def to_block_model(self):
-        return BlockModel(sizes=self.sizes, probs=self.block_probabilities())
-
-    @property
-    def is_symmetric(self):
-        return self.n0 == self.n1 and self.p0 == self.p1 and self.q0 == self.q1
-
-    def to_dict(self):
-        return {k: getattr(self, k) for k in ("n0", "n1", "p0", "p1", "q0", "q1")}
-
-
 @dataclass(frozen=True, eq=False)
 class BlockModel:
     """General k-community SBM law: community sizes plus a k x k probability matrix.
@@ -132,7 +80,7 @@ class BlockModel:
             raise ValueError("need at least one community, each of size >= 1")
         if probs.shape != (k, k):
             raise ValueError(f"probs must be {k}x{k}, got {probs.shape}")
-        if np.any(probs < 0) or np.any(probs > 1):
+        if not np.all((probs >= 0) & (probs <= 1)):  # NaN fails too
             raise ValueError("edge probabilities must lie in [0, 1]")
         object.__setattr__(self, "probs", probs)
 
@@ -157,12 +105,41 @@ class BlockModel:
         return {"sizes": list(self.sizes), "probs": self.probs.tolist()}
 
 
-def _as_block_model(params):
-    if isinstance(params, SbmParams):
-        return params.to_block_model()
-    if isinstance(params, BlockModel):
-        return params
-    raise TypeError(f"expected SbmParams or BlockModel, got {type(params).__name__}")
+def _block(i, j):
+    return property(lambda self: float(self.probs[i, j]))
+
+
+class SbmParams(BlockModel):
+    """Two-community SBM law: the BlockModel with ``sizes=(n0, n1)`` and
+    ``probs=[[p0, q0], [q1, p1]]``.
+
+    Parameters
+    ----------
+    n0, n1 : int
+        Community sizes (each at least 1).
+    p0, p1 : float
+        Intra-community edge probabilities.
+    q0 : float
+        Probability of an edge from a cluster-0 agent into a cluster-1 column.
+    q1 : float
+        Probability of an edge from a cluster-1 agent into a cluster-0 column.
+    """
+
+    FIELDS = ("n0", "n1", "p0", "p1", "q0", "q1")
+
+    def __init__(self, n0, n1, p0, p1, q0, q1):
+        super().__init__(sizes=(n0, n1), probs=[[p0, q0], [q1, p1]])
+
+    n0 = property(lambda self: self.sizes[0])
+    n1 = property(lambda self: self.sizes[1])
+    p0, q0, q1, p1 = _block(0, 0), _block(0, 1), _block(1, 0), _block(1, 1)
+
+    @property
+    def is_symmetric(self):
+        return self.n0 == self.n1 and self.p0 == self.p1 and self.q0 == self.q1
+
+    def to_dict(self):
+        return {k: getattr(self, k) for k in self.FIELDS}
 
 
 @dataclass
@@ -202,11 +179,10 @@ class Network:
         return np.bincount(self.clusters)
 
 
-def sample_adjacency(params, rng):
+def sample_adjacency(model, rng):
     """Draw a raw adjacency matrix: every entry (diagonal included) is an
     independent Bernoulli with its block probability.  No connectivity
     conditioning is applied."""
-    model = _as_block_model(params)
     prob = model.probability_matrix()
     return (rng.random(prob.shape) < prob).astype(np.int8)
 
@@ -231,7 +207,7 @@ def averaging_combination(adjacency):
     return adjacency / col_sums
 
 
-def sample_sbm(params, seed, max_retries=100):
+def sample_sbm(model, seed, max_retries=100):
     """Sample an SBM network with an averaging-rule combination matrix.
 
     Whole graphs are redrawn until the realization has no isolated column
@@ -240,7 +216,7 @@ def sample_sbm(params, seed, max_retries=100):
 
     Parameters
     ----------
-    params : SbmParams or BlockModel
+    model : BlockModel (SbmParams included)
     seed : int
         Seed for the draw; equal seeds give identical networks.
     max_retries : int
@@ -255,7 +231,6 @@ def sample_sbm(params, seed, max_retries=100):
     """
     if max_retries < 1:
         raise ValueError("max_retries must be at least 1")
-    model = _as_block_model(params)
     rng = np.random.default_rng(seed)
     last_failure = None
     for attempt in range(max_retries):
@@ -323,7 +298,6 @@ class ExpectedMatrix:
 
     block_values: np.ndarray
     sizes: tuple
-    params: object = field(repr=False, default=None)
 
     def dense(self):
         lab = self.labels()
@@ -337,7 +311,7 @@ class ExpectedMatrix:
         return np.repeat(np.arange(len(self.sizes)), self.sizes)
 
 
-def expected_combination(params):
+def expected_combination(model):
     """Expected combination matrix of an SBM law, in block form.
 
     The block values are ``V[i, j] = probs[i, j] / r[j]`` with
@@ -349,18 +323,17 @@ def expected_combination(params):
 
     Parameters
     ----------
-    params : SbmParams or BlockModel
+    model : BlockModel (SbmParams included)
 
     Raises
     ------
     DegenerateBlock
         If some community's expected in-degree ``r[j]`` is zero.
     """
-    model = _as_block_model(params)
     in_degree = (np.array(model.sizes)[:, None] * model.probs).sum(axis=0)
     if np.any(in_degree <= 0):
         raise DegenerateBlock(f"zero expected in-degree (r={in_degree.tolist()})")
-    return ExpectedMatrix(block_values=model.probs / in_degree, sizes=model.sizes, params=params)
+    return ExpectedMatrix(block_values=model.probs / in_degree, sizes=model.sizes)
 
 
 def expected_perron(params):
@@ -488,8 +461,7 @@ def save_network(path, network):
             fh.write(f"{network.size} {sizes[0]} {sizes[1]}\n")
         else:
             fh.write(f"{network.size} {len(sizes)} " + " ".join(map(str, sizes)) + "\n")
-        for row in network.adjacency:
-            fh.write(" ".join(str(int(v)) for v in row) + "\n")
+        np.savetxt(fh, network.adjacency, fmt="%d")
 
 
 def _community_sizes(header):

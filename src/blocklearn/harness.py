@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -43,10 +43,11 @@ __all__ = [
 class ExperimentConfig:
     """Full description of a Monte Carlo experiment.
 
-    ``network`` may be SbmParams, BlockModel, a Network, a network-file path,
-    or a dict spec (kinds "sbm", "blocks", "file").  ``profile`` may be a
-    LikelihoodProfile, a profile-file path, or a dict spec (kinds
-    "bernoulli", "multinomial", "file").  A null ``burn_in`` defaults to
+    ``network`` may be a BlockModel law (SbmParams is its two-community
+    form), a Network, a network-file path, or a dict spec (kinds "sbm",
+    "blocks", "file").  ``profile`` may be a LikelihoodProfile, a
+    profile-file path, or a dict spec (kinds "bernoulli", "multinomial",
+    "file").  A null ``burn_in`` defaults to
     ``ceil(5 / delta)`` for the step-size strategy and 0 otherwise.
     ``n_jobs`` is accepted and ignored: replicates run batched in one process.
     """
@@ -97,46 +98,30 @@ class ExperimentConfig:
 
     def to_dict(self):
         def _spec(value):
-            if isinstance(value, SbmParams):
-                return {"kind": "sbm", **value.to_dict()}
             if isinstance(value, BlockModel):
-                return {"kind": "blocks", **value.to_dict()}
+                kind = "sbm" if isinstance(value, SbmParams) else "blocks"
+                return {"kind": kind, **value.to_dict()}
             if isinstance(value, Network):
                 return {"kind": "network", "size": value.size}
             if isinstance(value, LikelihoodProfile):
                 return {"kind": "profile", "reference": value.reference}
             return value
 
-        return {
-            "version": self.SCHEMA_VERSION,
-            "network": _spec(self.network),
-            "profile": _spec(self.profile),
-            "strategy": self.strategy,
-            "delta": self.delta,
-            "horizon": self.horizon,
-            "burn_in": self.burn_in,
-            "replicates": self.replicates,
-            "base_seed": self.base_seed,
-            "pair": list(self.pair),
-            "estimator": self.estimator,
-            "fixed_graph": self.fixed_graph,
-            "store_traces": self.store_traces,
-            "record_observations": self.record_observations,
-            "n_jobs": self.n_jobs,
-            "out_dir": self.out_dir,
-        }
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data.update(network=_spec(self.network), profile=_spec(self.profile), pair=list(self.pair))
+        return {"version": self.SCHEMA_VERSION, **data}
 
 
 def _resolve_network_source(spec):
-    """Return either a sampling law (SbmParams/BlockModel) or a fixed Network."""
-    if isinstance(spec, (SbmParams, BlockModel, Network)):
+    """Return either a sampling law (a BlockModel) or a fixed Network."""
+    if isinstance(spec, (BlockModel, Network)):
         return spec
     if isinstance(spec, (str, Path)):
         return load_network(spec)
     if isinstance(spec, dict):
         kind = spec.get("kind")
         if kind == "sbm":
-            return SbmParams(**{k: spec[k] for k in ("n0", "n1", "p0", "p1", "q0", "q1")})
+            return SbmParams(**{k: spec[k] for k in SbmParams.FIELDS})
         if kind == "blocks":
             return BlockModel(sizes=tuple(spec["sizes"]), probs=np.asarray(spec["probs"]))
         if kind == "file":
@@ -171,18 +156,13 @@ def resolve_inputs(config):
     """The network source, cluster labels and likelihood profile of a config.
 
     The source is a fixed Network (a network file or object, or with
-    ``fixed_graph`` the law's draw at ``base_seed``), or the
-    SbmParams/BlockModel law each replicate draws its own graph from.
+    ``fixed_graph`` the law's draw at ``base_seed``), or the BlockModel law
+    each replicate draws its own graph from.
     """
     source = _resolve_network_source(config.network)
     if config.fixed_graph and not isinstance(source, Network):
         source = sample_sbm(source, seed=config.base_seed)
-    if isinstance(source, Network):
-        clusters = source.clusters
-    elif isinstance(source, BlockModel):
-        clusters = source.labels()
-    else:
-        clusters = source.to_block_model().labels()
+    clusters = source.clusters if isinstance(source, Network) else source.labels()
     return source, clusters, _resolve_profile(config.profile, clusters)
 
 
@@ -241,7 +221,7 @@ class ExperimentResult:
     failures: list
     traces: list = field(default_factory=list, repr=False)
     # the Network every replicate used (fixed graph or network file), or the
-    # SbmParams/BlockModel law each replicate drew its own graph from
+    # BlockModel law each replicate drew its own graph from
     network: object = field(default=None, repr=False)
     profile: LikelihoodProfile = field(default=None, repr=False)
 
@@ -521,8 +501,3 @@ def _write_comparison_csv(path, rows):
     with open(path, "w", newline="") as fh:
         fh.write(",".join(ComparisonRow._fields) + "\r\n")
         write_rows(fh, "%d,%.17g,%.17g,%.17g,%.17g,%d\r\n", columns)
-
-
-def with_overrides(config, **overrides):
-    """Copy a config with some fields replaced (CLI flag overrides)."""
-    return replace(config, **{k: v for k, v in overrides.items() if v is not None})

@@ -15,7 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import DeltaOutOfRange, InsufficientSteps, MalformedFile
+from .exceptions import InsufficientSteps, MalformedFile
+from .learning import check_delta
 
 __all__ = [
     "BeliefSeries",
@@ -116,11 +117,6 @@ def _forward_fill(values):
     return padded[source, np.arange(values.shape[1])][1:]
 
 
-def _check_delta(delta):
-    if not 0.0 < delta < 1.0:
-        raise DeltaOutOfRange(f"delta must be in (0, 1), got {delta}")
-
-
 def estimate_log_likelihoods(series, combination, delta):
     """Estimate expected log-likelihood ratios from the fitting segment.
 
@@ -129,7 +125,7 @@ def estimate_log_likelihoods(series, combination, delta):
     for each agent the estimate averages
     ``(y_i - (1 - delta) * A^T y_{i-1}) / delta`` over the fitting steps.
     """
-    _check_delta(delta)
+    check_delta(delta)
     if series.split_index < 2:
         raise InsufficientSteps("need at least 2 fitting steps to form one increment")
     combination = np.asarray(combination, dtype=float)
@@ -146,7 +142,7 @@ def fit_error(series, combination, delta, estimates):
     Uses the validation-segment mean log-ratios ``m`` and returns
     ``sqrt(sum_k (m_k - (1 - delta) (A^T m)_k - delta * e_k)^2) / N``.
     """
-    _check_delta(delta)
+    check_delta(delta)
     combination = np.asarray(combination, dtype=float)
     estimates = np.asarray(estimates, dtype=float)
     m = series.values[series.split_index :].mean(axis=0)
@@ -200,8 +196,7 @@ def scan_delta(series, combination, grid, include_traditional=False):
     grid = np.asarray(list(grid), dtype=float)
     if grid.size == 0:
         raise ValueError("empty delta grid")
-    for d in grid:
-        _check_delta(d)
+    check_delta(grid)
     k = series.split_index
     if k < 2:
         raise InsufficientSteps("need at least 2 fitting steps to form one increment")
@@ -230,7 +225,7 @@ def recursion_series(log_likelihood_ratios, combination, delta, steps, start=Non
     ``y_i = delta * c + (1 - delta) * A^T y_{i-1}`` starting from zeros (the
     uniform belief).  Useful as a round-trip oracle for the estimators.
     """
-    _check_delta(delta)
+    check_delta(delta)
     c = np.asarray(log_likelihood_ratios, dtype=float)
     combination = np.asarray(combination, dtype=float)
     out = np.empty((steps + 1, c.size))

@@ -93,8 +93,7 @@ def asl_update(state, observations, profile, delta):
     The step size discounts history, which lets the recursion track changes
     instead of hardening around early evidence.
     """
-    if not 0.0 < delta < 1.0:
-        raise DeltaOutOfRange(f"delta must be in (0, 1), got {delta}")
+    check_delta(delta)
     log_like = _gather_log_likelihoods(profile, observations)
     return log_normalize(delta * log_like + (1.0 - delta) * state.log_private)
 
@@ -294,13 +293,23 @@ def trace_metadata(network, profile, seed, strategy, delta, horizon, pair, estim
     return metadata
 
 
+def check_delta(delta):
+    """Raise DeltaOutOfRange unless the step size, or every entry of an array
+    of them, lies strictly inside (0, 1).  None and NaN are rejected."""
+    values = np.asarray(np.nan if delta is None else delta)
+    inside = (values > 0.0) & (values < 1.0)
+    if not inside.all():
+        bad = delta if values.ndim == 0 else values[~inside][0]
+        raise DeltaOutOfRange(f"delta must be in (0, 1), got {bad}")
+
+
 def check_strategy(strategy, delta, estimator):
     """Reject an unknown strategy or estimator, and a step size outside
-    (0, 1) for the step-size strategy."""
+    (0, 1), or none, for the step-size strategy."""
     if strategy not in ("asl", "traditional"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    if strategy == "asl" and (delta is None or not 0.0 < delta < 1.0):
-        raise DeltaOutOfRange(f"asl strategy needs delta in (0, 1), got {delta}")
+    if strategy == "asl":
+        check_delta(delta)
     if estimator not in ("mu", "psi"):
         raise ValueError(f"estimator must be 'mu' or 'psi', got {estimator!r}")
 

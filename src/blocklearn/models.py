@@ -447,9 +447,7 @@ def save_profile(path, profile):
         fh.write(f"{n} {h} {m}\n")
         fh.write(" ".join(profile.hypotheses.labels) + "\n")
         fh.write(" ".join(str(int(t)) for t in profile.true_state) + "\n")
-        for k in range(n):
-            for j in range(h):
-                fh.write(" ".join(f"{v:.17g}" for v in profile.likelihoods[k, j]) + "\n")
+        np.savetxt(fh, profile.likelihoods.reshape(n * h, m), fmt="%.17g")
 
 
 def load_profile(path):

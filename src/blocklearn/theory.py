@@ -18,12 +18,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import (
-    DeltaOutOfRange,
     InvalidRegime,
     PreconditionFailed,
     ZeroInformativeness,
 )
-from .graphs import BlockModel, Network, SbmParams, expected_combination
+from .graphs import BlockModel, Network, expected_combination
+from .learning import check_delta
 from .models import divergence_table
 
 __all__ = [
@@ -145,18 +145,17 @@ def expected_log_ratio(network_law, profile, delta, pair=(0, 1)):
 
     Parameters
     ----------
-    network_law : SbmParams, BlockModel, Network or ndarray
+    network_law : BlockModel (SbmParams included), Network or ndarray
     profile : LikelihoodProfile
     delta : float in (0, 1)
     pair : (int, int)
     """
-    if not 0.0 < delta < 1.0:
-        raise DeltaOutOfRange(f"delta must be in (0, 1), got {delta}")
+    check_delta(delta)
     nu = mean_log_likelihood_ratios(profile, pair)
     if isinstance(network_law, Network):
         network_law = network_law.combination
 
-    if isinstance(network_law, (SbmParams, BlockModel)):
+    if isinstance(network_law, BlockModel):
         if profile.n_agents != network_law.size:
             raise ValueError("profile size does not match the SBM law")
         expected = expected_combination(network_law)
@@ -193,8 +192,7 @@ def symmetric_log_ratio_closed_form(d0, d1, p, q, delta):
     Returns the (cluster-0, cluster-1) expected log-belief ratios:
     ``(d0 - d1)/2 +- (delta * (d0 + d1) * (p - q)) / (2 * (p + q - (1 - delta)(p - q)))``.
     """
-    if not 0.0 < delta < 1.0:
-        raise DeltaOutOfRange(f"delta must be in (0, 1), got {delta}")
+    check_delta(delta)
     base = 0.5 * (d0 - d1)
     swing = 0.5 * delta * (d0 + d1) * (p - q) / (p + q - (1.0 - delta) * (p - q))
     return base + swing, base - swing

@@ -114,6 +114,15 @@ class TestSimulate:
         assert summary["config"]["replicates"] == 3
         assert summary["config"]["delta"] == 0.3
 
+    def test_delta_flag_resolves_a_null_burn_in(self, tmp_path):
+        config = write_config(tmp_path, delta=0.1, burn_in=None, horizon=600, replicates=1)
+        out = tmp_path / "burn"
+        assert main(["simulate", "--config", str(config), "--out", str(out),
+                     "--delta", "0.01"]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["config"]["delta"] == 0.01
+        assert summary["config"]["burn_in"] == 500  # ceil(5 / 0.01), not the file's 50
+
     def test_block_model_run_gets_theory_rows(self, tmp_path):
         config = write_config(tmp_path, **THREE_COMMUNITY)
         out = tmp_path / "results3"
@@ -165,6 +174,105 @@ THREE_COMMUNITY = {
                 "probs": [[0.9, 0.05, 0.05], [0.05, 0.8, 0.05], [0.05, 0.05, 0.9]]},
     "profile": {"kind": "multinomial", "alphabet": 25, "seed": 10},
 }
+
+
+# What simulate and predict write for the default config with stored traces,
+# on the two-community law ("sbm") and on THREE_COMMUNITY ("blocks").
+SBM_SPEC = {"n0": 15, "n1": 15, "p0": 0.8, "p1": 0.8, "q0": 0.1, "q1": 0.1}
+EXPECTED_FILES = {
+    "sbm": {
+        "network": {"kind": "sbm", **SBM_SPEC},
+        "profile": {"kind": "bernoulli", "success_probs": [0.1, 0.5]},
+        "cluster_log_ratio_mu": {
+            "0": {"mean": 0.09688755910423945, "pooled_var": 0.0037235187704866305,
+                  "stderr": 0.03425353181185377},
+            "1": {"mean": -0.26444325426796694, "pooled_var": 0.006216179680377781,
+                  "stderr": 0.03974929223174122},
+        },
+        "cluster_p_err": {"0": 0.08666666666666668, "1": 0.0},
+        "meta": {"n_agents": 30, "cluster_sizes": [15, 15], "profile": "bernoulli(0.1, 0.5)",
+                 "sbm_params": SBM_SPEC},
+        "values": (0.10956719807011835, -0.252328614667612),
+        "comparison": [
+            "0,0.096887559104239449,0.10956719807011832,0.034253531811853768,"
+            "-0.37017026552254556,0",
+            "1,-0.26444325426796694,-0.25232861466761192,0.039749292231741222,"
+            "-0.30477623424653222,0",
+        ],
+    },
+    "blocks": {
+        **THREE_COMMUNITY,
+        "cluster_log_ratio_mu": {
+            "0": {"mean": 0.23953608803893617, "pooled_var": 0.006423847984605787,
+                  "stderr": 0.04677570912968243},
+            "1": {"mean": -0.23808455821648214, "pooled_var": 0.0028490047009283492,
+                  "stderr": 0.0023528983924714086},
+            "2": {"mean": 0.005969075826939873, "pooled_var": 0.0038469154691973704,
+                  "stderr": 0.01605383066973874},
+        },
+        "cluster_p_err": {"0": 0.0016666666666666718, "1": 0.0006666666666666687, "2": 0.0},
+        "meta": {"n_agents": 75, "cluster_sizes": [20, 25, 30],
+                 "profile": "multinomial(m=25, seed=10)",
+                 "sbm_params": {"sizes": [20, 25, 30],
+                                "probs": THREE_COMMUNITY["network"]["probs"]}},
+        "values": (0.2304717614909887, -0.03568204949865255),
+        "comparison": [
+            "0,0.23953608803893617,0.23047176149098872,0.04677570912968243,"
+            "0.19378277137001232,0",
+            "1,-0.23808455821648214,-0.25319324557682149,0.0023528983924714086,"
+            "6.4213088880857594,1",
+            "2,0.0059690758269398732,-0.035682049498652536,0.016053830669738742,"
+            "2.5944664661316148,0",
+        ],
+    },
+}
+
+
+class TestOutputFiles:
+    @pytest.mark.parametrize("law", sorted(EXPECTED_FILES))
+    def test_law_files(self, tmp_path, capsys, law):
+        expected = EXPECTED_FILES[law]
+        config = write_config(tmp_path, store_traces=True, network=expected["network"],
+                              profile=expected["profile"])
+        sim, pred = tmp_path / "sim", tmp_path / "pred"
+        assert main(["simulate", "--config", str(config), "--out", str(sim)]) == 0
+        assert main(["predict", "--config", str(config), "--out", str(pred)]) == 0
+
+        summary = json.loads((sim / "summary.json").read_text())
+        del summary["cluster_log_ratio_psi"]  # checked alike through the mu statistics
+        assert summary == {
+            "version": "0.1.0",
+            "config": {
+                "version": 1, "network": expected["network"], "profile": expected["profile"],
+                "strategy": "asl", "delta": 0.2, "horizon": 40, "burn_in": 10, "replicates": 2,
+                "base_seed": 3, "pair": [0, 1], "estimator": "mu", "fixed_graph": False,
+                "store_traces": True, "record_observations": False, "n_jobs": 1,
+                "out_dir": str(sim),
+            },
+            "replicates_ok": 2,
+            "failures": [],
+            "cluster_log_ratio_mu": expected["cluster_log_ratio_mu"],
+            "cluster_p_err": expected["cluster_p_err"],
+            "steady_state_samples": 60,
+        }
+        meta = json.loads((sim / "trace_0001.csv.meta.json").read_text())
+        assert meta == {
+            "seed": 4, "strategy": "asl", "delta": 0.2, "horizon": 40, "pair": [0, 1],
+            "estimator": "mu", "network_retries": 0, "version": "0.1.0", "burn_in": 10,
+            "replicate": 1, **expected["meta"],
+        }
+        prediction = json.loads((pred / "prediction.json").read_text())
+        assert (prediction["values"][0], prediction["values"][-1]) == expected["values"]
+        del prediction["values"]
+        assert prediction == {
+            "schema_version": 2, "delta": 0.2, "pair": [0, 1], "matrix_kind": "expected-block",
+            "inputs": {"params": expected["meta"]["sbm_params"],
+                       "profile": expected["meta"]["profile"]},
+        }
+        assert (sim / "theory_comparison.csv").read_bytes() == "\r\n".join(
+            ["cluster,empirical_mean,theory_value,stderr,z_score,flagged",
+             *expected["comparison"], ""]
+        ).encode()
 
 
 class TestPredict:

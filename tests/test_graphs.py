@@ -34,6 +34,36 @@ from blocklearn.graphs import (
 from blocklearn.verify import exact_block_expectation
 
 VB1 = SbmParams(n0=15, n1=15, p0=0.8, p1=0.8, q0=0.1, q1=0.1)
+THREE_PROBS = np.array([[0.9, 0.05, 0.05], [0.05, 0.8, 0.05], [0.05, 0.05, 0.9]])
+
+
+class TestSbmParams:
+    def test_is_the_two_community_block_model(self):
+        params = SbmParams(n0=20, n1=15, p0=0.8, p1=0.9, q0=0.1, q1=0.2)
+        assert isinstance(params, BlockModel)
+        assert params.sizes == (20, 15) and params.size == 35
+        assert np.array_equal(params.probs, [[0.8, 0.1], [0.2, 0.9]])
+        assert params.to_dict() == {"n0": 20, "n1": 15, "p0": 0.8, "p1": 0.9, "q0": 0.1, "q1": 0.2}
+        assert not params.is_symmetric and VB1.is_symmetric
+
+    def test_fields_are_read_only(self):
+        with pytest.raises(AttributeError):
+            VB1.p0 = 0.5
+
+    @pytest.mark.parametrize("bad", [
+        dict(n0=0), dict(p0=-0.1), dict(q1=1.5), dict(p1=float("nan")), dict(q0=float("inf")),
+    ])
+    def test_out_of_range_rejected(self, bad):
+        with pytest.raises(ValueError):
+            SbmParams(**{**VB1.to_dict(), **bad})
+
+    @pytest.mark.parametrize("seed", [0, 7, 12345])
+    def test_samples_like_the_equal_block_model(self, seed):
+        params = SbmParams(n0=10, n1=12, p0=0.8, p1=0.7, q0=0.1, q1=0.2)
+        model = BlockModel(sizes=(10, 12), probs=[[0.8, 0.1], [0.2, 0.7]])
+        a, b = sample_sbm(params, seed=seed), sample_sbm(model, seed=seed)
+        assert np.array_equal(a.adjacency, b.adjacency)
+        assert np.array_equal(a.clusters, b.clusters) and a.retries == b.retries
 
 
 class TestAveragingCombination:
@@ -163,7 +193,8 @@ class TestExpectedCombination:
         assert dense.shape == (75, 75)
         assert np.all(np.abs(dense.sum(axis=0) - 1.0) <= 1e-12)
         two = SbmParams(n0=20, n1=15, p0=0.8, p1=0.9, q0=0.1, q1=0.2)
-        assert np.array_equal(expected_combination(two.to_block_model()).block_values,
+        same = BlockModel(sizes=(20, 15), probs=[[0.8, 0.1], [0.2, 0.9]])
+        assert np.array_equal(expected_combination(same).block_values,
                               expected_combination(two).block_values)
 
     def test_degenerate_block(self):
@@ -320,6 +351,21 @@ class TestNetworkIO:
         assert np.allclose(loaded.combination, network.combination, atol=1e-15)
         header = path.read_text().splitlines()[0]
         assert header.split() == ["30", "15", "15"]
+
+    def test_bytes_match_row_loop(self, tmp_path):
+        for network in (sample_sbm(VB1, seed=8),
+                        sample_sbm(BlockModel(sizes=(20, 25, 30), probs=THREE_PROBS), seed=3)):
+            sizes = np.bincount(network.clusters)
+            reference = tmp_path / "loop.txt"
+            with open(reference, "w") as fh:
+                if len(sizes) == 2:
+                    fh.write(f"{network.size} {sizes[0]} {sizes[1]}\n")
+                else:
+                    fh.write(f"{network.size} {len(sizes)} " + " ".join(map(str, sizes)) + "\n")
+                for row in network.adjacency:
+                    fh.write(" ".join(str(int(v)) for v in row) + "\n")
+            save_network(tmp_path / "network.txt", network)
+            assert (tmp_path / "network.txt").read_bytes() == reference.read_bytes()
 
     def test_round_trip_three_communities(self, tmp_path):
         probs = np.full((3, 3), 0.2)

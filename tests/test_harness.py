@@ -6,7 +6,7 @@ import pytest
 
 from blocklearn import learning
 from blocklearn.exceptions import BlocklearnError, DeltaOutOfRange, MismatchedConfig
-from blocklearn.graphs import SbmParams, sample_sbm
+from blocklearn.graphs import BlockModel, SbmParams, sample_sbm
 from blocklearn.harness import (
     BLOCK_SIZE,
     ComparisonRow,
@@ -65,6 +65,22 @@ class TestConfig:
         path.write_text(json.dumps(config.to_dict()))
         loaded = ExperimentConfig.from_json(path)
         assert loaded.to_dict() == config.to_dict()
+
+    def test_to_dict_of_law_objects(self):
+        expected = {
+            "version": 1,
+            "network": {"kind": "sbm", "n0": 15, "n1": 15, "p0": 0.8, "p1": 0.8,
+                        "q0": 0.1, "q1": 0.1},
+            "profile": PROFILE, "strategy": "asl", "delta": 0.2, "horizon": 80, "burn_in": 30,
+            "replicates": 6, "base_seed": 100, "pair": [0, 1], "estimator": "mu",
+            "fixed_graph": False, "store_traces": False, "record_observations": False,
+            "n_jobs": 1, "out_dir": None,
+        }
+        assert list(small_config().to_dict().items()) == list(expected.items())
+        blocks = BlockModel(sizes=(2, 3), probs=[[0.9, 0.1], [0.2, 0.8]])
+        assert small_config(network=blocks).to_dict()["network"] == {
+            "kind": "blocks", "sizes": [2, 3], "probs": [[0.9, 0.1], [0.2, 0.8]]
+        }
 
     def test_overrides(self, tmp_path):
         path = tmp_path / "config.json"
@@ -132,7 +148,8 @@ class TestRunExperiment:
         assert config.replicates > BLOCK_SIZE
         result = run_experiment(config)
 
-        profile = bernoulli_profile(params.to_block_model().labels(), (0.1, 0.5))
+        labels = BlockModel(sizes=(4, 4), probs=[[0.35, 0.04], [0.04, 0.35]]).labels()
+        profile = bernoulli_profile(labels, (0.1, 0.5))
         failures, traces = [], []
         for r in range(config.replicates):
             try:

@@ -6,10 +6,12 @@ import pytest
 
 from blocklearn.exceptions import DeltaOutOfRange, WindowTooLarge
 from blocklearn.graphs import SbmParams, perron_vector, sample_sbm
+from blocklearn.inverse import BeliefSeries, estimate_log_likelihoods, scan_delta
 from blocklearn.learning import (
     BeliefState,
     asl_update,
     bayesian_update,
+    check_strategy,
     estimate_state,
     geometric_combine,
     llr_table,
@@ -20,7 +22,11 @@ from blocklearn.learning import (
     windowed_mean_log_ratio,
 )
 from blocklearn.models import LikelihoodProfile, bernoulli_profile
-from blocklearn.theory import network_divergence
+from blocklearn.theory import (
+    expected_log_ratio,
+    network_divergence,
+    symmetric_log_ratio_closed_form,
+)
 
 VB1 = SbmParams(n0=15, n1=15, p0=0.8, p1=0.8, q0=0.1, q1=0.1)
 
@@ -79,6 +85,23 @@ class TestAslUpdate:
         for bad in (0.0, 1.0, -0.1, 1.5):
             with pytest.raises(DeltaOutOfRange):
                 asl_update(state, np.array([0]), profile, delta=bad)
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, float("nan")])
+    def test_every_entry_point_rejects_alike(self, bad):
+        profile = bernoulli_profile(np.repeat([0, 1], 15), (0.1, 0.5))
+        series = BeliefSeries(values=np.zeros((6, 30)), split_index=3)
+        calls = [
+            lambda: asl_update(BeliefState.uniform(30, 2), np.zeros(30, dtype=int), profile, bad),
+            lambda: check_strategy("asl", bad, "mu"),
+            lambda: expected_log_ratio(VB1, profile, bad),
+            lambda: symmetric_log_ratio_closed_form(0.37, 0.51, 0.8, 0.1, bad),
+            lambda: estimate_log_likelihoods(series, np.eye(30), bad),
+            lambda: scan_delta(series, np.eye(30), [0.5, bad, 0.25]),
+        ]
+        for call in calls:
+            with pytest.raises(DeltaOutOfRange) as excinfo:
+                call()
+            assert str(excinfo.value) == f"delta must be in (0, 1), got {bad}"
 
     def test_interpolation_identity_per_step(self):
         rng = np.random.default_rng(17)

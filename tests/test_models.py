@@ -271,6 +271,21 @@ class TestProfileIO:
         assert np.array_equal(loaded.true_state, profile.true_state)
         assert loaded.hypotheses.labels == profile.hypotheses.labels
 
+    def test_bytes_match_row_loop(self, tmp_path):
+        profile = random_multinomial_profile(np.repeat([0, 1, 2], [20, 25, 30]),
+                                             alphabet_size=25, seed=10)
+        reference = tmp_path / "loop.txt"
+        n, h, m = profile.likelihoods.shape
+        with open(reference, "w") as fh:
+            fh.write(f"{n} {h} {m}\n")
+            fh.write(" ".join(profile.hypotheses.labels) + "\n")
+            fh.write(" ".join(str(int(t)) for t in profile.true_state) + "\n")
+            for k in range(n):
+                for j in range(h):
+                    fh.write(" ".join(f"{v:.17g}" for v in profile.likelihoods[k, j]) + "\n")
+        save_profile(tmp_path / "profile.txt", profile)
+        assert (tmp_path / "profile.txt").read_bytes() == reference.read_bytes()
+
     @pytest.mark.parametrize("keep", [0, 1, 2, 3, 12, 13])
     def test_short_file_rejected(self, tmp_path, keep):
         # header, labels, true states, then 9 agents x 3 hypotheses = 27 rows

@@ -156,7 +156,9 @@ class TestExpectedLogRatio:
         profile = vb1_profile()
         for delta in (0.01, 0.1, 0.7):
             from_params = expected_log_ratio(VB1, profile, delta)
-            from_blocks = expected_log_ratio(VB1.to_block_model(), profile, delta)
+            from_blocks = expected_log_ratio(
+                BlockModel(sizes=(15, 15), probs=[[0.8, 0.1], [0.1, 0.8]]), profile, delta
+            )
             assert np.array_equal(from_params.values, from_blocks.values)
 
     def test_three_community_block_path_matches_dense(self):
