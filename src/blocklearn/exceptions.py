@@ -53,6 +53,14 @@ class MalformedFile(BlocklearnError, ValueError):
     """A network or profile file does not follow its text format."""
 
 
+class MalformedConfig(BlocklearnError, ValueError):
+    """An experiment config has an unknown, missing or wrong-typed field."""
+
+
+class InvalidPair(BlocklearnError, ValueError):
+    """A hypothesis pair does not name two of the profile's hypotheses."""
+
+
 class AllReplicatesFailed(BlocklearnError, RuntimeError):
     """Every replicate of an experiment failed, so there is nothing to aggregate."""
 

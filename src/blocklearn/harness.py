@@ -6,15 +6,18 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields
+from numbers import Integral, Real
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__, learning
-from .exceptions import AllReplicatesFailed, MismatchedConfig
+from .exceptions import AllReplicatesFailed, MalformedConfig, MismatchedConfig
 from .graphs import BlockModel, Network, SbmParams, load_network, sample_sbm
 from .learning import (
+    RowPrefix,
+    check_pair,
     check_strategy,
     run,  # noqa: F401 - part of this module's namespace, which perfbench/tracing.py wraps
     write_rows,
@@ -82,13 +85,33 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data, **overrides):
+        """Build a config from its JSON form, with non-None ``overrides``
+        applied first.  An unknown, missing or wrong-typed field raises
+        MalformedConfig naming it; the network and profile specs are checked
+        when they are resolved."""
         data = dict(data)
         version = data.pop("version", cls.SCHEMA_VERSION)
         if version != cls.SCHEMA_VERSION:
             raise ValueError(f"unsupported config schema version {version}")
         data.update({k: v for k, v in overrides.items() if v is not None})
+        known = {f.name: f for f in fields(cls)}
+        unknown = sorted(set(data) - set(known))
+        if unknown:
+            raise MalformedConfig(f"unknown config field {', '.join(map(repr, unknown))}")
+        for name in ("network", "profile"):
+            if name not in data:
+                raise MalformedConfig(f"config field {name!r} is missing")
+        for name, value in data.items():
+            kind = _FIELD_KINDS.get(known[name].type)
+            if kind is not None and not (value is None and known[name].default is None):
+                _check_field(name, value, kind)
         if "pair" in data:
-            data["pair"] = tuple(data["pair"])
+            pair = data["pair"]
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                raise MalformedConfig(f"config field 'pair' must be two integers, got {pair!r}")
+            for value in pair:
+                _check_field("pair", value, Integral)
+            data["pair"] = tuple(pair)
         return cls(**data)
 
     @classmethod
@@ -112,6 +135,27 @@ class ExperimentConfig:
         return {"version": self.SCHEMA_VERSION, **data}
 
 
+# the JSON values a scalar field of each annotated type takes; a field whose
+# default is None also takes null
+_FIELD_KINDS = {"str": str, "int": Integral, "float": Real, "bool": bool}
+_KIND_NAMES = {str: "a string", Integral: "an integer", Real: "a number", bool: "true or false"}
+
+
+def _check_field(name, value, kind):
+    # bool is an Integral, but true is not a replicate count
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+        raise MalformedConfig(f"config field {name!r} must be {_KIND_NAMES[kind]}, got {value!r}")
+
+
+def _spec_values(spec, section, names):
+    """The values of ``names`` in a network or profile spec dict."""
+    missing = [name for name in names if name not in spec]
+    if missing:
+        raise MalformedConfig(f"{section} spec of kind {spec['kind']!r} is missing "
+                              f"{', '.join(map(repr, missing))}")
+    return [spec[name] for name in names]
+
+
 def _resolve_network_source(spec):
     """Return either a sampling law (a BlockModel) or a fixed Network."""
     if isinstance(spec, (BlockModel, Network)):
@@ -121,13 +165,14 @@ def _resolve_network_source(spec):
     if isinstance(spec, dict):
         kind = spec.get("kind")
         if kind == "sbm":
-            return SbmParams(**{k: spec[k] for k in SbmParams.FIELDS})
+            return SbmParams(*_spec_values(spec, "network", SbmParams.FIELDS))
         if kind == "blocks":
-            return BlockModel(sizes=tuple(spec["sizes"]), probs=np.asarray(spec["probs"]))
+            sizes, probs = _spec_values(spec, "network", ("sizes", "probs"))
+            return BlockModel(sizes=tuple(sizes), probs=np.asarray(probs))
         if kind == "file":
-            return load_network(spec["path"])
-        raise ValueError(f"unknown network spec kind {kind!r}")
-    raise TypeError(f"cannot interpret network spec of type {type(spec).__name__}")
+            return load_network(*_spec_values(spec, "network", ("path",)))
+        raise MalformedConfig(f"unknown network spec kind {kind!r}")
+    raise MalformedConfig(f"cannot interpret network spec of type {type(spec).__name__}")
 
 
 def _resolve_profile(spec, clusters):
@@ -138,18 +183,19 @@ def _resolve_profile(spec, clusters):
     if isinstance(spec, dict):
         kind = spec.get("kind")
         if kind == "bernoulli":
-            return bernoulli_profile(clusters, spec["success_probs"])
+            return bernoulli_profile(clusters, *_spec_values(spec, "profile", ("success_probs",)))
         if kind == "multinomial":
+            alphabet, seed = _spec_values(spec, "profile", ("alphabet", "seed"))
             return random_multinomial_profile(
                 clusters,
-                alphabet_size=spec["alphabet"],
-                seed=spec["seed"],
+                alphabet_size=alphabet,
+                seed=seed,
                 n_hypotheses=spec.get("n_hypotheses"),
             )
         if kind == "file":
-            return load_profile(spec["path"])
-        raise ValueError(f"unknown profile spec kind {kind!r}")
-    raise TypeError(f"cannot interpret profile spec of type {type(spec).__name__}")
+            return load_profile(*_spec_values(spec, "profile", ("path",)))
+        raise MalformedConfig(f"unknown profile spec kind {kind!r}")
+    raise MalformedConfig(f"cannot interpret profile spec of type {type(spec).__name__}")
 
 
 def resolve_inputs(config):
@@ -163,7 +209,9 @@ def resolve_inputs(config):
     if config.fixed_graph and not isinstance(source, Network):
         source = sample_sbm(source, seed=config.base_seed)
     clusters = source.clusters if isinstance(source, Network) else source.labels()
-    return source, clusters, _resolve_profile(config.profile, clusters)
+    profile = _resolve_profile(config.profile, clusters)
+    check_pair(config.pair, profile.n_hypotheses)
+    return source, clusters, profile
 
 
 @dataclass
@@ -276,18 +324,15 @@ class ExperimentResult:
         steps, n = self.iter_mean.shape
         with open(out / "iteration_stats.csv", "w", newline="") as fh:
             fh.write("iter,agent,mean_log_ratio,std_log_ratio\r\n")
-            columns = [
-                np.repeat(np.arange(steps), n),
-                np.tile(np.arange(n), steps),
-                self.iter_mean.ravel(),
-                self.iter_std.ravel(),
-            ]
-            write_rows(fh, "%d,%d,%.17g,%.17g\r\n", columns)
+            write_rows(fh, "%.17g,%.17g\r\n", [self.iter_mean.ravel(), self.iter_std.ravel()],
+                       prefix=RowPrefix(steps, n))
         outputs.append("iteration_stats.csv")
 
+        # every trace of the run has this shape and these clusters
+        trace_prefix = RowPrefix(steps, n, self.clusters)
         for i, trace in enumerate(self.traces):
             name = f"trace_{i:04d}.csv"
-            trace.to_csv(out / name)
+            trace.to_csv(out / name, prefix=trace_prefix)
             outputs += [name, name + ".meta.json"]
 
         if comparison is not None:

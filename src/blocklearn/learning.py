@@ -24,16 +24,18 @@ from __future__ import annotations
 import json
 from itertools import chain
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
 from . import __version__
-from .exceptions import DeltaOutOfRange, WindowTooLarge
+from .exceptions import DeltaOutOfRange, InvalidPair, WindowTooLarge
 from .models import observation_matrix
 
 __all__ = [
     "BeliefState",
     "Trace",
+    "check_pair",
     "check_strategy",
     "log_normalize",
     "bayesian_update",
@@ -45,6 +47,7 @@ __all__ = [
     "pair_ratio",
     "ratio_estimates",
     "ratio_log_beliefs",
+    "RowPrefix",
     "run",
     "simulate_block",
     "windowed_mean_log_ratio",
@@ -121,6 +124,12 @@ class Trace:
     iteration i.  ``log_ratio`` is the public-belief log-ratio for the
     configured hypothesis pair (the initial row uses the private beliefs,
     since no public belief exists before the first update).
+
+    ``estimates`` are stored in the smallest unsigned dtype that holds the
+    hypothesis indices (``uint8`` for up to 256 hypotheses), and
+    ``observations``, shape ``(N, T)``, is a view of the block of symbols the
+    run drew, in ``observation_matrix``'s dtype.  Cast them before integer
+    arithmetic that can leave that range.
     """
 
     log_ratio: np.ndarray
@@ -139,33 +148,42 @@ class Trace:
     def n_agents(self):
         return self.log_ratio.shape[1]
 
-    def to_csv(self, path, sidecar=True):
+    def to_csv(self, path, sidecar=True, prefix=None):
         """Write rows ``iter, agent, cluster, log_ratio, estimate[, obs]`` and
         a JSON metadata sidecar next to the CSV.
 
         Rows are formatted ``ROWS_PER_WRITE`` at a time, in the text a
         ``csv.writer`` row loop gives (``%.17g`` log-ratios, CRLF endings).
+        The log-ratio is the only value formatted per row: the
+        ``iter,agent,cluster,`` text comes from ``prefix``, a ``RowPrefix``
+        that the traces of one run share (by default, one for this trace
+        alone), and the ``estimate[,obs]`` text from a table of the strings
+        this trace can hold.
         """
-        n, steps = self.n_agents, self.horizon + 1
-        columns = [
-            np.repeat(np.arange(steps), n),
-            np.tile(np.arange(n), steps),
-            np.tile(np.asarray(self.clusters, dtype=np.int64), steps),
-            self.log_ratio.ravel(),
-            self.estimates.ravel(),
-        ]
+        steps = self.horizon + 1
+        if prefix is None:
+            prefix = RowPrefix(steps, self.n_agents, self.clusters)
+        elif not prefix.fits(steps, self.clusters):
+            raise ValueError("row prefix does not match the trace's shape and clusters")
         header = "iter,agent,cluster,log_ratio,estimate"
-        row = "%d,%d,%d,%.17g,%d"
-        if self.observations is not None:
-            obs = np.empty((steps, n), dtype=object)
-            obs[0] = ""  # no observation before the first update
-            obs[1:] = self.observations.T
-            columns.append(obs.ravel())
+        n_estimates = int(self.estimates.max()) + 1
+        if self.observations is None:
+            tails = np.array([str(e) for e in range(n_estimates)], dtype=object)
+            codes = self.estimates
+        else:
             header += ",obs"
-            row += ",%s"
+            # code e * (m + 1) for row 0, which has no observation, and
+            # e * (m + 1) + s + 1 for symbol s
+            m = int(self.observations.max()) + 1 if self.observations.size else 0
+            tails = np.array([f"{e},{s}" for e in range(n_estimates) for s in [""] + list(range(m))],
+                             dtype=object)
+            codes = self.estimates.astype(np.intp) * (m + 1)
+            codes[1:] += self.observations.T
+            codes[1:] += 1
         with open(path, "w", newline="") as fh:
             fh.write(header + "\r\n")
-            write_rows(fh, row + "\r\n", columns)
+            write_rows(fh, "%.17g,%s\r\n", [self.log_ratio.ravel(), tails[codes.ravel()]],
+                       prefix=prefix)
         if sidecar:
             with open(str(path) + ".meta.json", "w") as fh:
                 json.dump(self.metadata, fh, indent=2, default=str)
@@ -174,16 +192,55 @@ class Trace:
 ROWS_PER_WRITE = 4096
 
 
-def write_rows(fh, row_format, columns):
+class RowPrefix:
+    """The fixed ``iter,agent,`` text, or ``iter,agent,cluster,`` given the
+    agents' clusters, that starts each row of a table with one row per
+    (iteration, agent), iteration-major.
+
+    ``write_rows`` takes one template per ``ROWS_PER_WRITE`` rows from it: a
+    %-format with this text written in and the rest of each row left to
+    fill.  A template is built on first use and kept, so the tables of one
+    shape written through one prefix (a run's traces) format only their own
+    columns.
+    """
+
+    def __init__(self, steps, n_agents, clusters=None):
+        self.steps = steps
+        self.n_agents = n_agents
+        self.clusters = None if clusters is None else np.asarray(clusters)
+        self._templates = {}
+
+    def fits(self, steps, clusters):
+        return steps == self.steps and np.array_equal(clusters, self.clusters)
+
+    def template(self, start, row_format):
+        """Rows ``start .. start + ROWS_PER_WRITE - 1``, each its prefix text
+        followed by ``row_format``."""
+        key = (start, row_format)
+        if key not in self._templates:
+            index = np.arange(start, min(start + ROWS_PER_WRITE, self.steps * self.n_agents))
+            columns = list(np.divmod(index, self.n_agents))
+            if self.clusters is not None:
+                columns.append(self.clusters[columns[1]])
+            row = "%d," * len(columns) + row_format.replace("%", "%%")
+            values = chain.from_iterable(zip(*(col.tolist() for col in columns)))
+            self._templates[key] = (row * index.size) % tuple(values)
+        return self._templates[key]
+
+
+def write_rows(fh, row_format, columns, prefix=None):
     """Write equal-length columns as text rows, ``ROWS_PER_WRITE`` at a time.
 
     ``row_format`` is a %-format for one row; it is applied to many rows by
-    a single string operation, which is what keeps large CSVs cheap.
+    a single string operation, which is what keeps large CSVs cheap.  With a
+    ``RowPrefix``, every row starts with the prefix's fixed text, which is
+    formatted once per prefix instead of once per table.
     """
     total = len(columns[0])
     for start in range(0, total, ROWS_PER_WRITE):
         part = [col[start : start + ROWS_PER_WRITE].tolist() for col in columns]
-        fh.write((row_format * len(part[0])) % tuple(chain.from_iterable(zip(*part))))
+        rows = row_format * len(part[0]) if prefix is None else prefix.template(start, row_format)
+        fh.write(rows % tuple(chain.from_iterable(zip(*part))))
 
 
 # -- the log-ratio engine ------------------------------------------------------
@@ -314,6 +371,14 @@ def check_strategy(strategy, delta, estimator):
         raise ValueError(f"estimator must be 'mu' or 'psi', got {estimator!r}")
 
 
+def check_pair(pair, n_hypotheses):
+    """Raise InvalidPair unless ``pair`` names two of the ``n_hypotheses``
+    hypotheses by index (negative indices are rejected, not wrapped)."""
+    if len(pair) != 2 or not all(isinstance(h, Integral) and 0 <= h < n_hypotheses for h in pair):
+        raise InvalidPair(f"pair {list(pair)} must be two hypothesis indices in "
+                          f"0..{n_hypotheses - 1}")
+
+
 def simulate_block(combination_t, profile, symbols, strategy, delta, pair, estimator,
                    on_chunk=None, record=None, record_observations=False):
     """Step a block of replicates through the log-ratio recursion.
@@ -341,7 +406,8 @@ def simulate_block(combination_t, profile, symbols, strategy, delta, pair, estim
         trace adds to ``trace_metadata``.  When given, the series of every
         replicate are recorded and returned as traces.
     record_observations : bool
-        Whether the recorded traces keep their symbols.
+        Whether the recorded traces keep their symbols, as views of
+        ``symbols``.
 
     Returns
     -------
@@ -354,7 +420,8 @@ def simulate_block(combination_t, profile, symbols, strategy, delta, pair, estim
         # iteration 0 is the uniform initial state: log-ratios zero, estimate 0
         trace_psi = np.zeros((n_reps, horizon + 1, n))
         trace_mu = np.zeros((n_reps, horizon + 1, n))
-        trace_est = np.zeros((n_reps, horizon + 1, n), dtype=np.int64)
+        trace_est = np.zeros((n_reps, horizon + 1, n),
+                             dtype=np.min_scalar_type(profile.n_hypotheses - 1))
     # the last iteration's log-ratios; with no iterations, the initial state
     x_psi = x_mu = np.zeros((1, n_reps, n, profile.n_hypotheses - 1))
     chunks = log_ratio_chunks(combination_t, llr_table(profile), symbols.transpose(2, 0, 1),
@@ -380,7 +447,7 @@ def simulate_block(combination_t, profile, symbols, strategy, delta, pair, estim
             metadata=trace_metadata(network, profile, seed, strategy, delta, horizon, pair,
                                     estimator, extra),
             mu_log_ratio=trace_mu[j],
-            observations=symbols[j].astype(np.int64) if record_observations else None,
+            observations=symbols[j] if record_observations else None,
             final_state=BeliefState(
                 log_private=ratio_log_beliefs(x_mu[-1, j]),
                 log_public=ratio_log_beliefs(x_psi[-1, j]),
@@ -428,6 +495,7 @@ def run(
     if network.size != profile.n_agents:
         raise ValueError("network and profile disagree on the number of agents")
     check_strategy(strategy, delta, estimator)
+    check_pair(pair, profile.n_hypotheses)
     (trace,) = simulate_block(
         np.ascontiguousarray(network.combination.T),
         profile,

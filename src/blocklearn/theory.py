@@ -23,7 +23,7 @@ from .exceptions import (
     ZeroInformativeness,
 )
 from .graphs import BlockModel, Network, expected_combination
-from .learning import check_delta
+from .learning import check_delta, check_pair
 from .models import divergence_table
 
 __all__ = [
@@ -49,6 +49,7 @@ def mean_log_likelihood_ratios(profile, pair=(0, 1)):
     ``E log(L_k(. | a) / L_k(. | b))`` equals the KL from the true model to
     hypothesis b minus the KL to hypothesis a.
     """
+    check_pair(pair, profile.n_hypotheses)
     a, b = pair
     table = divergence_table(profile)
     return table[:, b] - table[:, a]

@@ -139,6 +139,32 @@ class TestSimulate:
         assert len(err.splitlines()) == 1
         assert json.loads(err)["error"] == "AllReplicatesFailed"
 
+    @pytest.mark.parametrize("change, field", [
+        ({"delta": "0.1"}, "delta"),
+        ({"network": {"kind": "sbm", "n0": 15, "p0": 0.8, "p1": 0.8, "q0": 0.1, "q1": 0.1}},
+         "n1"),
+        ({"colour": "red"}, "colour"),
+        ({"replicates": 2.5}, "replicates"),
+    ])
+    def test_malformed_config_is_one_json_error(self, tmp_path, capsys, change, field):
+        config = write_config(tmp_path, **change)
+        code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "run")])
+        assert code == 2
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        error = json.loads(err)
+        assert error["error"] == "MalformedConfig"
+        assert repr(field) in error["detail"]
+
+    @pytest.mark.parametrize("command", ["simulate", "predict"])
+    def test_pair_outside_the_hypotheses_is_one_json_error(self, tmp_path, capsys, command):
+        config = write_config(tmp_path, pair=[0, 5])
+        code = main([command, "--config", str(config), "--out", str(tmp_path / "run")])
+        assert code == 2
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "InvalidPair"
+
     def test_missing_out_dir_fails(self, tmp_path, capsys):
         config = write_config(tmp_path)
         assert main(["simulate", "--config", str(config)]) == 2

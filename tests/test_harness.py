@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from blocklearn import learning
-from blocklearn.exceptions import BlocklearnError, DeltaOutOfRange, MismatchedConfig
+from blocklearn.exceptions import (
+    BlocklearnError,
+    DeltaOutOfRange,
+    InvalidPair,
+    MalformedConfig,
+    MismatchedConfig,
+)
 from blocklearn.graphs import BlockModel, SbmParams, sample_sbm
 from blocklearn.harness import (
     BLOCK_SIZE,
@@ -18,10 +24,13 @@ from blocklearn.harness import (
 )
 from blocklearn.learning import run
 from blocklearn.theory import expected_log_ratio
-from blocklearn.models import bernoulli_profile
+from blocklearn.models import bernoulli_profile, random_multinomial_profile
 
 VB1 = SbmParams(n0=15, n1=15, p0=0.8, p1=0.8, q0=0.1, q1=0.1)
 PROFILE = {"kind": "bernoulli", "success_probs": [0.1, 0.5]}
+CRITERION_5 = BlockModel(sizes=(20, 25, 30),
+                         probs=[[0.9, 0.05, 0.05], [0.05, 0.8, 0.05], [0.05, 0.05, 0.9]])
+MULTINOMIAL = {"kind": "multinomial", "alphabet": 25, "seed": 10}
 
 
 def small_config(**overrides):
@@ -87,6 +96,31 @@ class TestConfig:
         path.write_text(json.dumps(small_config().to_dict()))
         loaded = ExperimentConfig.from_json(path, replicates=3, delta=0.4)
         assert loaded.replicates == 3 and loaded.delta == 0.4
+
+    @pytest.mark.parametrize("change, field", [
+        ({"delta": "0.1"}, "delta"),
+        ({"replicates": 2.5}, "replicates"),
+        ({"replicates": True}, "replicates"),
+        ({"colour": "red"}, "colour"),
+        ({"pair": [0]}, "pair"),
+        ({"store_traces": 1}, "store_traces"),
+    ])
+    def test_malformed_field_is_named(self, change, field):
+        data = {"network": VB1.to_dict() | {"kind": "sbm"}, "profile": PROFILE, "delta": 0.2,
+                **change}
+        with pytest.raises(MalformedConfig, match=repr(field)):
+            ExperimentConfig.from_dict(data)
+
+    def test_missing_spec_field_is_named(self):
+        network = {"kind": "sbm", "n0": 15, "p0": 0.8, "p1": 0.8, "q0": 0.1, "q1": 0.1}
+        config = ExperimentConfig.from_dict({"network": network, "profile": PROFILE,
+                                             "delta": 0.2})
+        with pytest.raises(MalformedConfig, match="'n1'"):
+            run_experiment(config)
+        with pytest.raises(MalformedConfig, match="'success_probs'"):
+            run_experiment(small_config(profile={"kind": "bernoulli"}))
+        with pytest.raises(MalformedConfig, match="'network' is missing"):
+            ExperimentConfig.from_dict({"profile": PROFILE, "delta": 0.2})
 
     def test_unknown_schema_version(self):
         with pytest.raises(ValueError):
@@ -198,6 +232,53 @@ class TestRunExperiment:
             assert np.array_equal(a.observations, b.observations)
             assert np.array_equal(a.mu_log_ratio, b.mu_log_ratio)
 
+    @pytest.mark.parametrize("law, profile, pair", [
+        (CRITERION_5, MULTINOMIAL, (0, -1)),  # ran as (0, 1), predicted as (0, 2)
+        (VB1, PROFILE, (0, 5)),
+    ])
+    def test_pair_outside_the_hypotheses_is_rejected(self, law, profile, pair):
+        with pytest.raises(InvalidPair):
+            run_experiment(small_config(network=law, profile=profile, pair=pair))
+
+    @pytest.mark.parametrize("law, profile", [(VB1, PROFILE), (CRITERION_5, MULTINOMIAL)])
+    def test_traces_are_compact_and_match_run(self, law, profile):
+        # on one graph, a block of replicates shares run's combination matrix
+        config = small_config(network=law, profile=profile, replicates=3, fixed_graph=True,
+                              store_traces=True, record_observations=True)
+        result = run_experiment(config)
+        assert len(result.traces) == 3
+        for r, trace in enumerate(result.traces):
+            seed = config.base_seed + r
+            alone = run(result.network, result.profile, strategy="asl", delta=config.delta,
+                        horizon=config.horizon, seed=seed, record_observations=True)
+            assert trace.estimates.dtype == np.uint8
+            assert trace.observations.dtype == np.uint8
+            for name in ("log_ratio", "mu_log_ratio", "estimates", "observations"):
+                assert np.array_equal(getattr(trace, name), getattr(alone, name))
+                assert getattr(trace, name).dtype == getattr(alone, name).dtype
+
+    @pytest.mark.parametrize("record_observations", [False, True])
+    def test_stored_bytes_per_cell(self, record_observations):
+        # psi and mu at 8 bytes and the estimate at 1 per (replicate, step,
+        # agent); recorded symbols add the block they were drawn in, 1 byte
+        # per (replicate, iteration, agent), counted once per block
+        config = small_config(replicates=70, store_traces=True,
+                              record_observations=record_observations)
+        traces = run_experiment(config).traces
+        assert len(traces) == 70
+        series = sum(t.log_ratio.nbytes + t.mu_log_ratio.nbytes + t.estimates.nbytes
+                     for t in traces)
+        cells = len(traces) * (config.horizon + 1) * 30
+        assert series / cells <= 17
+        if record_observations:
+            blocks = {id(t.observations.base): t.observations.base for t in traces}
+            assert len(blocks) == 2  # two blocks of replicates
+            assert sum(t.observations.nbytes for t in traces) == sum(
+                b.nbytes for b in blocks.values())
+            assert (series + sum(b.nbytes for b in blocks.values())) / cells <= 18
+        else:
+            assert all(t.observations is None for t in traces)
+
     def test_negative_seed_fails_only_its_replicates(self, tmp_path):
         from blocklearn.graphs import save_network
 
@@ -261,6 +342,22 @@ class TestRunExperiment:
                     writer.writerow([i, k, f"{result.iter_mean[i, k]:.17g}",
                                      f"{result.iter_std[i, k]:.17g}"])
         assert (tmp_path / "iteration_stats.csv").read_bytes() == reference.read_bytes()
+
+    def test_iteration_stats_bytes(self, tmp_path):
+        # 151 x 30 rows: two ROWS_PER_WRITE chunks
+        result = run_experiment(small_config(replicates=2, horizon=150))
+        result.iter_mean[1, :4] = [-0.0, 1e-300, float("nan"), float("inf")]
+        result.iter_std[150, -3:] = [float("-inf"), float("nan"), 2.5e16]
+        result.write_outputs(tmp_path / "run")
+        reference = tmp_path / "loop.csv"
+        with open(reference, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["iter", "agent", "mean_log_ratio", "std_log_ratio"])
+            for i in range(151):
+                for k in range(30):
+                    writer.writerow([i, k, f"{result.iter_mean[i, k]:.17g}",
+                                     f"{result.iter_std[i, k]:.17g}"])
+        assert (tmp_path / "run" / "iteration_stats.csv").read_bytes() == reference.read_bytes()
 
 
 class TestCompareTheory:

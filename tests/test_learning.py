@@ -4,8 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from blocklearn.exceptions import DeltaOutOfRange, WindowTooLarge
-from blocklearn.graphs import SbmParams, perron_vector, sample_sbm
+from blocklearn.exceptions import DeltaOutOfRange, InvalidPair, WindowTooLarge
+from blocklearn.graphs import BlockModel, SbmParams, perron_vector, sample_sbm
+from blocklearn.harness import ExperimentConfig, run_experiment
 from blocklearn.inverse import BeliefSeries, estimate_log_likelihoods, scan_delta
 from blocklearn.learning import (
     BeliefState,
@@ -18,10 +19,11 @@ from blocklearn.learning import (
     log_ratio_chunks,
     ratio_estimates,
     ratio_log_beliefs,
+    RowPrefix,
     run,
     windowed_mean_log_ratio,
 )
-from blocklearn.models import LikelihoodProfile, bernoulli_profile
+from blocklearn.models import LikelihoodProfile, bernoulli_profile, random_multinomial_profile
 from blocklearn.theory import (
     expected_log_ratio,
     network_divergence,
@@ -29,6 +31,8 @@ from blocklearn.theory import (
 )
 
 VB1 = SbmParams(n0=15, n1=15, p0=0.8, p1=0.8, q0=0.1, q1=0.1)
+CRITERION_5 = BlockModel(sizes=(20, 25, 30),
+                         probs=[[0.9, 0.05, 0.05], [0.05, 0.8, 0.05], [0.05, 0.05, 0.9]])
 
 
 def two_symbol_profile(rows):
@@ -268,6 +272,64 @@ class TestTraceCsv:
         trace.to_csv(tmp_path / "bulk.csv", sidecar=False)
         row_loop_csv(trace, tmp_path / "loop.csv")
         assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+
+    @pytest.mark.parametrize("record_observations", [False, True])
+    def test_criterion_5_trace(self, tmp_path, record_observations):
+        # three hypotheses, 25 symbols (two-digit obs), 121 x 75 rows (three
+        # ROWS_PER_WRITE chunks)
+        network = sample_sbm(CRITERION_5, seed=777)
+        profile = random_multinomial_profile(network.clusters, alphabet_size=25, seed=10)
+        trace = run(network, profile, strategy="asl", delta=0.1, horizon=120, seed=777,
+                    pair=(0, 2), record_observations=record_observations)
+        assert set(np.unique(trace.estimates)) == {0, 1, 2}
+        if record_observations:
+            assert trace.observations.max() >= 10
+        trace.to_csv(tmp_path / "bulk.csv", sidecar=False)
+        row_loop_csv(trace, tmp_path / "loop.csv")
+        assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+
+    @pytest.mark.parametrize("record_observations", [False, True])
+    def test_zero_horizon(self, tmp_path, record_observations):
+        network = sample_sbm(VB1, seed=3)
+        profile = bernoulli_profile(network.clusters, (0.1, 0.5))
+        trace = run(network, profile, strategy="asl", delta=0.2, horizon=0, seed=4,
+                    record_observations=record_observations)
+        trace.to_csv(tmp_path / "bulk.csv", sidecar=False)
+        row_loop_csv(trace, tmp_path / "loop.csv")
+        assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+
+    def test_shared_prefix_gives_each_trace_its_own_bytes(self, tmp_path):
+        config = ExperimentConfig(network=VB1, profile={"kind": "bernoulli",
+                                  "success_probs": [0.1, 0.5]}, delta=0.2, horizon=150,
+                                  burn_in=50, replicates=4, base_seed=5, store_traces=True,
+                                  record_observations=True)
+        result = run_experiment(config)
+        prefix = RowPrefix(151, 30, result.clusters)
+        for i, trace in enumerate(result.traces):
+            trace.to_csv(tmp_path / f"shared_{i}.csv", sidecar=False, prefix=prefix)
+            trace.to_csv(tmp_path / f"alone_{i}.csv", sidecar=False)
+            shared = (tmp_path / f"shared_{i}.csv").read_bytes()
+            assert shared == (tmp_path / f"alone_{i}.csv").read_bytes()
+        assert len({(tmp_path / f"shared_{i}.csv").read_bytes() for i in range(4)}) == 4
+        with pytest.raises(ValueError, match="row prefix"):
+            trace.to_csv(tmp_path / "other.csv", prefix=RowPrefix(151, 30, result.clusters[::-1]))
+        with pytest.raises(ValueError, match="row prefix"):
+            trace.to_csv(tmp_path / "other.csv", prefix=RowPrefix(150, 30, result.clusters))
+
+
+class TestCheckPair:
+    # with three hypotheses a pair (0, -1) used to be read as (0, 1) by the
+    # simulator and as (0, 2) by the theory
+    @pytest.mark.parametrize("pair", [(0, -1), (-1, 1), (0, 3), (3, 0), (0, 1.0)])
+    def test_pair_outside_the_hypotheses_is_rejected(self, pair):
+        network = sample_sbm(CRITERION_5, seed=777)
+        profile = random_multinomial_profile(network.clusters, alphabet_size=25, seed=10)
+        with pytest.raises(InvalidPair) as from_run:
+            run(network, profile, strategy="asl", delta=0.1, horizon=5, pair=pair)
+        with pytest.raises(InvalidPair) as from_theory:
+            expected_log_ratio(CRITERION_5, profile, 0.1, pair)
+        assert isinstance(from_run.value, ValueError)
+        assert str(from_run.value) == str(from_theory.value)
 
 
 class TestLogRatioChunks:
