@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields
+from functools import partial
 from numbers import Integral, Real
 from pathlib import Path
 from typing import NamedTuple
@@ -138,22 +139,36 @@ class ExperimentConfig:
 # the JSON values a scalar field of each annotated type takes; a field whose
 # default is None also takes null
 _FIELD_KINDS = {"str": str, "int": Integral, "float": Real, "bool": bool}
-_KIND_NAMES = {str: "a string", Integral: "an integer", Real: "a number", bool: "true or false"}
+# a one-tuple (kind,) stands for a list of values of that kind
+_KIND_NAMES = {str: "a string", Integral: "an integer", Real: "a number", bool: "true or false",
+               (Integral,): "a list of integers", (Real,): "a list of numbers",
+               ((Real,),): "a list of lists of numbers"}
+# the kind of each field of an "sbm" network spec
+_SBM_KINDS = {name: Integral if name in ("n0", "n1") else Real for name in SbmParams.FIELDS}
 
 
-def _check_field(name, value, kind):
+def _fits(value, kind):
+    if isinstance(kind, tuple):
+        return isinstance(value, (list, tuple)) and all(_fits(v, kind[0]) for v in value)
     # bool is an Integral, but true is not a replicate count
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
-        raise MalformedConfig(f"config field {name!r} must be {_KIND_NAMES[kind]}, got {value!r}")
+    return isinstance(value, bool) == (kind is bool) and isinstance(value, kind)
 
 
-def _spec_values(spec, section, names):
-    """The values of ``names`` in a network or profile spec dict."""
-    missing = [name for name in names if name not in spec]
+def _check_field(name, value, kind, owner="config field"):
+    if not _fits(value, kind):
+        raise MalformedConfig(f"{owner} {name!r} must be {_KIND_NAMES[kind]}, got {value!r}")
+
+
+def _spec_values(spec, section, kinds):
+    """The values of the fields named in ``kinds`` in a network or profile
+    spec dict, each checked against its kind."""
+    missing = [name for name in kinds if name not in spec]
     if missing:
         raise MalformedConfig(f"{section} spec of kind {spec['kind']!r} is missing "
                               f"{', '.join(map(repr, missing))}")
-    return [spec[name] for name in names]
+    for name, kind in kinds.items():
+        _check_field(name, spec[name], kind, f"{section} spec field")
+    return [spec[name] for name in kinds]
 
 
 def _resolve_network_source(spec):
@@ -165,12 +180,13 @@ def _resolve_network_source(spec):
     if isinstance(spec, dict):
         kind = spec.get("kind")
         if kind == "sbm":
-            return SbmParams(*_spec_values(spec, "network", SbmParams.FIELDS))
+            return SbmParams(*_spec_values(spec, "network", _SBM_KINDS))
         if kind == "blocks":
-            sizes, probs = _spec_values(spec, "network", ("sizes", "probs"))
+            sizes, probs = _spec_values(spec, "network", {"sizes": (Integral,),
+                                                          "probs": ((Real,),)})
             return BlockModel(sizes=tuple(sizes), probs=np.asarray(probs))
         if kind == "file":
-            return load_network(*_spec_values(spec, "network", ("path",)))
+            return load_network(*_spec_values(spec, "network", {"path": str}))
         raise MalformedConfig(f"unknown network spec kind {kind!r}")
     raise MalformedConfig(f"cannot interpret network spec of type {type(spec).__name__}")
 
@@ -183,17 +199,21 @@ def _resolve_profile(spec, clusters):
     if isinstance(spec, dict):
         kind = spec.get("kind")
         if kind == "bernoulli":
-            return bernoulli_profile(clusters, *_spec_values(spec, "profile", ("success_probs",)))
+            return bernoulli_profile(clusters,
+                                     *_spec_values(spec, "profile", {"success_probs": (Real,)}))
         if kind == "multinomial":
-            alphabet, seed = _spec_values(spec, "profile", ("alphabet", "seed"))
+            alphabet, seed = _spec_values(spec, "profile", {"alphabet": Integral, "seed": Integral})
+            n_hypotheses = spec.get("n_hypotheses")
+            if n_hypotheses is not None:
+                _check_field("n_hypotheses", n_hypotheses, Integral, "profile spec field")
             return random_multinomial_profile(
                 clusters,
                 alphabet_size=alphabet,
                 seed=seed,
-                n_hypotheses=spec.get("n_hypotheses"),
+                n_hypotheses=n_hypotheses,
             )
         if kind == "file":
-            return load_profile(*_spec_values(spec, "profile", ("path",)))
+            return load_profile(*_spec_values(spec, "profile", {"path": str}))
         raise MalformedConfig(f"unknown profile spec kind {kind!r}")
     raise MalformedConfig(f"cannot interpret profile spec of type {type(spec).__name__}")
 
@@ -354,6 +374,24 @@ def write_manifest(out_dir, command, outputs):
 # replicate order, so equal seeds give bitwise-equal aggregates.
 BLOCK_SIZE = 64
 
+# the smallest integer dtype that counts the iterations of one chunk
+_CHUNK_COUNT = np.min_scalar_type(learning.STEPS_PER_CHUNK)
+
+
+def _chunk_sums(n_agents):
+    """Two functions that sum a ``(K, B, N)`` chunk over its replicates, to
+    ``(K, N)``, and over its iterations and replicates, to ``(N,)``.
+
+    Their results are bitwise those of ``sum(axis=1)`` and
+    ``sum(axis=(0, 1))``.  Over axes that are not the innermost, ``sum`` and
+    ``einsum`` both add in order, and ``einsum`` is faster.  With one agent
+    those axes are contiguous and ``sum`` adds pairwise, so that case keeps
+    ``sum``.
+    """
+    if n_agents == 1:
+        return partial(np.sum, axis=1), partial(np.sum, axis=(0, 1))
+    return partial(np.einsum, "kbn->kn"), partial(np.einsum, "kbn->n")
+
 
 def _draw_block(indices, source, profile, config):
     """Graphs and observation symbols of one block of replicates.
@@ -400,11 +438,11 @@ def run_experiment(config):
     n, h = profile.n_agents, profile.n_hypotheses
     horizon, burn_in = config.horizon, config.burn_in
     window = horizon - burn_in
-    count_index = np.arange(n) * h  # flat (agent, hypothesis) bins
+    sum_replicates, sum_samples = _chunk_sums(n)
 
     iter_sum = np.zeros((horizon + 1, n))
     iter_sq = np.zeros((horizon + 1, n))
-    counts = np.zeros(n * h, dtype=np.int64)
+    counts = np.zeros((n, h), dtype=np.int64)
     psi_sq = np.zeros(n)
     mu_sq = np.zeros(n)
     rep_psi, rep_mu, traces, failures = [], [], [], []
@@ -422,20 +460,27 @@ def run_experiment(config):
         size = len(replicates)
         psi_sum = np.zeros((size, n))
         mu_sum = np.zeros((size, n))
+        # how often each hypothesis h >= 1 is the estimate in the window, per
+        # (replicate, agent); hypothesis 0 takes the rest of the window
+        hits = np.zeros((h - 1, size, n), dtype=np.int64)
 
         def reduce_chunk(start, psi, mu, est):
-            nonlocal counts, psi_sq, mu_sq, psi_sum, mu_sum
+            nonlocal psi_sq, mu_sq, psi_sum, mu_sum
+            sq = psi * psi
             rows = slice(start + 1, start + 1 + psi.shape[0])
-            iter_sum[rows] += psi.sum(axis=1)
-            iter_sq[rows] += (psi * psi).sum(axis=1)
+            iter_sum[rows] += sum_replicates(psi)
+            iter_sq[rows] += sum_replicates(sq)
             # steady-state window: iterations burn_in + 1 .. horizon
-            in_window = slice(max(burn_in - start, 0), None)
-            psi, mu, est = psi[in_window], mu[in_window], est[in_window]
-            psi_sum += psi.sum(axis=0)
+            first_in = max(burn_in - start, 0)
+            if first_in >= psi.shape[0]:
+                return
+            mu, est = mu[first_in:], est[first_in:]
+            psi_sum += psi[first_in:].sum(axis=0)
             mu_sum += mu.sum(axis=0)
-            psi_sq += (psi * psi).sum(axis=(0, 1))
-            mu_sq += (mu * mu).sum(axis=(0, 1))
-            counts += np.bincount((est + count_index).ravel(), minlength=n * h)
+            psi_sq += sum_samples(sq[first_in:])
+            mu_sq += sum_samples(mu * mu)
+            for hyp in range(1, h):
+                hits[hyp - 1] += (est == hyp).sum(axis=0, dtype=_CHUNK_COUNT)
 
         record = None
         if config.store_traces:
@@ -447,6 +492,9 @@ def run_experiment(config):
             config.estimator, on_chunk=reduce_chunk, record=record,
             record_observations=config.record_observations,
         )
+        block_hits = hits.sum(axis=1)  # (H-1, N)
+        counts[:, 1:] += block_hits.T
+        counts[:, 0] += size * window - block_hits.sum(axis=0)
         if window:
             rep_psi.append(psi_sum / window)
             rep_mu.append(mu_sum / window)
@@ -471,7 +519,7 @@ def run_experiment(config):
         pooled_var_mu = np.full(n, np.nan)
 
     report = ErrorReport(
-        counts=counts.reshape(n, h),
+        counts=counts,
         clusters=clusters,
         true_state=profile.true_state,
         samples=total_samples,

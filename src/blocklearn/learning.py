@@ -286,42 +286,58 @@ def log_ratio_chunks(combination_t, table, symbols, w_like, w_prior):
     alphabet, n_ratios = table.shape[1:]
     weighted = (table * w_like).reshape(n * alphabet, n_ratios)
     offsets = np.arange(n) * alphabet
-    x_psi = np.empty((min(STEPS_PER_CHUNK, horizon), n_reps, n, n_ratios))
+    chunk = min(STEPS_PER_CHUNK, horizon)
+    x_psi = np.empty((chunk, n_reps, n, n_ratios))
     x_mu = np.empty_like(x_psi)
+    index = np.empty((chunk, n_reps, n), dtype=np.intp)
+    like = np.empty_like(x_psi)
+    steps = list(zip(x_psi, x_mu, like))
     prev_mu = np.zeros((n_reps, n, n_ratios))
     for start in range(0, horizon, STEPS_PER_CHUNK):
         size = min(STEPS_PER_CHUNK, horizon - start)
-        # w_like * l for the whole chunk, in one gather
-        like = weighted.take(offsets + symbols[start : start + size], axis=0)
-        for i in range(size):
-            psi = x_psi[i]
+        # w_like * l for the whole chunk, in one gather; every index is in
+        # range, and "clip" lets take write straight into the buffer
+        np.add(offsets, symbols[start : start + size], out=index[:size])
+        weighted.take(index[:size], axis=0, out=like[:size], mode="clip")
+        for psi, mu, step_like in steps[:size]:
             np.multiply(prev_mu, w_prior, out=psi)
-            psi += like[i]
-            prev_mu = np.matmul(combination_t, psi, out=x_mu[i])
+            psi += step_like
+            prev_mu = np.matmul(combination_t, psi, out=mu)
         yield start, x_psi[:size], x_mu[:size]
 
 
 def pair_ratio(x, pair):
     """``log(belief_a / belief_b)`` from log-ratios against hypothesis 0
-    (the last axis of ``x``)."""
+    (the last axis of ``x``).
+
+    The result is ``0.0 + x_a - x_b`` with the terms of hypothesis 0 left
+    out, so a zero comes out as +0.0 wherever that sum gives it.
+    """
     a, b = pair
-    ratio = np.zeros(x.shape[:-1])
+    if a and b:
+        ratio = np.add(x[..., a - 1], 0.0)
+        return np.subtract(ratio, x[..., b - 1], out=ratio)
     if a:
-        ratio += x[..., a - 1]
+        return np.add(x[..., a - 1], 0.0)
     if b:
-        ratio -= x[..., b - 1]
-    return ratio
+        return np.subtract(0.0, x[..., b - 1])
+    return np.zeros(x.shape[:-1])
 
 
 def ratio_estimates(x):
     """Argmax hypothesis from log-ratios against hypothesis 0; ties go to the
-    lowest index, as in ``estimate_state``."""
-    estimates = np.zeros(x.shape[:-1], dtype=np.int64)
-    best = np.zeros(x.shape[:-1])  # hypothesis 0
-    for h in range(x.shape[-1]):
-        ratio = x[..., h]
-        estimates[ratio > best] = h + 1
-        np.maximum(best, ratio, out=best)
+    lowest index, as in ``estimate_state``.  The estimates are in
+    ``np.min_scalar_type(H - 1)``."""
+    n_ratios = x.shape[-1]
+    dtype = np.min_scalar_type(n_ratios)
+    # hypothesis 1 against hypothesis 0, whose log-ratio is zero
+    estimates = (x[..., 0] > 0.0).astype(dtype)
+    if n_ratios > 1:
+        best = np.maximum(x[..., 0], 0.0)
+        for h in range(1, n_ratios):
+            ratio = x[..., h]
+            estimates = np.where(ratio > best, dtype.type(h + 1), estimates)
+            np.maximum(best, ratio, out=best)
     return estimates
 
 

@@ -145,6 +145,11 @@ class TestSimulate:
          "n1"),
         ({"colour": "red"}, "colour"),
         ({"replicates": 2.5}, "replicates"),
+        ({"network": {"kind": "blocks", "sizes": 5, "probs": [[0.9, 0.1], [0.1, 0.9]]}},
+         "sizes"),
+        ({"profile": {"kind": "multinomial", "alphabet": 2.5, "seed": 10}}, "alphabet"),
+        ({"network": {"kind": "sbm", "n0": 15, "n1": "15", "p0": 0.8, "p1": 0.8, "q0": 0.1,
+                      "q1": 0.1}}, "n1"),
     ])
     def test_malformed_config_is_one_json_error(self, tmp_path, capsys, change, field):
         config = write_config(tmp_path, **change)

@@ -18,6 +18,7 @@ from blocklearn.harness import (
     ComparisonRow,
     ErrorReport,
     ExperimentConfig,
+    _chunk_sums,
     _write_comparison_csv,
     compare_theory,
     run_experiment,
@@ -122,6 +123,22 @@ class TestConfig:
         with pytest.raises(MalformedConfig, match="'network' is missing"):
             ExperimentConfig.from_dict({"profile": PROFILE, "delta": 0.2})
 
+    @pytest.mark.parametrize("spec, field", [
+        ({"network": {"kind": "blocks", "sizes": 5, "probs": [[0.9, 0.1], [0.1, 0.9]]}},
+         "sizes"),
+        ({"network": {"kind": "blocks", "sizes": [2, 3], "probs": [0.9, 0.1]}}, "probs"),
+        ({"network": {"kind": "sbm", **VB1.to_dict(), "n1": "15"}}, "n1"),
+        ({"network": {"kind": "sbm", **VB1.to_dict(), "p0": None}}, "p0"),
+        ({"profile": {"kind": "multinomial", "alphabet": 2.5, "seed": 10}}, "alphabet"),
+        ({"profile": {"kind": "multinomial", "alphabet": 25, "seed": 10, "n_hypotheses": "3"}},
+         "n_hypotheses"),
+        ({"profile": {"kind": "bernoulli", "success_probs": [0.1, "0.5"]}}, "success_probs"),
+        ({"profile": {"kind": "file", "path": ["profile.txt"]}}, "path"),
+    ])
+    def test_wrong_typed_spec_field_is_named(self, spec, field):
+        with pytest.raises(MalformedConfig, match=repr(field)):
+            run_experiment(small_config(**spec))
+
     def test_unknown_schema_version(self):
         with pytest.raises(ValueError):
             ExperimentConfig.from_dict({"version": 99, "network": {}, "profile": {}})
@@ -148,8 +165,9 @@ class TestRunExperiment:
         a.pop("config"), b.pop("config")  # identical up to the n_jobs echo
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
-    def test_error_probabilities_two_ways(self):
-        result = run_experiment(small_config(store_traces=True))
+    @staticmethod
+    def check_window_aggregates_against_traces(result):
+        """Estimate counts and pooled variances recomputed from the traces."""
         config = result.config
         window = slice(config.burn_in + 1, config.horizon + 1)
         recount = np.zeros_like(result.error_report.counts)
@@ -158,8 +176,23 @@ class TestRunExperiment:
             for h in range(recount.shape[1]):
                 recount[:, h] += (est == h).sum(axis=0)
         assert np.array_equal(recount, result.error_report.counts)
-        p_direct = 1.0 - recount[np.arange(30), result.true_state] / result.error_report.samples
+        agents = np.arange(recount.shape[0])
+        p_direct = 1.0 - recount[agents, result.true_state] / result.error_report.samples
         assert np.allclose(p_direct, result.error_report.p_err, atol=0)
+        for pooled, series in [(result.pooled_var_psi, "log_ratio"),
+                               (result.pooled_var_mu, "mu_log_ratio")]:
+            samples = np.concatenate([getattr(trace, series)[window] for trace in result.traces])
+            assert np.allclose(pooled, np.var(samples, axis=0), rtol=1e-12, atol=0)
+
+    def test_error_probabilities_two_ways(self):
+        self.check_window_aggregates_against_traces(run_experiment(small_config(store_traces=True)))
+
+    def test_error_probabilities_two_ways_three_communities(self):
+        result = run_experiment(small_config(network=CRITERION_5, profile=MULTINOMIAL,
+                                             store_traces=True))
+        assert result.error_report.counts.shape == (75, 3)
+        assert (result.error_report.counts[:, 1:] > 0).any(axis=0).all()
+        self.check_window_aggregates_against_traces(result)
 
     def test_partial_failures_recorded(self):
         # tiny sparse law: most graph draws cannot be made primitive, so some
@@ -172,6 +205,20 @@ class TestRunExperiment:
         assert result.n_ok == 2 and len(result.failures) == 6
         assert all("replicate" in f and "error" in f for f in result.failures)
         assert result.error_report.samples == 15 * result.n_ok
+
+    @pytest.mark.parametrize("n_agents", [1, 2, 3, 30, 75])
+    def test_chunk_sums_are_bitwise_numpy_sums(self, n_agents):
+        # the forms run_experiment reduces chunks with: einsum, or with one
+        # agent numpy's own sums, each bitwise equal to sum over the axes
+        sum_replicates, sum_samples = _chunk_sums(n_agents)
+        rng = np.random.default_rng(n_agents)
+        for steps in (1, 7, 16):
+            for reps in (1, 5, 16, 64):
+                shape = (steps, reps, n_agents)
+                chunk = rng.normal(size=shape) * np.exp(5.0 * rng.normal(size=shape))
+                assert np.array_equal(sum_replicates(chunk), chunk.sum(axis=1))
+                for window in (chunk, chunk[steps // 2:]):
+                    assert np.array_equal(sum_samples(window), window.sum(axis=(0, 1)))
 
     def test_blocks_match_standalone_runs(self):
         # more replicates than one block, with failed graph draws in both

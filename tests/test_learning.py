@@ -17,6 +17,7 @@ from blocklearn.learning import (
     geometric_combine,
     llr_table,
     log_ratio_chunks,
+    pair_ratio,
     ratio_estimates,
     ratio_log_beliefs,
     RowPrefix,
@@ -161,6 +162,45 @@ class TestEstimateState:
         x = np.array([[0.0, 0.0], [1.0, 1.0], [-1.0, 0.0], [0.5, 2.0], [-0.5, -0.25]])
         assert ratio_estimates(x).tolist() == [0, 1, 0, 2, 0]
         assert np.array_equal(ratio_estimates(x), estimate_state(ratio_log_beliefs(x)))
+
+    @pytest.mark.parametrize("n_hypotheses", [2, 3, 4, 5, 6])
+    def test_log_ratio_estimates_match_log_beliefs(self, n_hypotheses):
+        # half-integer log-ratios: exact ties at 0 and between hypotheses
+        rng = np.random.default_rng(n_hypotheses)
+        x = rng.integers(-3, 4, size=(7, 5, 11, n_hypotheses - 1)) / 2.0
+        x[0] = 0.0  # every hypothesis ties with hypothesis 0
+        x[1] = -1.0
+        x[1, ..., -1] = x[1, ..., 0] = 0.5  # hypotheses 1 and H - 1 tie above 0
+        estimates = ratio_estimates(x)
+        assert estimates.dtype == np.min_scalar_type(n_hypotheses - 1)
+        assert np.array_equal(estimates, estimate_state(ratio_log_beliefs(x)))
+        assert (estimates[0] == 0).all() and (estimates[1] == 1).all()
+
+
+class TestPairRatio:
+    @staticmethod
+    def zero_fill_then_add(x, pair):
+        a, b = pair
+        ratio = np.zeros(x.shape[:-1])
+        if a:
+            ratio += x[..., a - 1]
+        if b:
+            ratio -= x[..., b - 1]
+        return ratio
+
+    def test_bits_match_zero_fill_then_add(self):
+        # signed zeros in every position, next to ordinary values
+        values = np.array([0.0, -0.0, 1.5, -1.5, 1e-300, -np.inf])
+        x = np.stack(np.meshgrid(values, values, values, indexing="ij"), axis=-1).reshape(-1, 3)
+        x = x.reshape(2, -1, 3)
+        for a in range(4):
+            for b in range(4):
+                with np.errstate(invalid="ignore"):  # -inf - -inf
+                    got = pair_ratio(x, (a, b))
+                    want = self.zero_fill_then_add(x, (a, b))
+                assert got.shape == want.shape
+                assert np.array_equal(got, want, equal_nan=True), (a, b)
+                assert np.array_equal(np.signbit(got), np.signbit(want)), (a, b)
 
 
 class TestRun:
