@@ -50,8 +50,24 @@ def _parse_int_list(text):
 def _parse_grid(text):
     if ":" in text:
         start, stop, step = (float(tok) for tok in text.split(":"))
+        if step == 0:
+            raise ValueError(f"grid step must be nonzero, got {text!r}")
         return np.arange(start, stop + step / 2, step)
     return np.asarray(_parse_float_list(text))
+
+
+def _add_sbm_flags(parser):
+    for name in SbmParams.FIELDS:
+        parser.add_argument(f"--{name}", type=int if name in ("n0", "n1") else float)
+
+
+def _sbm_params(args):
+    """The two-community law of the six SBM flags; ValueError names the missing ones."""
+    fields = {name: getattr(args, name) for name in SbmParams.FIELDS}
+    missing = [name for name, value in fields.items() if value is None]
+    if missing:
+        raise ValueError(f"two-community mode needs {', '.join('--' + m for m in missing)}")
+    return SbmParams(**fields)
 
 
 def _cmd_generate(args):
@@ -68,11 +84,7 @@ def _cmd_generate(args):
         np.fill_diagonal(probs, intra)
         law = BlockModel(sizes=tuple(sizes), probs=probs)
     else:
-        fields = {"n0": args.n0, "n1": args.n1, "p0": args.p0, "p1": args.p1, "q0": args.q0, "q1": args.q1}
-        missing = [k for k, v in fields.items() if v is None]
-        if missing:
-            raise ValueError(f"two-community mode needs {', '.join('--' + m for m in missing)}")
-        law = SbmParams(**fields)
+        law = _sbm_params(args)
     network = sample_sbm(law, seed=args.seed, max_retries=args.max_retries)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -122,8 +134,8 @@ def _cmd_thresholds(args):
     report = {}
     if args.p is not None and args.q is not None:
         report["delta_min_symmetric"] = symmetric_delta_threshold(args.d0, args.d1, args.p, args.q)
-    if args.n0 is not None:
-        params = SbmParams(n0=args.n0, n1=args.n1, p0=args.p0, p1=args.p1, q0=args.q0, q1=args.q1)
+    if any(getattr(args, name) is not None for name in SbmParams.FIELDS):
+        params = _sbm_params(args)
         report["asymmetric"] = asymmetric_delta_thresholds(params, args.d0, args.d1).to_json()
     if not report:
         raise ValueError("provide --p/--q for the symmetric bound and/or full SBM parameters")
@@ -152,6 +164,7 @@ def _cmd_predict(args):
 
 
 def _cmd_fit_delta(args):
+    grid = _parse_grid(args.grid)
     if args.combination:
         combination = load_matrix_csv(args.combination)
     elif args.network:
@@ -159,7 +172,6 @@ def _cmd_fit_delta(args):
     else:
         raise ValueError("provide --network or --combination")
     series = BeliefSeries.from_trace_csv(args.trace, split_index=args.split)
-    grid = _parse_grid(args.grid)
     result = scan_delta(series, combination, grid, include_traditional=args.traditional)
     payload = {
         "best_delta": result.best_delta,
@@ -199,12 +211,7 @@ def build_parser():
     gen = sub.add_parser("generate", help="sample an SBM network and write it to disk")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True)
-    gen.add_argument("--n0", type=int)
-    gen.add_argument("--n1", type=int)
-    gen.add_argument("--p0", type=float)
-    gen.add_argument("--p1", type=float)
-    gen.add_argument("--q0", type=float)
-    gen.add_argument("--q1", type=float)
+    _add_sbm_flags(gen)
     gen.add_argument("--sizes", help="comma list of community sizes (k-community mode)")
     gen.add_argument("--p", help="comma list of intra-community probabilities")
     gen.add_argument("--q", type=float, help="between-community probability (k-community mode)")
@@ -231,12 +238,7 @@ def build_parser():
     thr.add_argument("--d1", type=float, required=True)
     thr.add_argument("--p", type=float)
     thr.add_argument("--q", type=float)
-    thr.add_argument("--n0", type=int)
-    thr.add_argument("--n1", type=int)
-    thr.add_argument("--p0", type=float)
-    thr.add_argument("--p1", type=float)
-    thr.add_argument("--q0", type=float)
-    thr.add_argument("--q1", type=float)
+    _add_sbm_flags(thr)
     thr.add_argument("--out")
     thr.set_defaults(func=_cmd_thresholds)
 

@@ -53,6 +53,8 @@ class ExperimentConfig:
     profile-file path, or a dict spec (kinds "bernoulli", "multinomial",
     "file").  A null ``burn_in`` defaults to
     ``ceil(5 / delta)`` for the step-size strategy and 0 otherwise.
+    Construction checks the scalar field types, ``pair``, ``replicates >= 1``
+    and ``0 <= burn_in <= horizon``, raising MalformedConfig naming the field.
     ``n_jobs`` is accepted and ignored: replicates run batched in one process.
     """
 
@@ -75,44 +77,44 @@ class ExperimentConfig:
     SCHEMA_VERSION = 1
 
     def __post_init__(self):
+        for f in fields(self):
+            kind = _FIELD_KINDS.get(f.type)
+            value = getattr(self, f.name)
+            if kind is not None and not (value is None and f.default is None):
+                _check_field(f.name, value, kind)
+        if not isinstance(self.pair, (list, tuple)) or len(self.pair) != 2:
+            raise MalformedConfig(f"config field 'pair' must be two integers, got {self.pair!r}")
+        for value in self.pair:
+            _check_field("pair", value, Integral)
         if self.replicates < 1:
-            raise ValueError("replicates must be at least 1")
+            raise MalformedConfig(f"config field 'replicates' must be at least 1, "
+                                  f"got {self.replicates}")
         check_strategy(self.strategy, self.delta, self.estimator)
         if self.burn_in is None:
             self.burn_in = math.ceil(5.0 / self.delta) if self.strategy == "asl" else 0
+        if self.burn_in < 0:
+            raise MalformedConfig(f"config field 'burn_in' must be at least 0, got {self.burn_in}")
         if self.horizon < self.burn_in:
-            raise ValueError(f"horizon {self.horizon} must be at least burn_in {self.burn_in}")
+            raise MalformedConfig(f"config field 'horizon' must be at least burn_in "
+                                  f"{self.burn_in}, got {self.horizon}")
         self.pair = (int(self.pair[0]), int(self.pair[1]))
 
     @classmethod
     def from_dict(cls, data, **overrides):
         """Build a config from its JSON form, with non-None ``overrides``
-        applied first.  An unknown, missing or wrong-typed field raises
-        MalformedConfig naming it; the network and profile specs are checked
-        when they are resolved."""
+        applied first.  An unknown or missing field raises MalformedConfig
+        naming it; the field values are checked as for any config."""
         data = dict(data)
         version = data.pop("version", cls.SCHEMA_VERSION)
         if version != cls.SCHEMA_VERSION:
             raise ValueError(f"unsupported config schema version {version}")
         data.update({k: v for k, v in overrides.items() if v is not None})
-        known = {f.name: f for f in fields(cls)}
-        unknown = sorted(set(data) - set(known))
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
             raise MalformedConfig(f"unknown config field {', '.join(map(repr, unknown))}")
         for name in ("network", "profile"):
             if name not in data:
                 raise MalformedConfig(f"config field {name!r} is missing")
-        for name, value in data.items():
-            kind = _FIELD_KINDS.get(known[name].type)
-            if kind is not None and not (value is None and known[name].default is None):
-                _check_field(name, value, kind)
-        if "pair" in data:
-            pair = data["pair"]
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                raise MalformedConfig(f"config field 'pair' must be two integers, got {pair!r}")
-            for value in pair:
-                _check_field("pair", value, Integral)
-            data["pair"] = tuple(pair)
         return cls(**data)
 
     @classmethod

@@ -80,7 +80,8 @@ class BeliefSeries:
         Raises
         ------
         MalformedFile
-            If the header lacks one of the named columns.
+            If the header lacks one of the named columns, or a step or agent
+            id is not a non-negative integer.
         InsufficientSteps
             If the file has no data rows.
         """
@@ -96,6 +97,11 @@ class BeliefSeries:
                                   ndmin=2)
         if not data.size:
             raise InsufficientSteps(f"no rows in {path}")
+        for name, ids in zip(names, data[:, :2].T):
+            bad = ~(np.isfinite(ids) & (ids >= 0) & (ids == np.floor(ids)))
+            if bad.any():
+                raise MalformedFile(f"{path}: column {name!r} must hold non-negative integers, "
+                                    f"got {ids[bad][0]:g}")
         steps, agents = data[:, 0].astype(np.int64), data[:, 1].astype(np.int64)
         values = np.full((steps.max() + 1, agents.max() + 1), np.nan)
         values[steps, agents] = data[:, 2]

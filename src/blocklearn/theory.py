@@ -22,7 +22,7 @@ from .exceptions import (
     PreconditionFailed,
     ZeroInformativeness,
 )
-from .graphs import BlockModel, Network, expected_combination
+from .graphs import BlockModel, expected_combination
 from .learning import check_delta, check_pair
 from .models import divergence_table
 
@@ -138,11 +138,12 @@ def expected_log_ratio(network_law, profile, delta, pair=(0, 1)):
     or an explicit combination matrix, given as such or as a Network's
     (conditioning on one realized graph).
 
-    For a law with k communities the solution is constant within each
-    community, so the system is solved on the community sums: with block
-    values ``V``, sizes ``n`` and ``S_c = sum_{l in c} nu_l``,
+    The solution is constant within each community of a law, so the system
+    is solved on the community sums: with block values ``V``, sizes ``n``
+    and ``S_c = sum_{l in c} nu_l``,
     ``z = delta * solve(I - (1-delta) (n[:, None] * V)^T, V^T S)`` and agent
-    k gets ``z`` of its community.  An explicit matrix gets the N x N solve.
+    k gets ``z`` of its community.  An explicit matrix is the law whose N
+    communities are single agents: ``V`` is the matrix and every size is 1.
 
     Parameters
     ----------
@@ -153,33 +154,24 @@ def expected_log_ratio(network_law, profile, delta, pair=(0, 1)):
     """
     check_delta(delta)
     nu = mean_log_likelihood_ratios(profile, pair)
-    if isinstance(network_law, Network):
-        network_law = network_law.combination
-
     if isinstance(network_law, BlockModel):
-        if profile.n_agents != network_law.size:
-            raise ValueError("profile size does not match the SBM law")
         expected = expected_combination(network_law)
-        values, labels = expected.block_values, expected.labels()
-        sizes = np.array(expected.sizes)
-        cluster_nu = np.bincount(labels, weights=nu, minlength=sizes.size)
-        step_t = (sizes[:, None] * values).T
-        z = delta * np.linalg.solve(np.eye(sizes.size) - (1.0 - delta) * step_t,
-                                    values.T @ cluster_nu)
-        per_agent = z[labels]
+        values, sizes = expected.block_values, np.array(expected.sizes)
         kind = "expected-block"
         inputs = {"params": network_law.to_dict(), "profile": profile.reference}
     else:
-        matrix = np.asarray(network_law, dtype=float)
-        if matrix.shape != (profile.n_agents, profile.n_agents):
-            raise ValueError("combination matrix does not match the profile size")
-        mt = matrix.T
-        per_agent = delta * np.linalg.solve(np.eye(matrix.shape[0]) - (1.0 - delta) * mt, mt @ nu)
+        values = np.asarray(getattr(network_law, "combination", network_law), dtype=float)
+        sizes = np.ones(values.shape[:1], dtype=int)
         kind = "explicit-matrix"
-        inputs = {"matrix_shape": list(matrix.shape), "profile": profile.reference}
-
+        inputs = {"matrix_shape": list(values.shape), "profile": profile.reference}
+    if values.shape != (sizes.size, sizes.size) or sizes.sum() != profile.n_agents:
+        raise ValueError(f"network does not match the profile's {profile.n_agents} agents")
+    labels = np.repeat(np.arange(sizes.size), sizes)
+    step_t = (sizes[:, None] * values).T
+    z = delta * np.linalg.solve(np.eye(sizes.size) - (1.0 - delta) * step_t,
+                                values.T @ np.bincount(labels, weights=nu, minlength=sizes.size))
     return LogRatioPrediction(
-        values=per_agent,
+        values=z[labels],
         delta=float(delta),
         pair=(int(pair[0]), int(pair[1])),
         matrix_kind=kind,

@@ -1,24 +1,46 @@
-"""The names the benchmark's tracer wraps exist where it looks them up.
+"""The benchmark's hooks into the program still hold.
 
 ``perfbench/tracing.py`` replaces module attributes by name during a traced
-round; a name that moved or lost its import would fail only there.  The
-tracer source is executed into a fresh namespace, so nothing is written
-under ``perfbench/``.
+round; a name that moved or lost its import would fail only there.  Each
+workload builds its configs when it is constructed, so a stricter config
+check would otherwise show only in a benchmark run.  The benchmark sources
+are executed into fresh namespaces, so nothing is written under
+``perfbench/``.
 """
 
+import sys
 import types
 from pathlib import Path
 
-from blocklearn import inverse
+import pytest
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+from blocklearn import inverse
+from blocklearn.harness import ExperimentConfig
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
+
+
+def load_source(path, module):
+    module.__file__ = str(path)
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
 
 
 def load_tracing():
-    module = types.ModuleType("perfbench_tracing")
-    module.__file__ = str(TRACING)
-    exec(compile(TRACING.read_text(), str(TRACING), "exec"), module.__dict__)
-    return module
+    return load_source(TRACING, types.ModuleType("perfbench_tracing"))
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    # workloads.py imports its sibling oracle.py by its plain name, and its
+    # dataclasses look their own module up in sys.modules
+    modules = {"oracle": types.ModuleType("oracle"),
+               "workloads": types.ModuleType("perfbench_workloads")}
+    for module in modules.values():
+        monkeypatch.setitem(sys.modules, module.__name__, module)
+    load_source(PERFBENCH / "oracle.py", modules["oracle"])
+    return load_source(PERFBENCH / "workloads.py", modules["workloads"])
 
 
 def test_every_wrapped_name_is_in_its_owner():
@@ -27,3 +49,16 @@ def test_every_wrapped_name_is_in_its_owner():
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}" for owner, attr in targets
                if attr not in owner.__dict__]
     assert not missing
+
+
+def test_every_workload_builds(workloads):
+    assert sorted(workloads.WORKLOADS) == ["cli_roundtrip", "three_community", "two_community"]
+    for name in workloads.WORKLOADS:
+        workload = workloads.build(name, 0)
+        assert workload.operations > 0 and workload.replicate_steps > 0
+        if name == "cli_roundtrip":
+            # the JSON configs the round writes, as `simulate` and `predict` read them
+            ExperimentConfig.from_dict(workload.sim_config)
+            ExperimentConfig.from_dict(workload.predict_config)
+        else:
+            assert all(isinstance(c, ExperimentConfig) for c in workload.configs)

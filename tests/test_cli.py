@@ -75,6 +75,20 @@ class TestThresholds:
         assert 0.14 <= payload["asymmetric"]["delta0"] <= 0.16
         assert (tmp_path / "thresholds.json").exists()
 
+    @pytest.mark.parametrize("flags, missing", [
+        (["--n0", "10"], "--n1, --p0, --p1, --q0, --q1"),
+        (["--p", "0.8", "--q", "0.1", "--p0", "0.8"], "--n0, --n1, --p1, --q0, --q1"),
+    ], ids=["n0-alone", "p0-next-to-p-q"])
+    def test_partial_sbm_flags_are_one_json_error(self, capsys, flags, missing):
+        code = main(["thresholds", "--d0", "0.1", "--d1", "0.2", *flags])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        error = json.loads(captured.err)
+        assert error["error"] == "ValueError"
+        assert error["detail"].endswith("needs " + missing)
+
 
 class TestSimulate:
     def test_small_run(self, tmp_path, capsys):
@@ -150,6 +164,12 @@ class TestSimulate:
         ({"profile": {"kind": "multinomial", "alphabet": 2.5, "seed": 10}}, "alphabet"),
         ({"network": {"kind": "sbm", "n0": 15, "n1": "15", "p0": 0.8, "p1": 0.8, "q0": 0.1,
                       "q1": 0.1}}, "n1"),
+        ({"burn_in": -20, "horizon": 100}, "burn_in"),
+        ({"burn_in": -10, "horizon": -5}, "burn_in"),
+        ({"burn_in": 0, "horizon": -5}, "horizon"),
+        ({"store_traces": "yes"}, "store_traces"),
+        ({"base_seed": 1.5}, "base_seed"),
+        ({"pair": [0, 1.5]}, "pair"),
     ])
     def test_malformed_config_is_one_json_error(self, tmp_path, capsys, change, field):
         config = write_config(tmp_path, **change)
@@ -398,6 +418,23 @@ class TestFitDelta:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["best_delta"] == pytest.approx(0.5, abs=1e-9)
+
+
+    def test_zero_grid_step_is_one_json_error(self, tmp_path, capsys):
+        network = sample_sbm(SbmParams(n0=3, n1=3, p0=0.9, p1=0.9, q0=0.3, q1=0.3), seed=1)
+        net_path = tmp_path / "network.txt"
+        save_network(net_path, network)
+        trace_path = tmp_path / "trace.csv"
+        trace_path.write_text("iter,agent,log_ratio\n"
+                              + "".join(f"{i},{k},0.5\n" for i in range(4) for k in range(6)))
+        code = main(["fit-delta", "--trace", str(trace_path), "--network", str(net_path),
+                     "--grid", "0.1:0.5:0"])
+        assert code == 2
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        error = json.loads(err)
+        assert error["error"] == "ValueError"
+        assert "grid step" in error["detail"]
 
 
 class TestVerify:

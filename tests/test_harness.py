@@ -112,6 +112,37 @@ class TestConfig:
         with pytest.raises(MalformedConfig, match=repr(field)):
             ExperimentConfig.from_dict(data)
 
+    @pytest.mark.parametrize("change, field", [
+        ({"delta": "0.1"}, "delta"),
+        ({"replicates": 2.5}, "replicates"),
+        ({"replicates": True}, "replicates"),
+        ({"replicates": 0}, "replicates"),
+        ({"pair": [0]}, "pair"),
+        ({"pair": [0, 1.5]}, "pair"),
+        ({"pair": np.array([0, 1])}, "pair"),
+        ({"store_traces": 1}, "store_traces"),
+        ({"store_traces": "yes"}, "store_traces"),
+        ({"base_seed": 1.5}, "base_seed"),
+        ({"horizon": None}, "horizon"),
+        ({"burn_in": -20, "horizon": 100}, "burn_in"),
+        ({"burn_in": -10, "horizon": -5}, "burn_in"),
+        ({"burn_in": 0, "horizon": -5}, "horizon"),
+        ({"strategy": "traditional", "delta": None, "horizon": -5}, "horizon"),
+    ])
+    def test_python_and_json_configs_fail_alike(self, change, field):
+        data = {"network": VB1.to_dict() | {"kind": "sbm"}, "profile": PROFILE, "delta": 0.2,
+                **change}
+        with pytest.raises(MalformedConfig, match=repr(field)) as built:
+            ExperimentConfig(**data)
+        with pytest.raises(MalformedConfig) as loaded:
+            ExperimentConfig.from_dict(data)
+        assert str(built.value) == str(loaded.value)
+
+    def test_pair_of_numpy_integers_is_stored_as_ints(self):
+        config = small_config(pair=(np.int64(1), np.int32(0)))
+        assert config.pair == (1, 0) and type(config.pair[0]) is int
+        assert json.loads(json.dumps(config.to_dict()))["pair"] == [1, 0]
+
     def test_missing_spec_field_is_named(self):
         network = {"kind": "sbm", "n0": 15, "p0": 0.8, "p1": 0.8, "q0": 0.1, "q1": 0.1}
         config = ExperimentConfig.from_dict({"network": network, "profile": PROFILE,

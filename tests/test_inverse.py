@@ -122,6 +122,19 @@ class TestCsvParsing:
         with pytest.raises(MalformedFile):
             BeliefSeries.from_csv(path)
 
+    @pytest.mark.parametrize("column", ["step", "agent"])
+    @pytest.mark.parametrize("bad", ["-1", "1.7", "inf", "nan"])
+    def test_id_that_is_not_a_non_negative_integer(self, tmp_path, column, bad):
+        # a step of -1 would overwrite the last row, a step of 1.7 land on step 1
+        rows = [{"step": "0", "agent": "0"}, {"step": "1", "agent": "0"},
+                {"step": "2", "agent": "1"}]
+        rows[1][column] = bad
+        path = tmp_path / "ids.csv"
+        path.write_text("step,agent,log_ratio\n"
+                        + "".join(f"{r['step']},{r['agent']},0.5\n" for r in rows))
+        with pytest.raises(MalformedFile, match=f"column '{column}'"):
+            BeliefSeries.from_csv(path)
+
 
 class TestEstimateLogLikelihoods:
     def test_single_agent_hand_arithmetic(self):

@@ -152,6 +152,35 @@ class TestExpectedLogRatio:
         prediction = expected_log_ratio(network.combination, profile, delta)
         assert np.abs(prediction.values - total).max() < 1e-10
 
+    @pytest.mark.parametrize("seed", [0, 5, 42])
+    def test_network_and_its_matrix_agree(self, seed):
+        network = sample_sbm(VB1, seed=seed)
+        for pair in ((0, 1), (1, 0)):
+            for delta in (1e-6, 0.1, 0.9):
+                from_network = expected_log_ratio(network, vb1_profile(), delta, pair)
+                from_matrix = expected_log_ratio(network.combination, vb1_profile(), delta, pair)
+                assert np.array_equal(from_network.values, from_matrix.values)
+                assert from_network.to_json() == from_matrix.to_json()
+
+    def test_matrix_is_the_law_of_single_agent_communities(self):
+        probs = np.array([[0.9, 0.2, 0.1], [0.3, 0.8, 0.4], [0.1, 0.5, 0.7]])
+        model = BlockModel(sizes=(1, 1, 1), probs=probs)
+        profile = random_multinomial_profile(model.labels(), alphabet_size=4, seed=3)
+        dense = expected_combination(model).dense()
+        for delta in (0.01, 0.5):
+            assert np.array_equal(expected_log_ratio(model, profile, delta).values,
+                                  expected_log_ratio(dense, profile, delta).values)
+
+    @pytest.mark.parametrize("source", [
+        SbmParams(n0=5, n1=5, p0=0.8, p1=0.8, q0=0.1, q1=0.1),
+        np.eye(10),
+        np.full((30, 29), 1 / 30),
+        np.full(30, 1 / 30),
+    ])
+    def test_network_that_does_not_fit_the_profile(self, source):
+        with pytest.raises(ValueError, match="30 agents"):
+            expected_log_ratio(source, vb1_profile(), 0.1)
+
     def test_sbm_params_and_block_model_agree(self):
         profile = vb1_profile()
         for delta in (0.01, 0.1, 0.7):
