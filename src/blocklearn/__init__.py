@@ -35,7 +35,6 @@ from .models import (  # noqa: F401
     kl_divergence,
     load_profile,
     random_multinomial_profile,
-    sample_observation,
     save_profile,
 )
 from .learning import (  # noqa: F401
@@ -46,7 +45,6 @@ from .learning import (  # noqa: F401
     estimate_state,
     geometric_combine,
     run,
-    windowed_mean_log_ratio,
 )
 from .theory import (  # noqa: F401
     LogRatioPrediction,

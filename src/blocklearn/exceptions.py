@@ -41,10 +41,6 @@ class DeltaOutOfRange(BlocklearnError):
     """Adaptation step-size must lie strictly inside (0, 1)."""
 
 
-class WindowTooLarge(BlocklearnError):
-    """Sliding window exceeds the recorded series length."""
-
-
 class InsufficientSteps(BlocklearnError):
     """A belief series does not contain enough steps for the requested split."""
 

@@ -18,8 +18,10 @@ cluster-0 agent into a cluster-1 column, ``q1`` the reverse.  Diagonal
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -174,9 +176,6 @@ class Network:
     @property
     def size(self):
         return self.adjacency.shape[0]
-
-    def cluster_sizes(self):
-        return np.bincount(self.clusters)
 
 
 def sample_adjacency(model, rng):
@@ -420,26 +419,38 @@ def perron_vector(matrix, tol=1e-12, max_iter=10**6):
     raise NoConvergence(f"power iteration did not converge in {max_iter} steps")
 
 
+def _binomial_pmf(n, p):
+    """Probabilities of ``0..n`` under Binomial(n, p), computed in log space
+    from log-gamma; ``p = 0`` and ``p = 1`` put all the mass on 0 and on n."""
+    pmf = np.zeros(n + 1)
+    if p == 0.0 or p == 1.0:
+        pmf[0 if p == 0.0 else n] = 1.0
+        return pmf
+    k = np.arange(n + 1)
+    log_factorial = np.array([math.lgamma(j + 1) for j in range(n + 1)])
+    log_choose = log_factorial[n] - log_factorial - log_factorial[::-1]
+    return np.exp(log_choose + k * math.log(p) + (n - k) * math.log1p(-p))
+
+
 def inverse_binomial_moment(c, n, p, t=1, mode="approx"):
     """Inverse moment ``E 1/(c + B)**t`` for ``B ~ Binomial(n, p)``.
 
     ``mode='approx'`` returns the plug-in value ``1/(c + n*p)**t``, which
     underestimates the exact moment (Jensen) by a term of order
     ``n**-(t + 1/3)``.  ``mode='exact'`` sums the binomial pmf directly.
+    ``n`` must be a non-negative integer.
     """
     if c <= 0:
         raise ValueError("c must be positive")
+    if not isinstance(n, Integral) or n < 0:
+        raise ValueError(f"n must be a non-negative integer, got {n!r}")
     if t < 1:
         raise ValueError("t must be at least 1")
     _check_probability("p", p)
     if mode == "approx":
         return 1.0 / (c + n * p) ** t
     if mode == "exact":
-        from scipy.stats import binom
-
-        support = np.arange(n + 1)
-        pmf = binom.pmf(support, n, p)
-        return float(np.sum(pmf / (c + support) ** t))
+        return float(np.sum(_binomial_pmf(n, p) / (c + np.arange(n + 1)) ** t))
     raise ValueError(f"mode must be 'approx' or 'exact', got {mode!r}")
 
 

@@ -54,7 +54,8 @@ class ExperimentConfig:
     "file").  A null ``burn_in`` defaults to
     ``ceil(5 / delta)`` for the step-size strategy and 0 otherwise.
     Construction checks the scalar field types, ``pair``, ``replicates >= 1``
-    and ``0 <= burn_in <= horizon``, raising MalformedConfig naming the field.
+    and ``0 <= burn_in <= horizon``, raising MalformedConfig naming the field,
+    and stores integer and real fields as plain ``int`` and ``float``.
     ``n_jobs`` is accepted and ignored: replicates run batched in one process.
     """
 
@@ -82,6 +83,11 @@ class ExperimentConfig:
             value = getattr(self, f.name)
             if kind is not None and not (value is None and f.default is None):
                 _check_field(f.name, value, kind)
+                # a numpy scalar passes the check; keep the plain type JSON writes
+                if kind is Integral:
+                    setattr(self, f.name, int(value))
+                elif kind is Real:
+                    setattr(self, f.name, float(value))
         if not isinstance(self.pair, (list, tuple)) or len(self.pair) != 2:
             raise MalformedConfig(f"config field 'pair' must be two integers, got {self.pair!r}")
         for value in self.pair:
@@ -301,9 +307,12 @@ class ExperimentResult:
 
     def cluster_statistics(self, series="mu"):
         """Per-cluster steady-state mean, standard error (over replicates),
-        and pooled variance of the chosen log-ratio series."""
-        rep = self.rep_means_mu if series == "mu" else self.rep_means_psi
-        pooled = self.pooled_var_mu if series == "mu" else self.pooled_var_psi
+        and pooled variance of the chosen log-ratio series, ``"mu"`` or
+        ``"psi"``."""
+        if series not in ("mu", "psi"):
+            raise ValueError(f"series must be 'mu' or 'psi', got {series!r}")
+        rep = getattr(self, f"rep_means_{series}")
+        pooled = getattr(self, f"pooled_var_{series}")
         stats = {}
         for c in np.unique(self.clusters):
             cols = rep[:, self.clusters == c].mean(axis=1)  # per-replicate cluster mean
@@ -553,8 +562,9 @@ class ComparisonRow(NamedTuple):
     flagged: bool
 
 
-def compare_theory(result, prediction, series="mu"):
-    """Compare per-cluster empirical steady-state means against a prediction.
+def compare_theory(result, prediction):
+    """Compare per-cluster empirical steady-state means of the private
+    log-ratio against a prediction.
 
     Returns one row per cluster with the z-score of the empirical mean
     (standard error taken across replicates); rows with |z| > 3 are flagged.
@@ -572,7 +582,7 @@ def compare_theory(result, prediction, series="mu"):
         raise MismatchedConfig(
             f"prediction pair {prediction.pair} != experiment pair {result.config.pair}"
         )
-    stats = result.cluster_statistics(series)
+    stats = result.cluster_statistics("mu")
     rows = []
     for c, stat in stats.items():
         theory = float(prediction.values[result.clusters == c].mean())

@@ -55,10 +55,6 @@ class BeliefSeries:
             )
 
     @property
-    def n_steps(self):
-        return self.values.shape[0]
-
-    @property
     def n_agents(self):
         return self.values.shape[1]
 

@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import json
 from itertools import chain
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
 
 from . import __version__
-from .exceptions import DeltaOutOfRange, InvalidPair, WindowTooLarge
+from .exceptions import DeltaOutOfRange, InvalidPair
 from .models import observation_matrix
 
 __all__ = [
@@ -46,11 +46,9 @@ __all__ = [
     "log_ratio_chunks",
     "pair_ratio",
     "ratio_estimates",
-    "ratio_log_beliefs",
     "RowPrefix",
     "run",
     "simulate_block",
-    "windowed_mean_log_ratio",
 ]
 
 
@@ -64,11 +62,9 @@ def log_normalize(log_values):
 
 @dataclass
 class BeliefState:
-    """Log-domain private (post-combination) and public (post-update) beliefs."""
+    """Log-domain private (post-combination) beliefs."""
 
     log_private: np.ndarray
-    log_public: np.ndarray = None
-    iteration: int = 0
 
     @classmethod
     def uniform(cls, n_agents, n_hypotheses):
@@ -138,7 +134,6 @@ class Trace:
     metadata: dict
     mu_log_ratio: np.ndarray = None
     observations: np.ndarray = None
-    final_state: BeliefState = field(default=None, repr=False)
 
     @property
     def horizon(self):
@@ -148,7 +143,7 @@ class Trace:
     def n_agents(self):
         return self.log_ratio.shape[1]
 
-    def to_csv(self, path, sidecar=True, prefix=None):
+    def to_csv(self, path, prefix=None):
         """Write rows ``iter, agent, cluster, log_ratio, estimate[, obs]`` and
         a JSON metadata sidecar next to the CSV.
 
@@ -184,9 +179,8 @@ class Trace:
             fh.write(header + "\r\n")
             write_rows(fh, "%.17g,%s\r\n", [self.log_ratio.ravel(), tails[codes.ravel()]],
                        prefix=prefix)
-        if sidecar:
-            with open(str(path) + ".meta.json", "w") as fh:
-                json.dump(self.metadata, fh, indent=2, default=str)
+        with open(str(path) + ".meta.json", "w") as fh:
+            json.dump(self.metadata, fh, indent=2, default=str)
 
 
 ROWS_PER_WRITE = 4096
@@ -341,11 +335,6 @@ def ratio_estimates(x):
     return estimates
 
 
-def ratio_log_beliefs(x):
-    """Normalized log-beliefs ``log_normalize([0, x])`` from log-ratios."""
-    return log_normalize(np.concatenate([np.zeros(x.shape[:-1] + (1,)), x], axis=-1))
-
-
 def trace_metadata(network, profile, seed, strategy, delta, horizon, pair, estimator, extra=None):
     """Metadata a trace records about the run that produced it."""
     metadata = {
@@ -438,8 +427,6 @@ def simulate_block(combination_t, profile, symbols, strategy, delta, pair, estim
         trace_mu = np.zeros((n_reps, horizon + 1, n))
         trace_est = np.zeros((n_reps, horizon + 1, n),
                              dtype=np.min_scalar_type(profile.n_hypotheses - 1))
-    # the last iteration's log-ratios; with no iterations, the initial state
-    x_psi = x_mu = np.zeros((1, n_reps, n, profile.n_hypotheses - 1))
     chunks = log_ratio_chunks(combination_t, llr_table(profile), symbols.transpose(2, 0, 1),
                               w_like, w_prior)
     for start, x_psi, x_mu in chunks:
@@ -464,11 +451,6 @@ def simulate_block(combination_t, profile, symbols, strategy, delta, pair, estim
                                     estimator, extra),
             mu_log_ratio=trace_mu[j],
             observations=symbols[j] if record_observations else None,
-            final_state=BeliefState(
-                log_private=ratio_log_beliefs(x_mu[-1, j]),
-                log_public=ratio_log_beliefs(x_psi[-1, j]),
-                iteration=horizon,
-            ),
         )
         for j, (network, seed, extra) in enumerate(record)
     ]
@@ -524,22 +506,3 @@ def run(
         record_observations=record_observations,
     )
     return trace
-
-
-def windowed_mean_log_ratio(trace, window):
-    """Trailing mean of the recorded log-ratios over ``window`` entries.
-
-    Positions with fewer than ``window`` trailing entries are NaN.  Accepts a
-    Trace or a bare array (time along the first axis).
-    """
-    series = np.asarray(getattr(trace, "log_ratio", trace), dtype=float)
-    length = series.shape[0]
-    if window < 1:
-        raise ValueError("window must be at least 1")
-    if window > length:
-        raise WindowTooLarge(f"window {window} exceeds series length {length}")
-    flat = series.reshape(length, -1)
-    csum = np.vstack([np.zeros((1, flat.shape[1])), np.cumsum(flat, axis=0)])
-    out = np.full_like(flat, np.nan)
-    out[window - 1 :] = (csum[window:] - csum[:-window]) / window
-    return out.reshape(series.shape)

@@ -19,7 +19,6 @@ __all__ = [
     "kl_divergence",
     "cluster_informativeness",
     "check_global_identifiability",
-    "sample_observation",
     "observation_matrix",
     "seed_words",
     "save_profile",
@@ -257,16 +256,6 @@ def check_global_identifiability(profile, theta_star):
     witnesses = {h: np.flatnonzero(distinguishes[:, h]).tolist()
                  for h in range(profile.n_hypotheses) if h != theta_star}
     return all(witnesses.values()), witnesses
-
-
-def sample_observation(profile, agent, rng):
-    """Draw one observation for ``agent`` from its true-hypothesis model.
-
-    The symbol is the number of entries ``cdf[j] <= u`` over ``j < m - 1``
-    of the agent's true cdf, for one uniform draw ``u``: the rule
-    ``observation_matrix`` applies to every draw of a stream.
-    """
-    return int(np.count_nonzero(profile._true_cdf[agent, :-1] <= rng.random()))
 
 
 # -- observation streams -------------------------------------------------------

@@ -14,6 +14,7 @@ import numpy as np
 
 from .graphs import (
     SbmParams,
+    _binomial_pmf,
     averaging_combination,
     closed_form_power,
     expected_combination,
@@ -344,12 +345,8 @@ def exact_block_expectation(params):
     Returns the 2x2 matrix of block values (entries are constant within each
     block).  Serves as the independent oracle for the block approximation.
     """
-    from scipy.stats import binom
-
     def conv_pmf(n_a, p_a, n_b, p_b):
-        pa = binom.pmf(np.arange(n_a + 1), n_a, p_a)
-        pb = binom.pmf(np.arange(n_b + 1), n_b, p_b)
-        return np.convolve(pa, pb)
+        return np.convolve(_binomial_pmf(n_a, p_a), _binomial_pmf(n_b, p_b))
 
     def moment(prob, n_same, p_same, n_other, p_other):
         # entry present with `prob`; the rest of the column sums two binomials

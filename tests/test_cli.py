@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -377,7 +381,7 @@ class TestFitDelta:
         profile = bernoulli_profile(network.clusters, (0.1, 0.5))
         trace = run(network, profile, strategy="asl", delta=0.5, horizon=60, seed=2)
         trace_path = tmp_path / "trace.csv"
-        trace.to_csv(trace_path, sidecar=False)
+        trace.to_csv(trace_path)
         net_path = tmp_path / "network.txt"
         save_network(net_path, network)
         out = tmp_path / "scan"
@@ -437,7 +441,41 @@ class TestFitDelta:
         assert "grid step" in error["detail"]
 
 
+# Blocks every scipy import, imports every blocklearn module, then runs the
+# CLI on the remaining arguments.
+WITHOUT_SCIPY = """
+import importlib, pkgutil, sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, BlockScipy())
+import blocklearn
+for module in pkgutil.iter_modules(blocklearn.__path__):
+    importlib.import_module(f"blocklearn.{module.name}")
+assert not any(name.split(".")[0] == "scipy" for name in sys.modules)
+from blocklearn.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
 class TestVerify:
+    def test_binomial_suites_run_without_scipy(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", WITHOUT_SCIPY, "verify",
+                               "--suite", "inverse-binomial-moment",
+                               "--suite", "expected-matrix-trend"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith("PASS inverse-binomial-moment")
+        assert lines[1].startswith("PASS expected-matrix-trend")
+
     def test_single_suite(self, capsys):
         code = main(["verify", "--suite", "power-identity"])
         assert code == 0

@@ -17,6 +17,7 @@ from blocklearn.graphs import (
     BlockModel,
     Network,
     SbmParams,
+    _binomial_pmf,
     averaging_combination,
     closed_form_power,
     expected_combination,
@@ -306,7 +307,46 @@ class TestPerronVector:
             expected_perron(SbmParams(n0=3, n1=3, p0=0.5, p1=0.5, q0=0.0, q1=0.0))
 
 
+class TestBinomialPmf:
+    def test_matches_scipy(self):
+        pytest.importorskip("scipy")
+        from scipy.stats import binom
+
+        probs = np.concatenate([np.linspace(0.0, 1.0, 21), [1e-9, 1e-3, 0.999, 1 - 1e-9]])
+        for n in range(201):
+            support = np.arange(n + 1)
+            for p in probs:
+                pmf = _binomial_pmf(n, p)
+                reference = binom.pmf(support, n, p)
+                assert np.abs(pmf - reference).max() <= 1e-13, (n, p)
+                for c in (0.1, 1.0, 3.0):
+                    moment = np.sum(pmf / (c + support))
+                    assert moment == pytest.approx(np.sum(reference / (c + support)),
+                                                   rel=1e-12, abs=0), (n, p, c)
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 60, 200])
+    @pytest.mark.parametrize("p", [0.0, 1e-3, 0.3, 0.5, 0.97, 1.0])
+    def test_sums_to_one(self, n, p):
+        pmf = _binomial_pmf(n, p)
+        assert pmf.shape == (n + 1,)
+        assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_degenerate_p_is_exact(self):
+        assert _binomial_pmf(4, 0.0).tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
+        assert _binomial_pmf(4, 1.0).tolist() == [0.0, 0.0, 0.0, 0.0, 1.0]
+
+    def test_zero_trials(self):
+        assert _binomial_pmf(0, 0.3).tolist() == [1.0]
+        assert inverse_binomial_moment(2.0, 0, 0.3, 2, mode="exact") == 0.25
+
+
 class TestInverseBinomialMoment:
+    @pytest.mark.parametrize("mode", ["approx", "exact"])
+    @pytest.mark.parametrize("n", [-3, 2.5, 4.0, "4"])
+    def test_bad_n_rejected(self, mode, n):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            inverse_binomial_moment(1.0, n, 0.5, mode=mode)
+
     def test_exact_small_case(self):
         # sum over b in {0,1,2} of pmf(b; 2, 0.5) / (1 + b) = 7/12
         value = inverse_binomial_moment(1.0, 2, 0.5, 1, mode="exact")

@@ -143,6 +143,18 @@ class TestConfig:
         assert config.pair == (1, 0) and type(config.pair[0]) is int
         assert json.loads(json.dumps(config.to_dict()))["pair"] == [1, 0]
 
+    def test_numpy_scalars_are_stored_as_plain_types(self, tmp_path):
+        plain = small_config(delta=0.25, horizon=40, burn_in=10, replicates=2, base_seed=7)
+        typed = small_config(delta=np.float32(0.25), horizon=np.int64(40), burn_in=np.int64(10),
+                             replicates=np.int64(2), base_seed=np.int32(7), n_jobs=np.int64(1))
+        for name in ("horizon", "burn_in", "replicates", "base_seed", "n_jobs"):
+            assert type(getattr(typed, name)) is int, name
+        assert type(typed.delta) is float
+        run_experiment(plain).write_outputs(tmp_path / "plain")
+        run_experiment(typed).write_outputs(tmp_path / "typed")
+        summary = (tmp_path / "plain" / "summary.json").read_bytes()
+        assert (tmp_path / "typed" / "summary.json").read_bytes() == summary
+
     def test_missing_spec_field_is_named(self):
         network = {"kind": "sbm", "n0": 15, "p0": 0.8, "p1": 0.8, "q0": 0.1, "q1": 0.1}
         config = ExperimentConfig.from_dict({"network": network, "profile": PROFILE,
@@ -450,6 +462,11 @@ class TestCompareTheory:
         rows = compare_theory(result, prediction)
         assert all(abs(row.z_score) < 1e-9 for row in rows)
         assert not any(row.flagged for row in rows)
+
+    def test_unknown_series_rejected(self):
+        result = run_experiment(small_config(replicates=2))
+        with pytest.raises(ValueError, match="'mu' or 'psi'"):
+            result.cluster_statistics("bogus")
 
     def test_mismatched_delta_rejected(self):
         result = run_experiment(small_config())

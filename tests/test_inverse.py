@@ -66,7 +66,7 @@ class TestBeliefSeries:
         profile = bernoulli_profile(network.clusters, (0.1, 0.5))
         trace = run(network, profile, strategy="asl", delta=0.4, horizon=30, seed=1)
         path = tmp_path / "trace.csv"
-        trace.to_csv(path, sidecar=False)
+        trace.to_csv(path)
         series = BeliefSeries.from_trace_csv(path, split_index=15)
         assert series.values.shape == (31, 30)
         assert np.allclose(series.values, trace.log_ratio, atol=1e-15)
@@ -92,7 +92,7 @@ class TestCsvParsing:
         trace = run(network, profile, strategy="asl", delta=0.3, horizon=120, seed=4,
                     record_observations=True)
         path = tmp_path / "trace.csv"
-        trace.to_csv(path, sidecar=False)
+        trace.to_csv(path)
         assert path.read_text().splitlines()[0].endswith(",obs")
         series = BeliefSeries.from_trace_csv(path)
         assert np.array_equal(series.values, dictreader_values(path, step_col="iter"))

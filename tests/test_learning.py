@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from blocklearn.exceptions import DeltaOutOfRange, InvalidPair, WindowTooLarge
+from blocklearn.exceptions import DeltaOutOfRange, InvalidPair
 from blocklearn.graphs import BlockModel, SbmParams, perron_vector, sample_sbm
 from blocklearn.harness import ExperimentConfig, run_experiment
 from blocklearn.inverse import BeliefSeries, estimate_log_likelihoods, scan_delta
@@ -16,13 +16,12 @@ from blocklearn.learning import (
     estimate_state,
     geometric_combine,
     llr_table,
+    log_normalize,
     log_ratio_chunks,
     pair_ratio,
     ratio_estimates,
-    ratio_log_beliefs,
     RowPrefix,
     run,
-    windowed_mean_log_ratio,
 )
 from blocklearn.models import LikelihoodProfile, bernoulli_profile, random_multinomial_profile
 from blocklearn.theory import (
@@ -34,6 +33,11 @@ from blocklearn.theory import (
 VB1 = SbmParams(n0=15, n1=15, p0=0.8, p1=0.8, q0=0.1, q1=0.1)
 CRITERION_5 = BlockModel(sizes=(20, 25, 30),
                          probs=[[0.9, 0.05, 0.05], [0.05, 0.8, 0.05], [0.05, 0.05, 0.9]])
+
+
+def ratio_log_beliefs(x):
+    """Normalized log-beliefs ``log_normalize([0, x])`` from log-ratios."""
+    return log_normalize(np.concatenate([np.zeros(x.shape[:-1] + (1,)), x], axis=-1))
 
 
 def two_symbol_profile(rows):
@@ -223,14 +227,6 @@ class TestRun:
         assert np.array_equal(a.estimates, b.estimates)
         assert np.array_equal(a.observations, b.observations)
 
-    def test_simplex_conservation_along_run(self):
-        network = sample_sbm(VB1, seed=4)
-        profile = bernoulli_profile(network.clusters, (0.1, 0.5))
-        trace = run(network, profile, strategy="asl", delta=0.2, horizon=300, seed=9)
-        final = trace.final_state
-        assert np.abs(np.exp(final.log_private).sum(axis=1) - 1.0).max() <= 1e-10
-        assert np.abs(np.exp(final.log_public).sum(axis=1) - 1.0).max() <= 1e-10
-
     def test_traditional_consensus_on_dominant_hypothesis(self):
         # one fixed network whose realized divergence favors hypothesis 1;
         # observation seeds vary across runs
@@ -309,7 +305,7 @@ class TestTraceCsv:
                     record_observations=record_observations)
         # values whose %.17g text is easy to get wrong
         trace.log_ratio[1, :4] = [-0.0, 1e-300, 123456789.123, -2.5e16]
-        trace.to_csv(tmp_path / "bulk.csv", sidecar=False)
+        trace.to_csv(tmp_path / "bulk.csv")
         row_loop_csv(trace, tmp_path / "loop.csv")
         assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
 
@@ -324,7 +320,7 @@ class TestTraceCsv:
         assert set(np.unique(trace.estimates)) == {0, 1, 2}
         if record_observations:
             assert trace.observations.max() >= 10
-        trace.to_csv(tmp_path / "bulk.csv", sidecar=False)
+        trace.to_csv(tmp_path / "bulk.csv")
         row_loop_csv(trace, tmp_path / "loop.csv")
         assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
 
@@ -334,7 +330,7 @@ class TestTraceCsv:
         profile = bernoulli_profile(network.clusters, (0.1, 0.5))
         trace = run(network, profile, strategy="asl", delta=0.2, horizon=0, seed=4,
                     record_observations=record_observations)
-        trace.to_csv(tmp_path / "bulk.csv", sidecar=False)
+        trace.to_csv(tmp_path / "bulk.csv")
         row_loop_csv(trace, tmp_path / "loop.csv")
         assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
 
@@ -346,8 +342,8 @@ class TestTraceCsv:
         result = run_experiment(config)
         prefix = RowPrefix(151, 30, result.clusters)
         for i, trace in enumerate(result.traces):
-            trace.to_csv(tmp_path / f"shared_{i}.csv", sidecar=False, prefix=prefix)
-            trace.to_csv(tmp_path / f"alone_{i}.csv", sidecar=False)
+            trace.to_csv(tmp_path / f"shared_{i}.csv", prefix=prefix)
+            trace.to_csv(tmp_path / f"alone_{i}.csv")
             shared = (tmp_path / f"shared_{i}.csv").read_bytes()
             assert shared == (tmp_path / f"alone_{i}.csv").read_bytes()
         assert len({(tmp_path / f"shared_{i}.csv").read_bytes() for i in range(4)}) == 4
@@ -402,24 +398,3 @@ class TestLogRatioChunks:
         assert [start for start, _, _ in chunks] == list(range(0, horizon, 16))
         assert np.array_equal(np.concatenate([c[1] for c in chunks]), np.array(psi))
         assert np.array_equal(np.concatenate([c[2] for c in chunks]), np.array(mu))
-
-
-class TestWindowedMean:
-    def test_window_one_is_identity(self):
-        series = np.arange(12.0).reshape(6, 2)
-        assert np.array_equal(windowed_mean_log_ratio(series, 1), series)
-
-    def test_constant_series(self):
-        series = np.full((7, 3), 2.5)
-        out = windowed_mean_log_ratio(series, 4)
-        assert np.isnan(out[:3]).all()
-        assert np.allclose(out[3:], 2.5)
-
-    def test_short_series_arithmetic(self):
-        out = windowed_mean_log_ratio(np.array([[1.0], [2.0], [3.0], [4.0]]), 2)
-        assert np.isnan(out[0, 0])
-        assert np.allclose(out[1:, 0], [1.5, 2.5, 3.5])
-
-    def test_window_too_large(self):
-        with pytest.raises(WindowTooLarge):
-            windowed_mean_log_ratio(np.zeros((3, 1)), 4)

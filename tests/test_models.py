@@ -13,7 +13,6 @@ from blocklearn.models import (
     load_profile,
     observation_matrix,
     random_multinomial_profile,
-    sample_observation,
     save_profile,
 )
 
@@ -197,16 +196,15 @@ class TestObservationSampling:
         eps = 1e-12
         likelihoods = np.array([[[1 - 2 * eps, eps, eps]] * 2])
         profile = LikelihoodProfile(likelihoods=likelihoods, true_state=np.array([0]))
-        rng = np.random.default_rng(0)
-        draws = [sample_observation(profile, 0, rng) for _ in range(10_000)]
-        assert set(draws) == {0}
+        draws = observation_matrix(profile, horizon=10_000, seed=0)
+        assert set(np.unique(draws)) == {0}
 
     def test_bernoulli_frequencies(self):
         profile = vb1_profile()
-        rng = np.random.default_rng(1)
         n = 100_000
-        freq_c0 = np.mean([sample_observation(profile, 0, rng) for _ in range(n)])
-        freq_c1 = np.mean([sample_observation(profile, 20, rng) for _ in range(n)])
+        obs = observation_matrix(profile, horizon=n, seed=1)
+        freq_c0 = obs[0].mean()
+        freq_c1 = obs[20].mean()
         se_c0 = np.sqrt(0.1 * 0.9 / n)
         se_c1 = np.sqrt(0.25 / n)
         assert abs(freq_c0 - 0.1) <= 3 * se_c0  # cluster 0 follows Bernoulli(0.1)
@@ -214,11 +212,10 @@ class TestObservationSampling:
 
     def test_equal_seeds_equal_streams(self):
         profile = vb1_profile()
-        draws_a = [sample_observation(profile, 5, np.random.default_rng(7)) for _ in range(1)]
-        rng_a, rng_b = np.random.default_rng(7), np.random.default_rng(7)
-        seq_a = [sample_observation(profile, 5, rng_a) for _ in range(200)]
-        seq_b = [sample_observation(profile, 5, rng_b) for _ in range(200)]
-        assert seq_a == seq_b
+        draws_a = observation_matrix(profile, horizon=1, seed=7)[5]
+        seq_a = observation_matrix(profile, horizon=200, seed=7)[5]
+        seq_b = observation_matrix(profile, horizon=200, seed=7)[5]
+        assert np.array_equal(seq_a, seq_b)
         assert draws_a[0] == seq_a[0]
 
     def test_agent_substreams_stable_under_growth(self):
@@ -235,7 +232,9 @@ class TestObservationSampling:
         children = np.random.SeedSequence(3).spawn(profile.n_agents)
         for agent in (0, 17):
             rng = np.random.default_rng(children[agent])
-            scalar = [sample_observation(profile, agent, rng) for _ in range(30)]
+            # a symbol counts the true-cdf entries below the last that are <= u
+            cdf = np.cumsum(profile.likelihoods[agent, profile.true_state[agent]])
+            scalar = [int(np.count_nonzero(cdf[:-1] <= rng.random())) for _ in range(30)]
             assert np.array_equal(obs[agent], scalar)
 
 
