@@ -43,11 +43,11 @@ brute = np.linalg.matrix_power(base, 12)
 print("power formula error at t=12:",
       np.abs(closed_form_power(0.8, 0.1, 15, 12) - brute).max())
 
-# Perron eigenvector: power iteration on the dense matrix agrees with the
+# Perron eigenvector: one linear solve on the dense matrix agrees with the
 # two-value closed form.
-u_iter = perron_vector(expected.dense())
+u_solved = perron_vector(expected.dense())
 u_closed = expected_perron(params)
-print("perron closed form vs iteration:", np.abs(u_iter - u_closed).max())
+print("perron closed form vs solve:", np.abs(u_solved - u_closed).max())
 
 # On the sampled network the Perron weights fluctuate around uniform; their
 # sum over cluster 0 controls which hypothesis the traditional recursion

@@ -18,7 +18,8 @@ class NotStronglyConnected(BlocklearnError):
 
 
 class DegenerateBlock(BlocklearnError):
-    """A block of the expected combination matrix has a zero normalizer."""
+    """A block of the expected combination matrix has a zero normalizer, or a
+    matrix is reducible, so that its Perron vector is not unique."""
 
 
 class InvalidRegime(BlocklearnError):
@@ -27,10 +28,6 @@ class InvalidRegime(BlocklearnError):
 
 class InvalidRegimeWarning(UserWarning):
     """A formula was evaluated outside its nominal regime (result still returned)."""
-
-
-class NoConvergence(BlocklearnError):
-    """Power iteration failed to converge within the iteration budget."""
 
 
 class SupportMismatch(BlocklearnError):

@@ -29,7 +29,6 @@ from .exceptions import (
     DegenerateBlock,
     InvalidRegimeWarning,
     MalformedFile,
-    NoConvergence,
     NotStronglyConnected,
     ZeroColumn,
 )
@@ -390,33 +389,30 @@ def closed_form_power(p, q, n, t):
     return np.kron(block, np.ones((n, n)))
 
 
-def perron_vector(matrix, tol=1e-12, max_iter=10**6):
-    """Perron eigenvector of a column-stochastic matrix by power iteration.
+def perron_vector(matrix):
+    """Perron eigenvector of an irreducible column-stochastic matrix.
 
-    Starts from the uniform vector and iterates ``v <- A v`` (renormalized to
-    sum one) until successive iterates agree within ``tol`` and the residual
-    ``max |A u - u|`` is below ``tol``.
+    The unique ``u`` with ``A u = u`` and ``sum(u) = 1``, from one linear
+    solve: ``A - I`` has rank ``N - 1``, so its last row is replaced by the
+    normalization.  A periodic matrix is solved like any other.
 
     Raises
     ------
-    NoConvergence
-        If the tolerance is not reached within ``max_iter`` steps (e.g. for
-        non-primitive matrices).
+    ValueError
+        If the matrix is not square, nonnegative and column-stochastic.
+    DegenerateBlock
+        If the matrix is reducible, so that its Perron vector is not unique.
     """
     matrix = np.asarray(matrix, dtype=float)
+    if (matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or not matrix.size
+            or not np.all(matrix >= 0) or np.any(np.abs(matrix.sum(axis=0) - 1.0) > 1e-9)):
+        raise ValueError("need a square, nonnegative, column-stochastic matrix")
+    if not is_strongly_connected(matrix)[0]:
+        raise DegenerateBlock("reducible matrix: the Perron vector is not unique")
     n = matrix.shape[0]
-    v = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
-        w = matrix @ v
-        s = w.sum()
-        if s <= 0:
-            raise NoConvergence("iterate collapsed to zero")
-        w = w / s
-        if np.max(np.abs(w - v)) <= tol:
-            if np.max(np.abs(matrix @ w - w)) <= tol:
-                return w
-        v = w
-    raise NoConvergence(f"power iteration did not converge in {max_iter} steps")
+    system = matrix - np.eye(n)
+    system[-1] = 1.0
+    return np.linalg.solve(system, np.eye(n)[-1])
 
 
 def _binomial_pmf(n, p):
@@ -465,8 +461,16 @@ def inverse_binomial_moment(c, n, p, t=1, mode="approx"):
 
 
 def save_network(path, network):
-    """Write adjacency and cluster layout as a plain-text matrix file."""
+    """Write adjacency and cluster layout as a plain-text matrix file.
+
+    The header holds community sizes only, so the clusters must be labeled
+    ``0..k-1`` contiguously and in order; any other labeling raises
+    ValueError rather than loading back as a different one.
+    """
     sizes = np.bincount(network.clusters)
+    if not np.array_equal(network.clusters, np.repeat(np.arange(len(sizes)), sizes)):
+        raise ValueError("a network file holds contiguous communities 0..k-1 in order, "
+                         f"not the labels {network.clusters.tolist()}")
     with open(path, "w") as fh:
         if len(sizes) == 2:
             fh.write(f"{network.size} {sizes[0]} {sizes[1]}\n")

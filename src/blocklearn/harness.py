@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__, learning
-from .exceptions import AllReplicatesFailed, MalformedConfig, MismatchedConfig
+from .exceptions import AllReplicatesFailed, BlocklearnError, MalformedConfig, MismatchedConfig
 from .graphs import BlockModel, Network, SbmParams, load_network, sample_sbm
 from .learning import (
     RowPrefix,
@@ -137,7 +137,9 @@ class ExperimentConfig:
                 return {"kind": "network", "size": value.size}
             if isinstance(value, LikelihoodProfile):
                 return {"kind": "profile", "reference": value.reference}
-            return value
+            if isinstance(value, Path):
+                return str(value)
+            return _plain(value)
 
         data = {f.name: getattr(self, f.name) for f in fields(self)}
         data.update(network=_spec(self.network), profile=_spec(self.profile), pair=list(self.pair))
@@ -153,6 +155,15 @@ _KIND_NAMES = {str: "a string", Integral: "an integer", Real: "a number", bool: 
                ((Real,),): "a list of lists of numbers"}
 # the kind of each field of an "sbm" network spec
 _SBM_KINDS = {name: Integral if name in ("n0", "n1") else Real for name in SbmParams.FIELDS}
+
+
+def _plain(value):
+    """A spec dict's value with numpy scalars as the plain types JSON writes."""
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value.item() if isinstance(value, np.generic) else value
 
 
 def _fits(value, kind):
@@ -238,6 +249,9 @@ def resolve_inputs(config):
         source = sample_sbm(source, seed=config.base_seed)
     clusters = source.clusters if isinstance(source, Network) else source.labels()
     profile = _resolve_profile(config.profile, clusters)
+    if profile.n_agents != clusters.size:
+        raise ValueError(f"the network has {clusters.size} agents, "
+                         f"the profile {profile.n_agents}")
     check_pair(config.pair, profile.n_hypotheses)
     return source, clusters, profile
 
@@ -418,10 +432,8 @@ def _draw_block(indices, source, profile, config):
         seed = config.base_seed + r
         try:
             network = source if isinstance(source, Network) else sample_sbm(source, seed=seed)
-            if network.size != profile.n_agents:
-                raise ValueError("network and profile disagree on the number of agents")
             seed_words(seed)  # a seed the streams cannot take fails this replicate only
-        except Exception as exc:  # noqa: BLE001 - collect per-replicate failures
+        except (BlocklearnError, ValueError) as exc:
             failures.append({"replicate": r, "error": f"{type(exc).__name__}: {exc}"})
             continue
         replicates.append(r)

@@ -220,7 +220,7 @@ def scan_delta(series, combination, grid, include_traditional=False):
     )
 
 
-def recursion_series(log_likelihood_ratios, combination, delta, steps, start=None):
+def recursion_series(log_likelihood_ratios, combination, delta, steps):
     """Generate a noiseless log-ratio series from the recursion itself.
 
     Feeds constant per-agent log-likelihood ratios through
@@ -230,8 +230,7 @@ def recursion_series(log_likelihood_ratios, combination, delta, steps, start=Non
     check_delta(delta)
     c = np.asarray(log_likelihood_ratios, dtype=float)
     combination = np.asarray(combination, dtype=float)
-    out = np.empty((steps + 1, c.size))
-    out[0] = np.zeros(c.size) if start is None else np.asarray(start, dtype=float)
+    out = np.zeros((steps + 1, c.size))
     for i in range(1, steps + 1):
         out[i] = delta * c + (1.0 - delta) * (out[i - 1] @ combination)
     return out

@@ -26,7 +26,6 @@ __all__ = [
 ]
 
 MIN_LIKELIHOOD = 1e-12
-ROW_SUM_TOL = 1e-12
 
 
 @dataclass(frozen=True)

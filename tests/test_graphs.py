@@ -9,7 +9,6 @@ from blocklearn.exceptions import (
     DegenerateBlock,
     InvalidRegimeWarning,
     MalformedFile,
-    NoConvergence,
     NotStronglyConnected,
     ZeroColumn,
 )
@@ -284,7 +283,7 @@ class TestPerronVector:
     def test_expected_matrix_closed_form(self):
         params = SbmParams(n0=20, n1=15, p0=0.8, p1=0.9, q0=0.1, q1=0.1)
         dense = expected_combination(params).dense()
-        assert np.abs(perron_vector(dense, tol=1e-14) - expected_perron(params)).max() < 1e-9
+        assert np.abs(perron_vector(dense) - expected_perron(params)).max() < 1e-9
 
     def test_properties_on_random_matrices(self):
         rng = np.random.default_rng(5)
@@ -292,15 +291,29 @@ class TestPerronVector:
             n = int(rng.integers(2, 15))
             matrix = rng.random((n, n)) + 0.05
             matrix /= matrix.sum(axis=0)
-            u = perron_vector(matrix, tol=1e-13)
+            u = perron_vector(matrix)
             assert np.abs(matrix @ u - u).max() <= 1e-13
             assert abs(u.sum() - 1.0) <= 1e-12
             assert np.all(u > 0)
 
-    def test_no_convergence(self):
-        slow = np.array([[0.99, 0.02], [0.01, 0.98]])  # second eigenvalue 0.97
-        with pytest.raises(NoConvergence):
-            perron_vector(slow, tol=1e-15, max_iter=3)
+    def test_periodic_matrix(self):
+        # irreducible with period 2: A^t never converges, yet u is unique
+        periodic = np.array([[0.0, 0.5, 0.0], [1.0, 0.0, 1.0], [0.0, 0.5, 0.0]])
+        assert np.abs(perron_vector(periodic) - [0.25, 0.5, 0.25]).max() <= 1e-15
+
+    def test_reducible_matrix_raises(self):
+        params = SbmParams(n0=3, n1=3, p0=0.5, p1=0.5, q0=0.0, q1=0.0)
+        with pytest.raises(DegenerateBlock):
+            perron_vector(expected_combination(params).dense())
+
+    @pytest.mark.parametrize("matrix", [
+        [[0.9, 0.2], [0.2, 0.8]],  # column sums 1.1 and 1.0
+        [[1.5, 0.2], [-0.5, 0.8]],  # columns sum to one, one entry negative
+        [[0.5, 0.5, 0.0], [0.5, 0.5, 1.0]],  # not square
+    ])
+    def test_not_column_stochastic_raises(self, matrix):
+        with pytest.raises(ValueError, match="column-stochastic"):
+            perron_vector(matrix)
 
     def test_decoupled_perron_undefined(self):
         with pytest.raises(DegenerateBlock):
@@ -437,6 +450,15 @@ class TestNetworkIO:
         assert np.array_equal(loaded.adjacency, network.adjacency)
         assert np.array_equal(loaded.clusters, network.clusters)
         assert np.array_equal(loaded.combination, network.combination)
+
+    def test_interleaved_communities_rejected(self, tmp_path):
+        adjacency = np.ones((4, 4), dtype=np.int8)
+        network = Network(adjacency=adjacency, combination=averaging_combination(adjacency),
+                          clusters=np.array([0, 1, 0, 1]))
+        path = tmp_path / "network.txt"
+        with pytest.raises(ValueError, match="contiguous"):
+            save_network(path, network)
+        assert not path.exists()
 
     def test_single_community_header(self, tmp_path):
         network = sample_sbm(BlockModel(sizes=(6,), probs=[[0.9]]), seed=1)

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from blocklearn import learning
+from blocklearn import harness, learning
 from blocklearn.exceptions import (
     BlocklearnError,
     DeltaOutOfRange,
@@ -12,7 +12,7 @@ from blocklearn.exceptions import (
     MalformedConfig,
     MismatchedConfig,
 )
-from blocklearn.graphs import BlockModel, SbmParams, sample_sbm
+from blocklearn.graphs import BlockModel, SbmParams, sample_sbm, save_network
 from blocklearn.harness import (
     BLOCK_SIZE,
     ComparisonRow,
@@ -152,6 +152,24 @@ class TestConfig:
         assert type(typed.delta) is float
         run_experiment(plain).write_outputs(tmp_path / "plain")
         run_experiment(typed).write_outputs(tmp_path / "typed")
+        summary = (tmp_path / "plain" / "summary.json").read_bytes()
+        assert (tmp_path / "typed" / "summary.json").read_bytes() == summary
+
+    @pytest.mark.parametrize("kind", ["path", "sbm", "blocks"])
+    def test_path_and_numpy_specs_echo_as_plain_json(self, tmp_path, kind):
+        path = tmp_path / "network.txt"
+        save_network(path, sample_sbm(VB1, seed=5))
+        blocks = {"kind": "blocks", "sizes": [2, 3], "probs": [[0.9, 0.1], [0.2, 0.8]]}
+        plain, typed = {
+            "path": (str(path), path),
+            "sbm": ({"kind": "sbm", **VB1.to_dict()},
+                    {"kind": "sbm", "n0": np.int64(15), "n1": np.int64(15),
+                     **{k: np.float64(getattr(VB1, k)) for k in ("p0", "p1", "q0", "q1")}}),
+            "blocks": (blocks, {**blocks, "sizes": [np.int64(2), np.int64(3)]}),
+        }[kind]
+        for name, network in (("plain", plain), ("typed", typed)):
+            run_experiment(small_config(network=network, replicates=2)).write_outputs(
+                tmp_path / name)
         summary = (tmp_path / "plain" / "summary.json").read_bytes()
         assert (tmp_path / "typed" / "summary.json").read_bytes() == summary
 
@@ -377,6 +395,23 @@ class TestRunExperiment:
         result = run_experiment(small_config(network=str(path), replicates=5, base_seed=-2))
         assert [f["replicate"] for f in result.failures] == [0, 1]
         assert result.n_ok == 3
+
+    def test_agent_count_mismatch_fails_once(self, monkeypatch):
+        # checked before any replicate, not as R identical replicate failures
+        draws = []
+        monkeypatch.setattr(harness, "sample_sbm", lambda *a, **k: draws.append(a))
+        profile = bernoulli_profile(np.repeat([0, 1], 10), (0.1, 0.5))
+        with pytest.raises(ValueError, match="30 agents, the profile 20"):
+            run_experiment(small_config(profile=profile))
+        assert draws == []
+
+    def test_unexpected_replicate_error_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("a defect, not a failed draw")
+
+        monkeypatch.setattr(harness, "sample_sbm", broken)
+        with pytest.raises(TypeError, match="a defect"):
+            run_experiment(small_config())
 
     def test_all_failures_raise(self):
         params = SbmParams(n0=1, n1=1, p0=0.2, p1=0.2, q0=0.05, q1=0.05)
