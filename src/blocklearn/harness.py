@@ -493,7 +493,8 @@ def run_experiment(config):
             rows = slice(start + 1, start + 1 + psi.shape[0])
             iter_sum[rows] += sum_replicates(psi)
             iter_sq[rows] += sum_replicates(sq)
-            # steady-state window: iterations burn_in + 1 .. horizon
+            # steady-state window: iterations burn_in + 1 .. horizon; a chunk
+            # that ends before it comes with mu and est None
             first_in = max(burn_in - start, 0)
             if first_in >= psi.shape[0]:
                 return
@@ -513,7 +514,7 @@ def run_experiment(config):
         traces += learning.simulate_block(
             combination_t, profile, symbols, config.strategy, config.delta, config.pair,
             config.estimator, on_chunk=reduce_chunk, record=record,
-            record_observations=config.record_observations,
+            record_observations=config.record_observations, burn_in=burn_in,
         )
         block_hits = hits.sum(axis=1)  # (H-1, N)
         counts[:, 1:] += block_hits.T

@@ -330,7 +330,9 @@ def ratio_estimates(x):
         best = np.maximum(x[..., 0], 0.0)
         for h in range(1, n_ratios):
             ratio = x[..., h]
-            estimates = np.where(ratio > best, dtype.type(h + 1), estimates)
+            # estimates = where(ratio > best, h + 1, estimates), in the
+            # estimates' dtype: np.where with a scalar takes a slow loop
+            estimates += (ratio > best).view(np.uint8) * (dtype.type(h + 1) - estimates)
             np.maximum(best, ratio, out=best)
     return estimates
 
@@ -385,7 +387,7 @@ def check_pair(pair, n_hypotheses):
 
 
 def simulate_block(combination_t, profile, symbols, strategy, delta, pair, estimator,
-                   on_chunk=None, record=None, record_observations=False):
+                   on_chunk=None, record=None, record_observations=False, burn_in=0):
     """Step a block of replicates through the log-ratio recursion.
 
     Every simulation goes through here: ``run`` is its one-replicate case,
@@ -406,6 +408,8 @@ def simulate_block(combination_t, profile, symbols, strategy, delta, pair, estim
         Called as ``on_chunk(start, psi, mu, est)`` for iterations
         ``start + 1 .. start + K``: the public and private log-ratios of
         ``pair`` and the state estimates, each of shape ``(K, B, N)``.
+        ``mu`` and ``est`` are None on a chunk that ends at or before
+        ``burn_in`` when nothing is recorded.
     record : sequence of (network, seed, extra), optional
         One entry per replicate: its network, its seed and the metadata its
         trace adds to ``trace_metadata``.  When given, the series of every
@@ -413,6 +417,9 @@ def simulate_block(combination_t, profile, symbols, strategy, delta, pair, estim
     record_observations : bool
         Whether the recorded traces keep their symbols, as views of
         ``symbols``.
+    burn_in : int
+        Iterations whose ``mu`` and ``est`` the caller does not need, unless
+        it records traces.
 
     Returns
     -------
@@ -431,8 +438,11 @@ def simulate_block(combination_t, profile, symbols, strategy, delta, pair, estim
                               w_like, w_prior)
     for start, x_psi, x_mu in chunks:
         psi = pair_ratio(x_psi, pair)  # (K, B, N)
-        mu = pair_ratio(x_mu, pair)
-        est = ratio_estimates(x_mu if estimator == "mu" else x_psi)
+        if record is None and start + psi.shape[0] <= burn_in:
+            mu = est = None
+        else:
+            mu = pair_ratio(x_mu, pair)
+            est = ratio_estimates(x_mu if estimator == "mu" else x_psi)
         if record is not None:
             rows = slice(start + 1, start + 1 + psi.shape[0])
             trace_psi[:, rows] = psi.transpose(1, 0, 2)

@@ -78,6 +78,7 @@ class LikelihoodProfile:
     reference: str = "inline"
     log_likelihoods: np.ndarray = field(init=False, repr=False)
     _true_cdf: np.ndarray = field(init=False, repr=False)
+    _symbol_table: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.likelihoods = np.asarray(self.likelihoods, dtype=float)
@@ -93,17 +94,20 @@ class LikelihoodProfile:
             raise ValueError("true_state must assign one hypothesis per agent")
         if np.any(self.true_state < 0) or np.any(self.true_state >= h):
             raise ValueError("true_state indices out of range")
-        if np.any(self.likelihoods < MIN_LIKELIHOOD):
+        # written so that NaN fails both checks
+        if not np.all(self.likelihoods >= MIN_LIKELIHOOD):
             raise ValueError(
                 f"likelihood entries must be at least {MIN_LIKELIHOOD} "
                 "(log-likelihood ratios must stay finite)"
             )
         row_sums = self.likelihoods.sum(axis=2)
-        if np.any(np.abs(row_sums - 1.0) > 1e-9):
+        if not np.all(np.abs(row_sums - 1.0) <= 1e-9):
             raise ValueError("each likelihood row must sum to one")
         self.log_likelihoods = np.log(self.likelihoods)
         true_rows = self.likelihoods[np.arange(n), self.true_state]
         self._true_cdf = np.cumsum(true_rows, axis=1)
+        self._symbol_table = (_bucket_table(self._true_cdf)
+                              if self.alphabet_size > COUNT_ALPHABET else None)
 
     @property
     def n_agents(self):
@@ -372,17 +376,66 @@ def _pcg64_state(words):
     }
 
 
-def _symbols_from_uniforms(cdf, u, out):
-    """Map uniform draws ``u`` (N, T) to symbols through the per-agent cdf
-    rows ``cdf`` (N, m), writing into ``out`` (N, T).
+# Alphabets up to this size map draws by counting, which is one or two passes;
+# larger ones look the symbol up in a table over BUCKETS equal buckets of u.
+COUNT_ALPHABET = 3
+BUCKETS = 4096
+
+
+def _bucket_table(cdf):
+    """Per-agent symbol of every bucket ``[b, b + 1) / BUCKETS`` of u:
+    shape (N, BUCKETS), in ``np.min_scalar_type(m)``.
+
+    Scaling by a power of two is exact, so a threshold ``c = cdf[k, j]``
+    (``j < m - 1``) with ``c * BUCKETS <= b`` counts for every u in bucket
+    b, and one with ``c * BUCKETS >= b + 1`` for none.  The entry is that
+    count unless some threshold lies strictly inside the bucket; such an
+    ambiguous bucket holds m, which no symbol takes.  N * BUCKETS bytes for
+    alphabets up to 255 (300 KiB at N = 75), twice that above.
+    """
+    n, m = cdf.shape
+    scaled = cdf[:, :-1] * BUCKETS
+    # edges[k, j + 1] is the first bucket threshold j counts in (BUCKETS for
+    # none); the rows are sorted, so symbol j fills the buckets
+    # edges[k, j] .. edges[k, j + 1] - 1
+    edges = np.full((n, m + 1), BUCKETS, dtype=np.intp)
+    edges[:, 0] = 0
+    edges[:, 1:-1] = np.minimum(np.ceil(scaled), BUCKETS)
+    symbols = np.tile(np.arange(m, dtype=np.min_scalar_type(m)), n)
+    table = np.repeat(symbols, np.diff(edges, axis=1).ravel()).reshape(n, BUCKETS)
+    agents, j = np.nonzero((scaled < BUCKETS) & (scaled != np.floor(scaled)))
+    table[agents, np.floor(scaled[agents, j]).astype(np.intp)] = m
+    return table
+
+
+def _symbols_from_uniforms(cdf, table, u, out, index=None):
+    """Map uniform draws ``u`` (N, T) in [0, 1) to symbols through the
+    per-agent cdf rows ``cdf`` (N, m), writing into ``out`` (N, T).
 
     A symbol counts the entries ``cdf[k, j] <= u`` over ``j < m - 1``: the
     same as ``searchsorted(cdf[k], u, side="right")`` clipped to ``m - 1``
     (the last cdf entry can round below one), because each row is sorted.
+    Without a ``table`` the count takes m - 1 passes over ``u``.  With the
+    ``_bucket_table`` of ``cdf`` a draw is one gather at its bucket
+    ``floor(u * BUCKETS)``, through ``index``, an (N, T) intp buffer; only
+    draws in ambiguous buckets (about (m - 1) / BUCKETS of them) are counted.
     """
-    out[...] = 0
-    for j in range(cdf.shape[1] - 1):
-        out += cdf[:, j, None] <= u
+    n, m = cdf.shape
+    if table is None:
+        out[...] = 0
+        for j in range(m - 1):
+            out += cdf[:, j, None] <= u
+        return out
+    # u * BUCKETS is exact and truncates to its floor, since u >= 0
+    np.multiply(u, BUCKETS, out=index, casting="unsafe")
+    index += np.arange(0, n * BUCKETS, BUCKETS)[:, None]
+    # the gather needs a dtype that holds the ambiguous mark m
+    symbols = out if out.dtype == table.dtype else np.empty(u.shape, table.dtype)
+    table.take(index, out=symbols, mode="clip")
+    agents, steps = np.divmod(np.flatnonzero(symbols == m), u.shape[1])
+    symbols[agents, steps] = (cdf[agents, :-1] <= u[agents, steps, None]).sum(axis=1)
+    if symbols is not out:
+        out[...] = symbols
     return out
 
 
@@ -391,7 +444,9 @@ def observation_matrix(profile, horizon, seed):
 
     Agent k of seed s draws its uniforms from
     ``default_rng(SeedSequence(s).spawn(N)[k])``, so the draws of agent k do
-    not depend on the network size, and maps them through its true cdf.
+    not depend on the network size, and maps them through its true cdf
+    (``_symbols_from_uniforms``: a lookup in the profile's bucket table for
+    alphabets above ``COUNT_ALPHABET``, a count otherwise).
 
     Parameters
     ----------
@@ -404,7 +459,8 @@ def observation_matrix(profile, horizon, seed):
         ``(N, horizon)`` int64 symbols for one seed; ``(B, N, horizon)``
         symbols in the smallest unsigned dtype that holds the alphabet for a
         sequence of B seeds.  Each replicate fills one ``(N, horizon)``
-        buffer of uniforms, reused across the block.
+        buffer of uniforms and, for the table lookup, one of bucket
+        indices; both are reused across the block.
     """
     if np.ndim(seed) == 0:
         return observation_matrix(profile, horizon, [seed])[0].astype(np.int64)
@@ -414,11 +470,13 @@ def observation_matrix(profile, horizon, seed):
     bit_generator = np.random.PCG64(0)
     generator = np.random.Generator(bit_generator)
     uniforms = np.empty((n, horizon))
+    table = profile._symbol_table
+    index = None if table is None else np.empty((n, horizon), dtype=np.intp)
     for block_row, agent_states in zip(out, states):
         for row, words in zip(uniforms, agent_states):
             bit_generator.state = _pcg64_state(words)
             generator.random(out=row)
-        _symbols_from_uniforms(profile._true_cdf, uniforms, block_row)
+        _symbols_from_uniforms(profile._true_cdf, table, uniforms, block_row, index)
     return out
 
 

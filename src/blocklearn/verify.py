@@ -41,7 +41,14 @@ from .learning import (
     log_ratio_chunks,
     ratio_estimates,
 )
-from .models import LikelihoodProfile, bernoulli_profile, divergence_table, observation_matrix
+from .models import (
+    BUCKETS,
+    COUNT_ALPHABET,
+    LikelihoodProfile,
+    bernoulli_profile,
+    divergence_table,
+    observation_matrix,
+)
 from .theory import expected_log_ratio, symmetric_log_ratio_closed_form
 
 __all__ = ["CheckResult", "all_checks", "run_all"]
@@ -243,7 +250,26 @@ def check_engine_vs_log_domain(tol=1e-12, tie_tol=1e-9, seed=29, trials=24, step
     )
 
 
-def check_streams_vs_numpy(horizon=50, seed=31):
+def _bucket_edge_profile(alphabet):
+    """Four agents whose true cdf thresholds sit on bucket edges, each inside
+    a bucket, several inside one bucket, and (the last) end below one."""
+    step = 1.0 / BUCKETS
+    on_edges = np.full(alphabet, step)
+    on_edges[-1] = 1.0 - (alphabet - 1) * step
+    inside = on_edges.copy()  # every threshold half a bucket above an edge
+    inside[0] += step / 2
+    inside[-1] -= step / 2
+    clustered = np.full(alphabet, 1e-12)  # 0.3 * BUCKETS = 1228.8
+    clustered[0] = 0.3
+    clustered[-1] = 1.0 - clustered[:-1].sum()
+    short = np.full(alphabet, 1.0 / alphabet)
+    short[-1] -= 5e-10
+    rows = np.stack([on_edges, inside, clustered, short])
+    likelihoods = np.stack([rows, np.full_like(rows, 1.0 / alphabet)], axis=1)
+    return LikelihoodProfile(likelihoods=likelihoods, true_state=np.zeros(4, dtype=int))
+
+
+def check_streams_vs_numpy(horizon=600, seed=31):
     """The block observation sampler against NumPy's per-agent streams.
 
     The oracle draws agent k of seed s from
@@ -251,13 +277,20 @@ def check_streams_vs_numpy(horizon=50, seed=31):
     uniforms with ``np.searchsorted(cdf, u, side="right")`` clipped to the
     last symbol.  Symbols must be equal: tolerance 0.  Seeds cover one,
     two, three and five 32-bit words (more than the four-word pool) and a
-    random draw; alphabets 2, 3 and 25; blocks of one and several seeds.
+    random draw; alphabets 2, 3 (mapped by counting), 25 and 256 (by the
+    bucket table), plus a 25-symbol profile with thresholds on and inside
+    bucket edges; blocks of one and several seeds.  The detail counts the
+    draws that fell in a bucket holding a threshold, which the table sends
+    to the exact count.
     """
     rng = np.random.default_rng(seed)
     seeds = [0, 1, 2**32 - 1, 2**32, 2**64 + 7, 2**130 + 5, int(rng.integers(0, 2**63))]
-    mismatches = compared = 0
-    for alphabet in (2, 3, 25):
-        profile = _random_profile(rng, int(rng.integers(2, 13)), 3, alphabet)
+    profiles = [_random_profile(rng, int(rng.integers(2, 13)), 3, alphabet)
+                for alphabet in (2, 3, 25, 256)]
+    profiles.append(_bucket_edge_profile(25))
+    mismatches = compared = ambiguous = 0
+    for profile in profiles:
+        alphabet = profile.alphabet_size
         cdf = np.cumsum(profile.likelihoods[np.arange(profile.n_agents), profile.true_state], axis=1)
         blocks = [[s] for s in seeds] + [seeds[:3], seeds[3:]]
         for block in blocks:
@@ -269,10 +302,15 @@ def check_streams_vs_numpy(horizon=50, seed=31):
                     oracle = np.minimum(np.searchsorted(cdf[k], u, side="right"), alphabet - 1)
                     mismatches += int(np.count_nonzero(symbols[b, k] != oracle))
                     compared += horizon
+                    if alphabet > COUNT_ALPHABET:
+                        bucket = np.floor(u * BUCKETS)[:, None]
+                        scaled = cdf[k, :-1] * BUCKETS
+                        ambiguous += int(((bucket < scaled) & (scaled < bucket + 1)).any(axis=1).sum())
     return (
         mismatches == 0,
         f"{mismatches} symbol mismatches in {compared} draws (tolerance 0) over seeds "
-        f"{seeds}, alphabets 2/3/25, blocks of 1, 3 and 4 seeds",
+        f"{seeds}, alphabets 2/3/25/256 and a bucket-edge profile, blocks of 1, 3 and 4 "
+        f"seeds; {ambiguous} draws took the exact count in an ambiguous bucket",
     )
 
 

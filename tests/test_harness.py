@@ -340,6 +340,25 @@ class TestRunExperiment:
             assert np.array_equal(a.observations, b.observations)
             assert np.array_equal(a.mu_log_ratio, b.mu_log_ratio)
 
+    @pytest.mark.parametrize("burn_in", [0, 16, 17, 48])
+    def test_burn_in_skip_leaves_aggregates_unchanged(self, monkeypatch, burn_in):
+        # simulate_block skips mu and the estimates on chunks inside the
+        # burn-in; every aggregate equals that of a run computing them all
+        config = small_config(network=CRITERION_5, profile=MULTINOMIAL, pair=[0, 2],
+                              horizon=48, burn_in=burn_in, replicates=3)
+        skipped = run_experiment(config)
+        every_chunk = learning.simulate_block
+
+        def no_skip(*args, burn_in=0, **kwargs):
+            return every_chunk(*args, **kwargs)
+
+        monkeypatch.setattr(learning, "simulate_block", no_skip)
+        reference = run_experiment(config)
+        for name in ("iter_mean", "iter_std", "rep_means_psi", "rep_means_mu",
+                     "pooled_var_psi", "pooled_var_mu"):
+            assert np.array_equal(getattr(skipped, name), getattr(reference, name), equal_nan=True)
+        assert np.array_equal(skipped.error_report.counts, reference.error_report.counts)
+
     @pytest.mark.parametrize("law, profile, pair", [
         (CRITERION_5, MULTINOMIAL, (0, -1)),  # ran as (0, 1), predicted as (0, 2)
         (VB1, PROFILE, (0, 5)),

@@ -22,8 +22,14 @@ from blocklearn.learning import (
     ratio_estimates,
     RowPrefix,
     run,
+    simulate_block,
 )
-from blocklearn.models import LikelihoodProfile, bernoulli_profile, random_multinomial_profile
+from blocklearn.models import (
+    LikelihoodProfile,
+    bernoulli_profile,
+    observation_matrix,
+    random_multinomial_profile,
+)
 from blocklearn.theory import (
     expected_log_ratio,
     network_divergence,
@@ -179,6 +185,35 @@ class TestEstimateState:
         assert estimates.dtype == np.min_scalar_type(n_hypotheses - 1)
         assert np.array_equal(estimates, estimate_state(ratio_log_beliefs(x)))
         assert (estimates[0] == 0).all() and (estimates[1] == 1).all()
+
+    @staticmethod
+    def argmax_of_zero_and(x):
+        """argmax of ``[0, x]``, ties to the lowest index, over the entries
+        before the first NaN (a NaN running maximum admits nothing after it)."""
+        values = np.concatenate([np.zeros(x.shape[:-1] + (1,)), x], axis=-1)
+        after_nan = np.cumsum(np.isnan(values), axis=-1) > 0
+        return np.argmax(np.where(after_nan, -np.inf, values), axis=-1)
+
+    @staticmethod
+    def where_select(x):
+        """The ``np.where`` select the arithmetic one replaced."""
+        estimates = (x[..., 0] > 0.0).astype(np.uint8)
+        best = np.maximum(x[..., 0], 0.0)
+        for h in range(1, x.shape[-1]):
+            estimates = np.where(x[..., h] > best, np.uint8(h + 1), estimates)
+            np.maximum(best, x[..., h], out=best)
+        return estimates
+
+    @pytest.mark.parametrize("n_hypotheses", [2, 3, 4, 5])
+    def test_log_ratio_estimates_match_argmax_oracle(self, n_hypotheses):
+        # every combination of ties, signed zeros and NaN
+        values = np.array([-1.0, -0.0, 0.0, 0.5, 1.0, np.nan])
+        grids = np.meshgrid(*[values] * (n_hypotheses - 1), indexing="ij")
+        x = np.stack(grids, axis=-1).reshape(-1, 6, n_hypotheses - 1)
+        estimates = ratio_estimates(x)
+        assert estimates.dtype == np.uint8
+        assert np.array_equal(estimates, self.argmax_of_zero_and(x))
+        assert np.array_equal(estimates, self.where_select(x))
 
 
 class TestPairRatio:
@@ -366,6 +401,44 @@ class TestCheckPair:
             expected_log_ratio(CRITERION_5, profile, 0.1, pair)
         assert isinstance(from_run.value, ValueError)
         assert str(from_run.value) == str(from_theory.value)
+
+
+class TestSimulateBlock:
+    @staticmethod
+    def chunks(burn_in, record):
+        network = sample_sbm(CRITERION_5, seed=3)
+        profile = random_multinomial_profile(network.clusters, 25, seed=10)
+        symbols = observation_matrix(profile, 40, [1, 2])
+        combination_t = np.ascontiguousarray(network.combination.T)
+        seen = []
+        traces = simulate_block(
+            combination_t, profile, symbols, "asl", 0.1, (0, 2), "mu",
+            on_chunk=lambda start, psi, mu, est: seen.append(
+                (start, psi.copy(), None if mu is None else mu.copy(),
+                 None if est is None else est.copy())),
+            record=[(network, s, None) for s in (1, 2)] if record else None,
+            burn_in=burn_in)
+        return seen, traces
+
+    @pytest.mark.parametrize("burn_in", [0, 15, 16, 17, 32, 40])
+    def test_burn_in_chunks_skip_mu_and_estimates(self, burn_in):
+        full, _ = self.chunks(0, record=False)
+        seen, _ = self.chunks(burn_in, record=False)
+        assert [c[0] for c in seen] == [0, 16, 32]
+        for (start, psi, mu, est), (_, psi_full, mu_full, est_full) in zip(seen, full):
+            assert np.array_equal(psi, psi_full)
+            if start + psi.shape[0] <= burn_in:
+                assert mu is None and est is None
+            else:
+                assert np.array_equal(mu, mu_full) and np.array_equal(est, est_full)
+
+    def test_recorded_blocks_keep_every_chunk(self):
+        seen, traces = self.chunks(40, record=True)
+        _, full = self.chunks(0, record=True)
+        assert all(mu is not None and est is not None for _, _, mu, est in seen)
+        for a, b in zip(traces, full, strict=True):
+            assert np.array_equal(a.mu_log_ratio, b.mu_log_ratio)
+            assert np.array_equal(a.estimates, b.estimates)
 
 
 class TestLogRatioChunks:

@@ -3,6 +3,8 @@ import pytest
 
 from blocklearn.exceptions import MalformedFile, SupportMismatch
 from blocklearn.models import (
+    BUCKETS,
+    COUNT_ALPHABET,
     HypothesisSet,
     LikelihoodProfile,
     bernoulli_profile,
@@ -15,6 +17,8 @@ from blocklearn.models import (
     random_multinomial_profile,
     save_profile,
 )
+from blocklearn.models import _bucket_table, _symbols_from_uniforms
+from blocklearn.verify import _bucket_edge_profile
 
 CLUSTERS = np.repeat([0, 1], 15)
 
@@ -37,6 +41,13 @@ class TestHypothesisSet:
 class TestLikelihoodProfile:
     def test_row_sums_enforced(self):
         bad = np.array([[[0.5, 0.4], [0.5, 0.5]]])
+        with pytest.raises(ValueError):
+            LikelihoodProfile(likelihoods=bad, true_state=np.array([0]))
+
+    @pytest.mark.parametrize("entry", [(0, 0, 0), (0, 1, 1)])
+    def test_nan_entry_rejected(self, entry):
+        bad = np.array([[[0.5, 0.5], [0.5, 0.5]]])
+        bad[entry] = np.nan
         with pytest.raises(ValueError):
             LikelihoodProfile(likelihoods=bad, true_state=np.array([0]))
 
@@ -305,3 +316,50 @@ class TestProfileIO:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(MalformedFile):
             load_profile(path)
+
+
+def edge_uniforms(cdf, rng):
+    """Random draws, every bucket edge, 0, the largest double below 1, and
+    every threshold with its neighbours below 1."""
+    thresholds = cdf[cdf < 1.0]
+    u = np.concatenate([rng.random(2000), np.arange(BUCKETS) / BUCKETS, [0.0, np.nextafter(1.0, 0.0)],
+                        thresholds, np.nextafter(thresholds, 0.0), np.nextafter(thresholds, 1.0)])
+    u = u[u < 1.0]
+    return np.broadcast_to(u, (cdf.shape[0], u.size)).copy()
+
+
+class TestBucketTable:
+    @pytest.mark.parametrize("m", [2, 3, 4, 25, 256])
+    def test_table_equals_count_and_searchsorted(self, m):
+        rng = np.random.default_rng(m)
+        random_rows = rng.random((3, m)) + 1e-3
+        random_rows /= random_rows.sum(axis=1, keepdims=True)
+        cdf = np.concatenate([_bucket_edge_profile(m)._true_cdf, np.cumsum(random_rows, axis=1)])
+        u = edge_uniforms(cdf, rng)
+        dtype = np.min_scalar_type(m - 1)
+        table = _bucket_table(cdf)
+        looked_up = _symbols_from_uniforms(cdf, table, u, np.empty(u.shape, dtype),
+                                           np.empty(u.shape, np.intp))
+        counted = _symbols_from_uniforms(cdf, None, u, np.empty(u.shape, dtype))
+        oracle = np.stack([np.minimum(np.searchsorted(c, x, side="right"), m - 1)
+                           for c, x in zip(cdf, u)])
+        assert np.array_equal(looked_up, oracle)
+        assert np.array_equal(counted, oracle)
+        # the ambiguous mark is no symbol, even where the symbols fill uint8
+        assert table.dtype == np.min_scalar_type(m) and table.max() == m
+        assert not (table[0] == m).any()  # thresholds on bucket edges only
+        assert np.count_nonzero(table[1] == m) == m - 1  # each inside its own bucket
+        assert table[2, 1228] == m and table[2, 1227] == 0 and table[2, 1229] == m - 1
+        buckets = (u * BUCKETS).astype(np.intp)
+        assert (table[np.arange(cdf.shape[0])[:, None], buckets] == m).sum() >= 2 * (m - 1)
+        # u = 0 is symbol 0 in every row
+        assert (looked_up[:, 2000 + BUCKETS] == 0).all()
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 25, 256])
+    def test_profile_keeps_the_count_for_small_alphabets(self, m):
+        profile = random_multinomial_profile(np.repeat([0, 1], 3), m, seed=m)
+        if m <= COUNT_ALPHABET:
+            assert profile._symbol_table is None
+        else:
+            assert np.array_equal(profile._symbol_table, _bucket_table(profile._true_cdf))
+            assert profile._symbol_table.nbytes == profile.n_agents * BUCKETS * (1 if m < 256 else 2)
