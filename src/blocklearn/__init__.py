@@ -14,6 +14,7 @@ from .graphs import (  # noqa: F401
     BlockModel,
     ExpectedMatrix,
     Network,
+    NetworkBlock,
     SbmParams,
     averaging_combination,
     closed_form_power,

@@ -36,7 +36,6 @@ from .harness import (
 from .inverse import BeliefSeries, scan_delta
 from .learning import write_rows
 from .theory import asymmetric_delta_thresholds, expected_log_ratio, symmetric_delta_threshold
-from .verify import run_all
 
 
 def _parse_float_list(text):
@@ -192,6 +191,9 @@ def _cmd_fit_delta(args):
 
 
 def _cmd_verify(args):
+    # imported here, so that the other subcommands do not compile the suites
+    from .verify import run_all
+
     results = run_all(names=args.suite or None)
     if not results:
         raise ValueError(f"no suites matched {args.suite}")

@@ -37,6 +37,7 @@ __all__ = [
     "SbmParams",
     "BlockModel",
     "Network",
+    "NetworkBlock",
     "ExpectedMatrix",
     "sample_adjacency",
     "sample_sbm",
@@ -177,6 +178,34 @@ class Network:
         return self.adjacency.shape[0]
 
 
+@dataclass
+class NetworkBlock:
+    """The networks ``sample_sbm`` draws for a block of B seeds, stacked.
+
+    ``adjacency[i]`` (int8) and ``combination[i]`` (float, the stack
+    C-contiguous) are seed i's accepted draw; both are zero for a seed in
+    ``failures``, which maps its position in the block to the exception
+    the int form raises for it.  ``redraws[i]`` counts seed i's rejected
+    draws: all ``max_retries`` of them for a seed that failed on its graphs.
+    """
+
+    adjacency: np.ndarray  # (B, N, N)
+    combination: np.ndarray  # (B, N, N)
+    clusters: np.ndarray
+    redraws: np.ndarray  # (B,)
+    failures: dict
+
+    @property
+    def retries(self):
+        """Rejected draws of the whole block."""
+        return int(self.redraws.sum())
+
+    def network(self, i):
+        """Seed i's draw as a Network."""
+        return Network(adjacency=self.adjacency[i], combination=self.combination[i],
+                       clusters=self.clusters, retries=int(self.redraws[i]))
+
+
 def sample_adjacency(model, rng):
     """Draw a raw adjacency matrix: every entry (diagonal included) is an
     independent Bernoulli with its block probability.  No connectivity
@@ -206,54 +235,115 @@ def averaging_combination(adjacency):
 
 
 def sample_sbm(model, seed, max_retries=100):
-    """Sample an SBM network with an averaging-rule combination matrix.
+    """Sample SBM networks with averaging-rule combination matrices.
 
-    Whole graphs are redrawn until the realization has no isolated column
-    and is strongly connected with at least one self-loop (so the
-    combination matrix is primitive).
+    Each seed's graph is redrawn whole until the realization has no isolated
+    column and is strongly connected with at least one self-loop (so the
+    combination matrix is primitive).  Seed ``s`` draws from
+    ``default_rng(s)``, one ``(N, N)`` block of uniforms per attempt, so a
+    seed's network does not depend on the other seeds of its block.
 
     Parameters
     ----------
     model : BlockModel (SbmParams included)
-    seed : int
-        Seed for the draw; equal seeds give identical networks.
+    seed : int or sequence of int
+        One seed, or the seeds of a block of replicates; equal seeds give
+        identical networks.
     max_retries : int
-        Redraw budget (at least 1).
+        Redraw budget per seed (at least 1).
+
+    Returns
+    -------
+    Network for an int seed, NetworkBlock for a sequence of seeds.  The
+    block is checked in one pass per attempt: every seed still pending draws,
+    their zero columns, self-loops and connectivity are tested together, and
+    only the rejected ones draw again.
 
     Raises
     ------
     ZeroColumn
-        If the final attempt still contains an agent without in-neighbors.
+        For an int seed whose final attempt still contains an agent without
+        in-neighbors.
     NotStronglyConnected
-        If the retry budget is exhausted on connectivity.
+        For an int seed that exhausts its retries on connectivity.
+    ValueError
+        For a negative int seed.  A block records these three per seed in
+        ``failures`` instead.
     """
+    if np.ndim(seed) == 0:
+        block = sample_sbm(model, [seed], max_retries)
+        if block.failures:
+            raise block.failures[0]
+        return block.network(0)
     if max_retries < 1:
         raise ValueError("max_retries must be at least 1")
-    rng = np.random.default_rng(seed)
-    last_failure = None
+    prob = model.probability_matrix()
+    n = prob.shape[0]
+    seeds = list(seed)
+    rngs, failures = {}, {}
+    for i, s in enumerate(seeds):
+        try:
+            rngs[i] = np.random.default_rng(s)
+        except ValueError as exc:  # a negative seed fails alone
+            failures[i] = exc
+    size = len(seeds)
+    adjacency = np.zeros((size, n, n), dtype=np.int8)
+    redraws = np.zeros(size, dtype=np.int64)
+    # first zero column of each seed's last rejected draw, -1 if it had none
+    last_zero = np.full(size, -1)
+    uniforms = np.empty((n, n))
+    edge_buffer = np.empty((len(rngs), n, n), dtype=bool)
+    pending = np.fromiter(rngs, dtype=np.intp, count=len(rngs))
     for attempt in range(max_retries):
-        adjacency = sample_adjacency(model, rng)
-        if np.any(adjacency.sum(axis=0) == 0):
-            last_failure = ZeroColumn(int(np.flatnonzero(adjacency.sum(axis=0) == 0)[0]))
-            continue
-        connected, has_loop = is_strongly_connected(adjacency)
-        if not (connected and has_loop):
-            last_failure = NotStronglyConnected(
-                f"draw {attempt} not primitive (connected={connected}, self_loop={has_loop})"
-            )
-            continue
-        combination = averaging_combination(adjacency)
-        return Network(
-            adjacency=adjacency,
-            combination=combination,
-            clusters=model.labels(),
-            retries=attempt,
-        )
-    if isinstance(last_failure, ZeroColumn):
-        raise last_failure
-    raise NotStronglyConnected(
-        f"no strongly connected draw within {max_retries} retries"
+        if not pending.size:
+            break
+        edges = edge_buffer[: pending.size]
+        for row, i in zip(edges, pending.tolist()):
+            np.less(rngs[i].random(out=uniforms), prob, out=row)
+        zero = ~edges.any(axis=1)  # (P, N): columns without in-neighbors
+        has_zero = zero.any(axis=1)
+        connected, has_loop = _primitive_flags(edges)
+        accept = ~has_zero & connected & has_loop
+        adjacency[pending[accept]] = edges[accept]
+        redraws[pending[accept]] = attempt
+        last_zero[pending] = np.where(has_zero, zero.argmax(axis=1), -1)
+        pending = pending[~accept]
+    redraws[pending] = max_retries
+    for i in pending.tolist():
+        failures[i] = (ZeroColumn(int(last_zero[i])) if last_zero[i] >= 0 else
+                       NotStronglyConnected(f"no strongly connected draw within {max_retries} retries"))
+    column_sums = adjacency.sum(axis=1, keepdims=True)
+    column_sums[column_sums == 0] = 1  # the all-zero draws of failed seeds
+    return NetworkBlock(
+        adjacency=adjacency,
+        combination=adjacency / column_sums,
+        clusters=model.labels(),
+        redraws=redraws,
+        failures=dict(sorted(failures.items())),
     )
+
+
+def _primitive_flags(edges):
+    """Strong connectivity and self-loop presence of each matrix in a
+    ``(B, N, N)`` boolean stack.
+
+    Every matrix is searched from agent 0 along its edges and against them,
+    all in one breadth-first pass; a matrix is connected when both searches
+    reach every agent.
+    """
+    count, n = edges.shape[:2]
+    has_loop = edges.diagonal(axis1=1, axis2=2).any(axis=1)
+    # 0/1 entries in float32, so that matmul sums through BLAS; the sums are exact
+    both = np.concatenate([edges, edges.transpose(0, 2, 1)]).astype(np.float32)
+    reached = np.zeros((2 * count, 1, n), dtype=bool)
+    reached[:, :, 0] = True
+    frontier = reached.copy()
+    while frontier.any():
+        # out-neighbors of the frontier: columns hit by any frontier row
+        frontier = (np.matmul(frontier.astype(np.float32), both) > 0) & ~reached
+        reached |= frontier
+    connected = reached.all(axis=(1, 2)).reshape(2, count).all(axis=0)
+    return connected, has_loop
 
 
 def is_strongly_connected(adjacency):
@@ -266,23 +356,8 @@ def is_strongly_connected(adjacency):
         reverse from agent 0); primitivity in the usual sense requires both
         flags true.
     """
-    adjacency = np.asarray(adjacency) > 0
-    n = adjacency.shape[0]
-    has_loop = bool(adjacency.diagonal().any())
-
-    def _reaches_all(mat):
-        reached = np.zeros(n, dtype=bool)
-        reached[0] = True
-        frontier = reached.copy()
-        while frontier.any():
-            # out-neighbors of the frontier: columns hit by any frontier row
-            new = mat[frontier].any(axis=0) & ~reached
-            reached |= new
-            frontier = new
-        return reached.all()
-
-    connected = _reaches_all(adjacency) and _reaches_all(adjacency.T)
-    return connected, has_loop
+    connected, has_loop = _primitive_flags(np.asarray(adjacency)[None] > 0)
+    return bool(connected[0]), bool(has_loop[0])
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__, learning
-from .exceptions import AllReplicatesFailed, BlocklearnError, MalformedConfig, MismatchedConfig
+from .exceptions import AllReplicatesFailed, MalformedConfig, MismatchedConfig
 from .graphs import BlockModel, Network, SbmParams, load_network, sample_sbm
 from .learning import (
     RowPrefix,
@@ -421,27 +421,32 @@ def _chunk_sums(n_agents):
 def _draw_block(indices, source, profile, config):
     """Graphs and observation symbols of one block of replicates.
 
-    Returns ``(replicates, networks, symbols, failures)``: the replicates
-    whose inputs could be drawn, their networks, their symbols as one
-    ``(B, N, horizon)`` array, and a record of each replicate that failed.
-    The graphs are drawn first; the symbols of every replicate that got one
-    are then drawn in one ``observation_matrix`` call.
+    Returns ``(kept, block, symbols, failures)``: the positions in
+    ``indices`` of the replicates whose inputs could be drawn, the law's
+    NetworkBlock for the whole block (None for a fixed Network), the kept
+    replicates' symbols as one ``(B, N, horizon)`` array, and a record of
+    each replicate that failed.  The graphs are drawn in one ``sample_sbm``
+    call; the symbols of every replicate that got one are then drawn in one
+    ``observation_matrix`` call.
     """
-    replicates, networks, failures = [], [], []
-    for r in indices:
-        seed = config.base_seed + r
-        try:
-            network = source if isinstance(source, Network) else sample_sbm(source, seed=seed)
-            seed_words(seed)  # a seed the streams cannot take fails this replicate only
-        except (BlocklearnError, ValueError) as exc:
-            failures.append({"replicate": r, "error": f"{type(exc).__name__}: {exc}"})
-            continue
-        replicates.append(r)
-        networks.append(network)
-    seeds = [config.base_seed + r for r in replicates]
-    # looked up on the module at call time, so it can be wrapped
-    symbols = learning.observation_matrix(profile, config.horizon, seeds)
-    return replicates, networks, symbols, failures
+    seeds = [config.base_seed + r for r in indices]
+    # sample_sbm and learning.observation_matrix are looked up at call time,
+    # so they can be wrapped
+    block = None if isinstance(source, Network) else sample_sbm(source, seeds)
+    kept, failures = [], []
+    for i, seed in enumerate(seeds):
+        exc = None if block is None else block.failures.get(i)
+        if exc is None:
+            try:
+                seed_words(seed)  # a seed the streams cannot take fails this replicate only
+            except ValueError as error:
+                exc = error
+        if exc is None:
+            kept.append(i)
+        else:
+            failures.append({"replicate": indices[i], "error": f"{type(exc).__name__}: {exc}"})
+    symbols = learning.observation_matrix(profile, config.horizon, [seeds[i] for i in kept])
+    return kept, block, symbols, failures
 
 
 def run_experiment(config):
@@ -472,15 +477,19 @@ def run_experiment(config):
 
     for first in range(0, config.replicates, BLOCK_SIZE):
         indices = range(first, min(first + BLOCK_SIZE, config.replicates))
-        replicates, networks, symbols, block_failures = _draw_block(indices, source, profile, config)
+        kept, block, symbols, block_failures = _draw_block(indices, source, profile, config)
         failures += block_failures
-        if not replicates:
+        if not kept:
             continue
-        if fixed_t is not None:
+        if block is None:
             combination_t = fixed_t
         else:
-            combination_t = np.stack([net.combination.T for net in networks])
-        size = len(replicates)
+            kept_combination = (block.combination if len(kept) == len(indices)
+                                else block.combination[kept])
+            # the transposed view, not a contiguous copy: the stacked matmul's
+            # BLAS path, and so its last bits, follow the strides
+            combination_t = kept_combination.transpose(0, 2, 1)
+        size = len(kept)
         psi_sum = np.zeros((size, n))
         mu_sum = np.zeros((size, n))
         # how often each hypothesis h >= 1 is the estimate in the window, per
@@ -508,9 +517,9 @@ def run_experiment(config):
 
         record = None
         if config.store_traces:
-            record = [(network, config.base_seed + r,
-                       {"burn_in": burn_in, "replicate": r, **law_metadata})
-                      for r, network in zip(replicates, networks)]
+            record = [(source if block is None else block.network(i), config.base_seed + indices[i],
+                       {"burn_in": burn_in, "replicate": indices[i], **law_metadata})
+                      for i in kept]
         traces += learning.simulate_block(
             combination_t, profile, symbols, config.strategy, config.delta, config.pair,
             config.estimator, on_chunk=reduce_chunk, record=record,

@@ -193,7 +193,8 @@ def scan_delta(series, combination, grid, include_traditional=False):
     ``v = (m - mean(y[:k-1])) A``, the residual of
     ``fit_error(estimate_log_likelihoods(delta))`` is ``(u - v) + delta v``
     and that of ``traditional_fit`` is ``u - v``, so the whole grid is one
-    broadcast.
+    broadcast.  A combination matrix that is not ``N x N`` for the series'
+    N agents raises ValueError.
     """
     grid = np.asarray(list(grid), dtype=float)
     if grid.size == 0:
@@ -202,10 +203,14 @@ def scan_delta(series, combination, grid, include_traditional=False):
     k = series.split_index
     if k < 2:
         raise InsufficientSteps("need at least 2 fitting steps to form one increment")
+    combination = np.asarray(combination, dtype=float)
+    if combination.shape != (series.n_agents, series.n_agents):
+        raise ValueError(f"a {'x'.join(map(str, combination.shape))} combination matrix does not "
+                         f"match the trace's {series.n_agents} agents")
     y = series.values
     m = y[k:].mean(axis=0)
     u = m - y[1:k].mean(axis=0)
-    v = (m - y[: k - 1].mean(axis=0)) @ np.asarray(combination, dtype=float)
+    v = (m - y[: k - 1].mean(axis=0)) @ combination
     errors = np.linalg.norm((u - v) + grid[:, None] * v, axis=1) / series.n_agents
     best = int(np.argmin(errors))
     traditional_error = None

@@ -8,11 +8,14 @@ generated their inputs.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import NamedTuple
 
 import numpy as np
 
+from .exceptions import NotStronglyConnected, ZeroColumn
 from .graphs import (
+    BlockModel,
     SbmParams,
     _binomial_pmf,
     averaging_combination,
@@ -314,6 +317,84 @@ def check_streams_vs_numpy(horizon=600, seed=31):
     )
 
 
+def _per_seed_draw(model, seed, max_retries):
+    """One seed's network the slow way: ``(adjacency, combination, retries)``
+    or the exception of its last rejected draw.  Reachability comes from
+    boolean matrix powers: ``(I + E)^(N-1)`` has no zero entry exactly when
+    every agent reaches every other."""
+    try:
+        rng = np.random.default_rng(seed)
+    except ValueError as exc:
+        return exc
+    failure = None
+    for attempt in range(max_retries):
+        adjacency = sample_adjacency(model, rng)
+        try:
+            combination = averaging_combination(adjacency)
+        except ZeroColumn as exc:
+            failure = exc
+            continue
+        n = adjacency.shape[0]
+        reach = (adjacency > 0) | np.eye(n, dtype=bool)
+        for _ in range(max(n - 1, 1).bit_length()):
+            reach = (reach.astype(np.int64) @ reach.astype(np.int64)) > 0
+        if reach.all() and adjacency.diagonal().any():
+            return adjacency, combination, attempt
+        failure = NotStronglyConnected(f"no strongly connected draw within {max_retries} retries")
+    return failure
+
+
+def check_graphs_block_vs_per_seed():
+    """The block graph sampler against per-seed draws.
+
+    The oracle draws each seed alone with ``default_rng`` and
+    ``sample_adjacency``, tests reachability by boolean matrix powers
+    instead of a breadth-first search, and builds the combination with
+    ``averaging_combination``.  Adjacency, combination, retry count and the
+    type and message of a failure must be equal, seed by seed.  Laws: VB1,
+    the sparse law (whose seeds redraw), the three-community law, a
+    one-agent law, and a law that fails on both zero columns and
+    connectivity within two retries.
+    """
+    vb1 = SbmParams(n0=15, n1=15, p0=0.8, p1=0.8, q0=0.1, q1=0.1)
+    sparse = SbmParams(n0=15, n1=15, p0=0.25, p1=0.25, q0=0.1, q1=0.1)
+    three = BlockModel(sizes=(20, 25, 30),
+                       probs=[[0.9, 0.05, 0.05], [0.05, 0.8, 0.05], [0.05, 0.05, 0.9]])
+    cases = [
+        (vb1, range(42, 58), 100),
+        (sparse, range(2024, 2044), 100),
+        (three, range(777, 793), 100),
+        (BlockModel(sizes=(1,), probs=[[0.5]]), range(0, 12), 3),
+        (SbmParams(2, 2, 0.6, 0.6, 0.3, 0.3), range(0, 60), 2),
+    ]
+    mismatches, kinds = [], Counter()
+    for model, seeds, max_retries in cases:
+        block = sample_sbm(model, seeds, max_retries=max_retries)
+        for i, seed in enumerate(seeds):
+            expected = _per_seed_draw(model, seed, max_retries)
+            if isinstance(expected, Exception):
+                got = block.failures.get(i)
+                same = (type(got) is type(expected) and str(got) == str(expected))
+                kind = type(expected).__name__
+            else:
+                adjacency, combination, retries = expected
+                same = (i not in block.failures
+                        and np.array_equal(block.adjacency[i], adjacency)
+                        and np.array_equal(block.combination[i], combination)
+                        and block.redraws[i] == retries)
+                kind = "drawn"
+            kinds[kind] += 1
+            if not same:
+                mismatches.append((model.sizes, seed))
+    summary = ", ".join(f"{count} {kind}" for kind, count in sorted(kinds.items()))
+    return (
+        not mismatches,
+        f"{len(mismatches)} seeds differ from the per-seed oracle (tolerance 0) over "
+        f"{sum(kinds.values())} seeds of 5 laws: {summary}"
+        + (f"; first {mismatches[:3]}" if mismatches else ""),
+    )
+
+
 def check_inverse_round_trip(tol=1e-10, seed=3):
     """Noiseless recursion: the estimator recovers the injected log-likelihood
     ratios at the true step size, which also minimizes the fit error."""
@@ -474,6 +555,7 @@ SUITES = {
     "delta-interpolation": check_delta_interpolation,
     "engine-vs-log-domain": check_engine_vs_log_domain,
     "streams-vs-numpy": check_streams_vs_numpy,
+    "graphs-block-vs-per-seed": check_graphs_block_vs_per_seed,
     "inverse-round-trip": check_inverse_round_trip,
     "scan-delta-recovery": check_scan_recovery,
     "expected-matrix-trend": check_expected_matrix_trend,

@@ -14,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from blocklearn import inverse
+from blocklearn import harness, inverse
+from blocklearn.graphs import SbmParams
 from blocklearn.harness import ExperimentConfig
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -49,6 +50,13 @@ def test_every_wrapped_name_is_in_its_owner():
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}" for owner, attr in targets
                if attr not in owner.__dict__]
     assert not missing
+
+
+def test_redraw_counter_reads_a_block():
+    # the sparse law of two_community: its block of 20 seeds redraws 9 times
+    sparse = SbmParams(n0=15, n1=15, p0=0.25, p1=0.25, q0=0.1, q1=0.1)
+    block = harness.sample_sbm(sparse, range(2024, 2044))
+    assert load_tracing()._count_retries(block, (sparse,)) == {"graphs.redraws": 9}
 
 
 def test_every_workload_builds(workloads):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from blocklearn.cli import main
-from blocklearn.graphs import SbmParams, load_network, sample_sbm, save_network
+from blocklearn.graphs import SbmParams, load_network, sample_sbm, save_matrix_csv, save_network
 from blocklearn.inverse import BeliefSeries, recursion_series, scan_delta
 from blocklearn.learning import run
 from blocklearn.models import bernoulli_profile
@@ -423,6 +423,25 @@ class TestFitDelta:
         payload = json.loads(capsys.readouterr().out)
         assert payload["best_delta"] == pytest.approx(0.5, abs=1e-9)
 
+    @pytest.mark.parametrize("flag", ["--network", "--combination"])
+    def test_wrong_sized_matrix_is_one_json_error(self, tmp_path, capsys, flag):
+        # a 4-agent matrix against a 6-agent trace names both sizes, not numpy's matmul text
+        network = sample_sbm(SbmParams(n0=2, n1=2, p0=0.9, p1=0.9, q0=0.6, q1=0.6), seed=1)
+        path = tmp_path / "matrix.txt"
+        if flag == "--network":
+            save_network(path, network)
+        else:
+            save_matrix_csv(path, network.combination)
+        trace_path = tmp_path / "trace.csv"
+        trace_path.write_text("iter,agent,log_ratio\n"
+                              + "".join(f"{i},{k},0.5\n" for i in range(8) for k in range(6)))
+        code = main(["fit-delta", "--trace", str(trace_path), flag, str(path)])
+        assert code == 2
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        error = json.loads(err)
+        assert error["error"] == "ValueError"
+        assert "4x4" in error["detail"] and "6 agents" in error["detail"]
 
     def test_zero_grid_step_is_one_json_error(self, tmp_path, capsys):
         network = sample_sbm(SbmParams(n0=3, n1=3, p0=0.9, p1=0.9, q0=0.3, q1=0.3), seed=1)

@@ -146,8 +146,58 @@ class TestSampleSbm:
         assert network.size == 75
         assert np.array_equal(np.bincount(network.clusters), [20, 25, 30])
 
+    @pytest.mark.parametrize("seed", [0, 2**32, 2**64 + 7])
+    def test_block_matches_int_form(self, seed):
+        block = sample_sbm(VB1, [seed, seed + 1])
+        for i, s in enumerate((seed, seed + 1)):
+            alone = sample_sbm(VB1, seed=s)
+            network = block.network(i)
+            assert np.array_equal(network.adjacency, alone.adjacency)
+            assert network.adjacency.dtype == alone.adjacency.dtype == np.int8
+            assert np.array_equal(network.combination, alone.combination)
+            assert network.retries == alone.retries
+        assert block.combination.flags.c_contiguous
+        assert block.retries == block.redraws.sum()
+
+    def test_block_failures_match_int_form(self):
+        # within two retries this law fails on zero columns and on connectivity
+        law = SbmParams(2, 2, 0.6, 0.6, 0.3, 0.3)
+        seeds = range(60)
+        block = sample_sbm(law, seeds, max_retries=2)
+        expected = {}
+        for i, seed in enumerate(seeds):
+            try:
+                sample_sbm(law, seed=seed, max_retries=2)
+            except (NotStronglyConnected, ZeroColumn) as exc:
+                expected[i] = f"{type(exc).__name__}: {exc}"
+        assert {i: f"{type(exc).__name__}: {exc}" for i, exc in block.failures.items()} == expected
+        kinds = [type(exc) for exc in block.failures.values()]
+        assert (kinds.count(NotStronglyConnected), kinds.count(ZeroColumn)) == (31, 14)
+        assert not block.adjacency[list(block.failures)].any()
+        assert np.all(block.redraws[list(block.failures)] == 2)
+
+    def test_negative_seed_fails_alone(self):
+        block = sample_sbm(VB1, [3, -1, 4])
+        assert list(block.failures) == [1]
+        assert str(block.failures[1]) == "expected non-negative integer"
+        assert np.array_equal(block.adjacency[2], sample_sbm(VB1, seed=4).adjacency)
+        with pytest.raises(ValueError, match="non-negative"):
+            sample_sbm(VB1, seed=-1)
+
 
 class TestStrongConnectivity:
+    def test_perron_vector_matrices(self):
+        periodic = np.array([[0.0, 0.5, 0.0], [1.0, 0.0, 1.0], [0.0, 0.5, 0.0]])
+        assert is_strongly_connected(periodic) == (True, False)
+        reducible = expected_combination(SbmParams(n0=3, n1=3, p0=0.5, p1=0.5, q0=0.0,
+                                                    q1=0.0)).dense()
+        assert is_strongly_connected(reducible) == (False, True)
+
+    def test_one_way_edge_is_not_connected(self):
+        # 0 reaches 1 but not the reverse: only the search against the edges sees it
+        assert is_strongly_connected([[1, 1], [0, 1]]) == (False, True)
+        assert is_strongly_connected([[1, 0], [1, 1]]) == (False, True)
+
     def test_identity_not_connected(self):
         connected, has_loop = is_strongly_connected(np.eye(4, dtype=int))
         assert not connected and has_loop

@@ -415,6 +415,17 @@ class TestRunExperiment:
         assert [f["replicate"] for f in result.failures] == [0, 1]
         assert result.n_ok == 3
 
+    def test_negative_seed_on_a_law_fails_only_its_replicates(self):
+        result = run_experiment(small_config(replicates=5, base_seed=-2, store_traces=True))
+        assert result.failures == [{"replicate": r, "error": "ValueError: expected non-negative integer"}
+                                   for r in (0, 1)]
+        assert [t.metadata["replicate"] for t in result.traces] == [2, 3, 4]
+        # the kept replicates step the graphs their seeds draw alone
+        solo = run_experiment(small_config(replicates=3, base_seed=0, store_traces=True))
+        for trace, alone in zip(result.traces, solo.traces):
+            assert trace.metadata["network_retries"] == alone.metadata["network_retries"]
+            assert np.abs(trace.log_ratio - alone.log_ratio).max() <= 1e-12
+
     def test_agent_count_mismatch_fails_once(self, monkeypatch):
         # checked before any replicate, not as R identical replicate failures
         draws = []
