@@ -181,10 +181,10 @@ def _cmd_fit_delta(args):
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "delta_scan.csv", "w", newline="") as fh:
-            fh.write("delta,fit_error\r\n")
+        with open(out / "delta_scan.csv", "wb") as fh:
+            fh.write(b"delta,fit_error\r\n")
             if result.traditional_error is not None:
-                fh.write("0.0,%.17g\r\n" % result.traditional_error)  # delta 0: traditional
+                fh.write(b"0.0,%.17g\r\n" % result.traditional_error)  # delta 0: traditional
             write_rows(fh, "%.17g,%.17g\r\n", [result.deltas, result.errors])
         write_manifest(out, "fit-delta", ["delta_scan.csv"])
     return 0

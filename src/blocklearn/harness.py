@@ -108,8 +108,12 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, data, **overrides):
         """Build a config from its JSON form, with non-None ``overrides``
-        applied first.  An unknown or missing field raises MalformedConfig
-        naming it; the field values are checked as for any config."""
+        applied first.  A document that is not a JSON object, or an unknown
+        or missing field, raises MalformedConfig naming it; the field values
+        are checked as for any config."""
+        if not isinstance(data, dict):
+            found = _JSON_TYPES.get(type(data), type(data).__name__)
+            raise MalformedConfig(f"a config must be a JSON object, got {found}")
         data = dict(data)
         version = data.pop("version", cls.SCHEMA_VERSION)
         if version != cls.SCHEMA_VERSION:
@@ -153,6 +157,9 @@ _FIELD_KINDS = {"str": str, "int": Integral, "float": Real, "bool": bool}
 _KIND_NAMES = {str: "a string", Integral: "an integer", Real: "a number", bool: "true or false",
                (Integral,): "a list of integers", (Real,): "a list of numbers",
                ((Real,),): "a list of lists of numbers"}
+# the JSON name of each type a parsed JSON document other than an object has
+_JSON_TYPES = {list: "an array", str: "a string", int: "a number", float: "a number",
+               bool: "a boolean", type(None): "null"}
 # the kind of each field of an "sbm" network spec
 _SBM_KINDS = {name: Integral if name in ("n0", "n1") else Real for name in SbmParams.FIELDS}
 
@@ -289,8 +296,8 @@ class ErrorReport:
 
     def to_csv(self, path):
         columns = [np.arange(self.counts.shape[0]), self.clusters, self.p_err, self.stderr]
-        with open(path, "w", newline="") as fh:
-            fh.write("agent,cluster,p_err,stderr\r\n")
+        with open(path, "wb") as fh:
+            fh.write(b"agent,cluster,p_err,stderr\r\n")
             write_rows(fh, "%d,%d,%.17g,%.17g\r\n", columns)
 
 
@@ -367,8 +374,8 @@ class ExperimentResult:
         outputs.append("error_report.csv")
 
         steps, n = self.iter_mean.shape
-        with open(out / "iteration_stats.csv", "w", newline="") as fh:
-            fh.write("iter,agent,mean_log_ratio,std_log_ratio\r\n")
+        with open(out / "iteration_stats.csv", "wb") as fh:
+            fh.write(b"iter,agent,mean_log_ratio,std_log_ratio\r\n")
             write_rows(fh, "%.17g,%.17g\r\n", [self.iter_mean.ravel(), self.iter_std.ravel()],
                        prefix=RowPrefix(steps, n))
         outputs.append("iteration_stats.csv")
@@ -590,6 +597,10 @@ def compare_theory(result, prediction):
 
     Returns one row per cluster with the z-score of the empirical mean
     (standard error taken across replicates); rows with |z| > 3 are flagged.
+    With fewer than two replicates, or no steady-state samples (``burn_in ==
+    horizon``), the standard error is NaN and there is nothing to test: the
+    z-score is NaN and the row is not flagged.  A zero standard error gives
+    an infinite z-score when the means differ, and zero when they agree.
 
     Raises
     ------
@@ -608,8 +619,13 @@ def compare_theory(result, prediction):
     rows = []
     for c, stat in stats.items():
         theory = float(prediction.values[result.clusters == c].mean())
-        se = stat["stderr"]
-        z = (stat["mean"] - theory) / se if se and not math.isnan(se) else float("inf")
+        se, gap = stat["stderr"], stat["mean"] - theory
+        if math.isnan(se) or math.isnan(gap):
+            z = float("nan")
+        elif se > 0.0:
+            z = gap / se
+        else:
+            z = float("inf") if gap else 0.0
         rows.append(
             ComparisonRow(
                 cluster=c,
@@ -625,6 +641,6 @@ def compare_theory(result, prediction):
 
 def _write_comparison_csv(path, rows):
     columns = [np.array([getattr(row, name) for row in rows]) for name in ComparisonRow._fields]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(ComparisonRow._fields) + "\r\n")
+    with open(path, "wb") as fh:
+        fh.write(",".join(ComparisonRow._fields).encode("ascii") + b"\r\n")
         write_rows(fh, "%d,%.17g,%.17g,%.17g,%.17g,%d\r\n", columns)

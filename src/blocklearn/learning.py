@@ -21,8 +21,9 @@ its oracle in ``blocklearn verify``.
 
 from __future__ import annotations
 
+import functools
 import json
-from itertools import chain
+import re
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -147,43 +148,248 @@ class Trace:
         """Write rows ``iter, agent, cluster, log_ratio, estimate[, obs]`` and
         a JSON metadata sidecar next to the CSV.
 
-        Rows are formatted ``ROWS_PER_WRITE`` at a time, in the text a
-        ``csv.writer`` row loop gives (``%.17g`` log-ratios, CRLF endings).
-        The log-ratio is the only value formatted per row: the
-        ``iter,agent,cluster,`` text comes from ``prefix``, a ``RowPrefix``
-        that the traces of one run share (by default, one for this trace
-        alone), and the ``estimate[,obs]`` text from a table of the strings
-        this trace can hold.
+        The text is that of a ``csv.writer`` row loop (``%.17g``
+        log-ratios, CRLF endings), assembled as bytes by ``write_rows``,
+        ``ROWS_PER_WRITE`` rows at a time.  The ``iter,agent,cluster,`` text
+        comes from ``prefix``, a ``RowPrefix`` that the traces of one run
+        share (by default, one for this trace alone), and the
+        ``estimate[,obs]`` text from a table of the strings this trace can
+        hold.
         """
         steps = self.horizon + 1
         if prefix is None:
             prefix = RowPrefix(steps, self.n_agents, self.clusters)
         elif not prefix.fits(steps, self.clusters):
             raise ValueError("row prefix does not match the trace's shape and clusters")
-        header = "iter,agent,cluster,log_ratio,estimate"
+        header = b"iter,agent,cluster,log_ratio,estimate"
         n_estimates = int(self.estimates.max()) + 1
         if self.observations is None:
-            tails = np.array([str(e) for e in range(n_estimates)], dtype=object)
+            tails = [str(e) for e in range(n_estimates)]
             codes = self.estimates
         else:
-            header += ",obs"
+            header += b",obs"
             # code e * (m + 1) for row 0, which has no observation, and
             # e * (m + 1) + s + 1 for symbol s
             m = int(self.observations.max()) + 1 if self.observations.size else 0
-            tails = np.array([f"{e},{s}" for e in range(n_estimates) for s in [""] + list(range(m))],
-                             dtype=object)
+            tails = [f"{e},{s}" for e in range(n_estimates) for s in [""] + list(range(m))]
             codes = self.estimates.astype(np.intp) * (m + 1)
             codes[1:] += self.observations.T
             codes[1:] += 1
-        with open(path, "w", newline="") as fh:
-            fh.write(header + "\r\n")
-            write_rows(fh, "%.17g,%s\r\n", [self.log_ratio.ravel(), tails[codes.ravel()]],
+        with open(path, "wb") as fh:
+            fh.write(header + b"\r\n")
+            write_rows(fh, "%.17g,%s\r\n", [self.log_ratio.ravel(), (tails, codes.ravel())],
                        prefix=prefix)
         with open(str(path) + ".meta.json", "w") as fh:
             json.dump(self.metadata, fh, indent=2, default=str)
 
 
+# -- CSV text --------------------------------------------------------------------
+
+# Rows turned into text and written at once by ``write_rows``.
 ROWS_PER_WRITE = 4096
+
+# Veltkamp's constant 2**27 + 1 splits a double into two halves whose
+# pairwise products are exact.
+_SPLIT = 134217729.0
+
+
+@functools.cache
+def _float_tables():
+    """Lookup tables of the float kernel, built on first use (read-only,
+    117 KB).
+
+    A text slot is 40 bytes: ``-0.000`` (sign, and the ``0.`` and zeros of a
+    value below 1), then the 17 digits each followed by a point, ``d.d.``.
+    Returns
+
+    - ``words``, ``(10010,)`` uint64: ``d.d.d.d.`` for each 4-digit group
+      ``0..9999``, then the slot's first 8 bytes, ``-0.000d.``, for each
+      leading digit ``d`` at ``10000 + d``;
+    - ``trailing``, ``(10000,)`` uint8: the trailing zeros of each group (4
+      for 0);
+    - ``masks``, ``(2 * 20 * 17, 5)`` uint64: 0xff on the bytes of the slot
+      that the ``%.17g`` text uses and 0 elsewhere, at row ``(negative * 20
+      + exponent + 4) * 17 + zeros`` for exponents -4..15 and 0..16
+      trailing zeros;
+    - ``powers``, ``(3, 21)``: ``10**q`` for q in 0..20 (exact in binary64
+      up to q = 22) and its two Veltkamp halves.
+    """
+    ascii_digits = np.arange(10, dtype=np.uint8) + ord("0")
+    words = np.full((10010, 8), ord("."), dtype=np.uint8)
+    words[:10000, ::2] = np.stack(np.meshgrid(*[ascii_digits] * 4, indexing="ij"),
+                                  axis=-1).reshape(-1, 4)
+    words[10000:, :6] = np.frombuffer(b"-0.000", dtype=np.uint8)
+    words[10000:, 6] = ascii_digits
+    trailing = np.zeros(10000, dtype=np.uint8)
+    for power in (10, 100, 1000, 10000):
+        trailing[::power] += 1
+    negative, exponent, zeros, col = np.ix_(np.arange(2), np.arange(-4, 16), np.arange(17),
+                                            np.arange(40))
+    digit = (col - 6) // 2  # the digit at byte 6 + 2i, or the point after it at 7 + 2i
+    last = np.where(exponent >= 0, np.maximum(exponent, 16 - zeros), 16 - zeros)
+    masks = (((col == 0) & (negative == 1))
+             | ((exponent < 0) & (col >= 1) & (col <= 1 - exponent))
+             | ((col >= 6) & (col % 2 == 0) & (digit <= last))
+             | ((col >= 7) & (col % 2 == 1) & (exponent >= 0) & (digit == exponent)
+                & (16 - zeros > exponent)))
+    masks = (masks.reshape(-1, 40) * np.uint8(0xFF)).view(np.uint64)
+    power = 10.0 ** np.arange(21)
+    high = power * _SPLIT - (power * _SPLIT - power)
+    tables = words.view(np.uint64).ravel(), trailing, masks, np.stack([power, high, power - high])
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _scaled(a, exponent):
+    """``a * 10**(16 - exponent)`` as ``p + e`` with no rounding error:
+    Dekker's two-product on Veltkamp halves (no fused multiply-add needed),
+    ``e = ((a_hi b_hi - p) + a_hi b_lo + a_lo b_hi) + a_lo b_lo``."""
+    q = 16 - exponent
+    b, b_hi, b_lo = (row.take(q) for row in _float_tables()[3])
+    p = a * b
+    a_hi = a * _SPLIT
+    a_hi -= a_hi - a
+    a_lo = a - a_hi
+    e = a_hi * b_hi
+    e -= p
+    a_hi *= b_lo
+    e += a_hi
+    b_hi *= a_lo
+    e += b_hi
+    b_lo *= a_lo
+    e += b_lo
+    return p, e
+
+
+def _digits17(a):
+    """The 17 significant decimal digits of each ``a`` in ``[1e-4, 1e16)``,
+    correctly rounded (ties to even) as ``%.17g`` rounds them.
+
+    Returns ``(digits, exponent)``: ``a`` rounds to ``digits * 10**(exponent
+    - 16)`` with ``10**16 <= digits < 10**17``.
+    """
+    exponent = np.floor(np.log10(a)).astype(np.intp)
+    p, e = _scaled(a, exponent)
+    # the exact scaled value p + e must lie in [1e16, 1e17); log10 can put
+    # the exponent one off next to a power of ten
+    off = np.flatnonzero((p <= 1e16) | (p >= 1e17))
+    while off.size:
+        p_off, e_off = p[off], e[off]
+        low = (p_off < 1e16) | ((p_off == 1e16) & (e_off < 0))
+        high = (p_off > 1e17) | ((p_off == 1e17) & (e_off >= 0))
+        off = off[low | high]
+        exponent[off] += np.where(high, 1, -1)[low | high]
+        p[off], e[off] = _scaled(a[off], exponent[off])
+    # p is an even integer above 2**53, so rounding p + e to an integer
+    # half-to-even is rounding e.  No double in [1e-4, 1e16) rounds up to
+    # 10**17 here: the one below each power of ten 10**-3 .. 10**16 prints
+    # below it (0.099999999999999992), and 1e-4 itself lies above 10**-4.
+    digits = p.astype(np.int64)
+    digits += np.rint(e).astype(np.int64)
+    return digits, exponent
+
+
+def _float_text(values):
+    """``%.17g`` text of a float column, as an ``(n, 40)`` uint8 matrix whose
+    row i is the text of value i with NUL bytes in and after it.
+
+    Finite values with ``1e-4 <= |x| < 1e16``, where ``%.17g`` prints fixed
+    notation, are converted by ``_digits17``; every other value (zeros,
+    subnormals, tiny and huge values, nan, infinities) by ``'%.17g' % v``.
+    """
+    x = np.asarray(values, dtype=np.float64)
+    a = np.abs(x)
+    fast = (a >= 1e-4) & (a < 1e16)
+    # 2.0 stands in for the other values: it needs no exponent correction
+    digits, exponent = _digits17(np.where(fast, a, 2.0))
+    words, trailing, masks, _ = _float_tables()
+    # the leading digit, then four groups of four, as rows of words
+    groups = np.empty((5, x.size), dtype=np.int64)
+    for i, power in enumerate((10**16, 10**12, 10**8, 10**4)):
+        np.floor_divide(digits, power, out=groups[i])
+        digits -= groups[i] * power
+    groups[4] = digits
+    zeros = trailing[groups[4]].astype(np.intp)
+    groups[0] += 10000
+    slot = words.take(groups.T)
+    # a group of zeros passes the trailing-zero count on to the group before it
+    rows = np.flatnonzero(groups[4] == 0)
+    for group in groups[3:0:-1]:
+        if not rows.size:
+            break
+        zeros[rows] += trailing[group[rows]]
+        rows = rows[group[rows] == 0]
+    exponent += 4
+    exponent += 20 * np.signbit(x)
+    exponent *= 17
+    exponent += zeros
+    slot &= masks.take(exponent, axis=0)
+    chars = slot.view(np.uint8)
+    for i in np.flatnonzero(~fast):
+        text = b"%.17g" % x[i]
+        chars[i] = 0
+        chars[i, : len(text)] = np.frombuffer(text, dtype=np.uint8)
+    return chars
+
+
+def _int_text(values):
+    """``%d`` text of an integer (or boolean) column, right-aligned in a
+    slot as wide as the widest value, with NUL bytes before it."""
+    v = np.asarray(values).astype(np.int64)
+    magnitude = np.abs(v).view(np.uint64)  # |int64 min| wraps to 2**63, as wanted
+    width = len(str(int(magnitude.max()))) if v.size else 1
+    powers = np.uint64(10) ** np.arange(width - 1, -1, -1, dtype=np.uint64)
+    chars = (magnitude[:, None] // powers % np.uint64(10)).astype(np.uint8) + ord("0")
+    # a place is written when its power does not exceed the value, and the
+    # ones place always
+    unused = magnitude[:, None] < powers
+    unused[:, -1] = False
+    chars[unused] = 0
+    negative = v < 0
+    if negative.any():
+        sign = np.where(negative, np.uint8(ord("-")), np.uint8(0))
+        chars = np.concatenate([sign[:, None], chars], axis=1)
+    return chars
+
+
+def _text_bytes(text):
+    """``text`` as ASCII bytes; NUL marks the unused bytes of a slot, so
+    the text may not hold it."""
+    if "\0" in text:
+        raise ValueError(f"CSV text may not hold NUL: {text!r}")
+    return text.encode("ascii")
+
+
+def _table_text(table):
+    """The strings of a ``%s`` column's table, one per row, padded with NUL."""
+    encoded = [_text_bytes(text) for text in table]
+    chars = np.zeros((len(encoded), max(map(len, encoded), default=0)), dtype=np.uint8)
+    for row, text in zip(chars, encoded):
+        row[: len(text)] = np.frombuffer(text, dtype=np.uint8)
+    return chars
+
+
+_CONVERSION = re.compile(r"%(\.17g|d|s|%)")
+
+
+def _parse_row_format(row_format):
+    """Split a row format into literal bytes and its conversions, ``".17g"``,
+    ``"d"`` or ``"s"``, in order."""
+    fields, literal = [], ""
+    for i, piece in enumerate(_CONVERSION.split(row_format)):
+        if i % 2 == 0 and "%" in piece:
+            raise ValueError(f"unsupported conversion in row format {row_format!r}")
+        if i % 2 == 0 or piece == "%":
+            literal += piece
+            continue
+        if literal:
+            fields.append(_text_bytes(literal))
+        fields.append(piece)
+        literal = ""
+    if literal:
+        fields.append(_text_bytes(literal))
+    return fields
 
 
 class RowPrefix:
@@ -191,50 +397,84 @@ class RowPrefix:
     agents' clusters, that starts each row of a table with one row per
     (iteration, agent), iteration-major.
 
-    ``write_rows`` takes one template per ``ROWS_PER_WRITE`` rows from it: a
-    %-format with this text written in and the rest of each row left to
-    fill.  A template is built on first use and kept, so the tables of one
-    shape written through one prefix (a run's traces) format only their own
-    columns.
+    ``write_rows`` takes the prefix of one ``ROWS_PER_WRITE`` window at a
+    time from it, as a byte matrix of one row per table row (NUL bytes
+    mark the unused ones).  A window is built on first use and kept, so the
+    tables of one shape written through one prefix (a run's traces) convert
+    only their own columns.
     """
 
     def __init__(self, steps, n_agents, clusters=None):
         self.steps = steps
         self.n_agents = n_agents
         self.clusters = None if clusters is None else np.asarray(clusters)
-        self._templates = {}
+        self._windows = {}
 
     def fits(self, steps, clusters):
         return steps == self.steps and np.array_equal(clusters, self.clusters)
 
-    def template(self, start, row_format):
-        """Rows ``start .. start + ROWS_PER_WRITE - 1``, each its prefix text
-        followed by ``row_format``."""
-        key = (start, row_format)
-        if key not in self._templates:
+    def window(self, start):
+        """The prefix bytes of rows ``start .. start + ROWS_PER_WRITE - 1``."""
+        if start not in self._windows:
             index = np.arange(start, min(start + ROWS_PER_WRITE, self.steps * self.n_agents))
             columns = list(np.divmod(index, self.n_agents))
             if self.clusters is not None:
                 columns.append(self.clusters[columns[1]])
-            row = "%d," * len(columns) + row_format.replace("%", "%%")
-            values = chain.from_iterable(zip(*(col.tolist() for col in columns)))
-            self._templates[key] = (row * index.size) % tuple(values)
-        return self._templates[key]
+            comma = np.full((index.size, 1), ord(","), dtype=np.uint8)
+            self._windows[start] = np.concatenate(
+                [part for col in columns for part in (_int_text(col), comma)], axis=1)
+        return self._windows[start]
 
 
 def write_rows(fh, row_format, columns, prefix=None):
-    """Write equal-length columns as text rows, ``ROWS_PER_WRITE`` at a time.
+    """Write equal-length columns as text rows to a binary file, one
+    ``write`` per ``ROWS_PER_WRITE`` rows.
 
-    ``row_format`` is a %-format for one row; it is applied to many rows by
-    a single string operation, which is what keeps large CSVs cheap.  With a
-    ``RowPrefix``, every row starts with the prefix's fixed text, which is
-    formatted once per prefix instead of once per table.
+    ``row_format`` is a %-format for one row made of ``%.17g``, ``%d``,
+    ``%s`` and literal text; the bytes written are those of
+    ``row_format % row``, row by row.  A ``%.17g`` column holds floats, a
+    ``%d`` column integers or booleans, and a ``%s`` column is a pair
+    ``(table, codes)``: a sequence of ASCII strings and, per row, the index
+    of its string.  With a ``RowPrefix``, every row starts with the
+    prefix's fixed text.
+
+    No Python object is made per value.  A window of rows is a ``uint8``
+    matrix of one slot per field: the prefix from its cache, ``%.17g`` from
+    an exact vectorised kernel, ``%d`` from digit arithmetic, ``%s`` from
+    the table's rows and the literal text as it is.  NUL bytes fill what a
+    slot does not use, and deleting them leaves the window's text.
     """
-    total = len(columns[0])
+    conversions = _parse_row_format(row_format)
+    if sum(isinstance(field, str) for field in conversions) != len(columns):
+        raise ValueError(f"row format {row_format!r} does not take {len(columns)} columns")
+    fields, values = [], iter(columns)
+    for field in conversions:
+        if isinstance(field, bytes):
+            fields.append((field, np.frombuffer(field, dtype=np.uint8)))
+        elif field == "s":
+            table, codes = next(values)
+            fields.append((field, (_table_text(table), np.asarray(codes))))
+        else:
+            fields.append((field, np.asarray(next(values))))
+    lengths = {len(data[1]) if field == "s" else data.size
+               for field, data in fields if isinstance(field, str)}
+    if len(lengths) != 1:
+        raise ValueError("write_rows needs at least one column, all of one length")
+    total = lengths.pop()
     for start in range(0, total, ROWS_PER_WRITE):
-        part = [col[start : start + ROWS_PER_WRITE].tolist() for col in columns]
-        rows = row_format * len(part[0]) if prefix is None else prefix.template(start, row_format)
-        fh.write(rows % tuple(chain.from_iterable(zip(*part))))
+        stop = min(start + ROWS_PER_WRITE, total)
+        parts = [] if prefix is None else [prefix.window(start)]
+        for field, data in fields:
+            if isinstance(field, bytes):
+                parts.append(np.broadcast_to(data, (stop - start, data.size)))
+            elif field == "s":
+                table, codes = data
+                parts.append(table.take(codes[start:stop], axis=0))
+            else:
+                parts.append((_float_text if field == ".17g" else _int_text)(data[start:stop]))
+        text = bytearray((stop - start) * sum(part.shape[1] for part in parts))
+        np.concatenate(parts, axis=1, out=np.frombuffer(text, dtype=np.uint8).reshape(stop - start, -1))
+        fh.write(text.translate(None, b"\0"))
 
 
 # -- the log-ratio engine ------------------------------------------------------

@@ -9,6 +9,7 @@ generated their inputs.
 from __future__ import annotations
 
 from collections import Counter
+from io import BytesIO
 from typing import NamedTuple
 
 import numpy as np
@@ -35,7 +36,9 @@ from .inverse import (
     scan_delta,
 )
 from .learning import (
+    ROWS_PER_WRITE,
     BeliefState,
+    RowPrefix,
     asl_update,
     bayesian_update,
     estimate_state,
@@ -43,6 +46,7 @@ from .learning import (
     llr_table,
     log_ratio_chunks,
     ratio_estimates,
+    write_rows,
 )
 from .models import (
     BUCKETS,
@@ -545,6 +549,53 @@ def check_series_vs_closed_form(tol=1e-9):
     )
 
 
+def check_csv_text_vs_printf(seed=47, steps=300, n_agents=30):
+    """The byte-matrix CSV writer against a ``row_format % row`` loop.
+
+    Random columns over ``steps * n_agents`` rows (three ``ROWS_PER_WRITE``
+    windows): floats log-uniform over 1e-6..1e18, where the exact kernel
+    works, and over 1e-320..1e300, with both signs, zeros, subnormals, nan
+    and infinities; integers of either sign up to 13 digits; codes into a
+    table of strings.  The rows are written without a prefix and with a
+    ``RowPrefix``, and the bytes must equal the loop's.
+    """
+    rng = np.random.default_rng(seed)
+    rows = steps * n_agents
+    signs = rng.choice([-1.0, 1.0], size=(2, rows))
+    floats = signs * 10.0 ** np.stack([rng.uniform(-6, 18, rows), rng.uniform(-320, 300, rows)])
+    specials = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, 1e-4, 1e16, 0.1, 1.0]
+    floats[:, rng.choice(rows, size=len(specials), replace=False)] = specials
+    ints = rng.integers(-10**13, 10**13, rows) // 10 ** rng.integers(0, 13, rows)
+    table = ["", "0", "1,7", "word", "x" * 12]
+    codes = rng.integers(0, len(table), rows)
+    clusters = rng.integers(0, 3, n_agents)
+    row_format = "%.17g,%d,%s;%.17g\r\n"
+    columns = [floats[0], ints, (table, codes), floats[1]]
+    loop = [row_format % (floats[0, i], ints[i], table[codes[i]], floats[1, i])
+            for i in range(rows)]
+    prefixes = ["%d,%d,%d," % (i // n_agents, i % n_agents, clusters[i % n_agents])
+                for i in range(rows)]
+    mismatches = []
+    for name, prefix, expected in (
+            ("no prefix", None, "".join(loop)),
+            ("RowPrefix", RowPrefix(steps, n_agents, clusters),
+             "".join(p + row for p, row in zip(prefixes, loop)))):
+        bulk = BytesIO()
+        write_rows(bulk, row_format, columns, prefix=prefix)
+        if bulk.getvalue() != expected.encode("ascii"):
+            got = bulk.getvalue().decode("ascii").splitlines()
+            first = next(i for i, (a, b) in enumerate(zip(got, expected.splitlines()))
+                         if a != b)
+            mismatches.append(f"{name}: row {first}")
+    fast = int(((np.abs(floats) >= 1e-4) & (np.abs(floats) < 1e16)).sum())
+    return (
+        not mismatches,
+        f"{len(mismatches)} of 2 writes differ from the row loop over {rows} rows "
+        f"({-(-rows // ROWS_PER_WRITE)} windows; {fast} of {floats.size} floats in the "
+        "fixed-notation range)" + (f"; {', '.join(mismatches)}" if mismatches else ""),
+    )
+
+
 # Each check returns ``(passed, detail)``; ``verify`` prints and selects it
 # by its name here.
 SUITES = {
@@ -560,6 +611,7 @@ SUITES = {
     "scan-delta-recovery": check_scan_recovery,
     "expected-matrix-trend": check_expected_matrix_trend,
     "series-vs-closed-form": check_series_vs_closed_form,
+    "csv-text-vs-printf": check_csv_text_vs_printf,
 }
 
 

@@ -185,6 +185,25 @@ class TestSimulate:
         assert error["error"] == "MalformedConfig"
         assert repr(field) in error["detail"]
 
+    # a list used to die with an uncaught TypeError traceback, and a string
+    # with a ValueError about dictionary update sequences
+    @pytest.mark.parametrize("command", ["simulate", "predict"])
+    @pytest.mark.parametrize("document, found", [
+        ([1, 2], "an array"), ("str", "a string"), (3, "a number"), (None, "null"),
+        (True, "a boolean"),
+    ])
+    def test_config_that_is_not_an_object_is_one_json_error(self, tmp_path, capsys, command,
+                                                            document, found):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(document))
+        code = main([command, "--config", str(path), "--out", str(tmp_path / "run")])
+        assert code == 2
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        error = json.loads(err)
+        assert error["error"] == "MalformedConfig"
+        assert error["detail"] == f"a config must be a JSON object, got {found}"
+
     @pytest.mark.parametrize("command", ["simulate", "predict"])
     def test_pair_outside_the_hypotheses_is_one_json_error(self, tmp_path, capsys, command):
         config = write_config(tmp_path, pair=[0, 5])

@@ -528,6 +528,34 @@ class TestCompareTheory:
         assert all(abs(row.z_score) < 1e-9 for row in rows)
         assert not any(row.flagged for row in rows)
 
+    # both used to be written inf,1: a mismatch flagged where nothing was tested
+    @pytest.mark.parametrize("overrides", [{"replicates": 1}, {"burn_in": 80}])
+    def test_nothing_to_test_is_not_flagged(self, overrides):
+        result = run_experiment(small_config(**overrides))
+        prediction = expected_log_ratio(VB1, bernoulli_profile(result.clusters, (0.1, 0.5)),
+                                        0.2)
+        rows = compare_theory(result, prediction)
+        assert len(rows) == 2
+        assert all(np.isnan(row.stderr) and np.isnan(row.z_score) for row in rows)
+        assert not any(row.flagged for row in rows)
+
+    def test_zero_stderr(self):
+        result = run_experiment(small_config())
+        prediction = expected_log_ratio(VB1, bernoulli_profile(result.clusters, (0.1, 0.5)),
+                                        0.2)
+        stats = result.cluster_statistics("mu")
+        # every replicate's mean made equal to its cluster's mean, so the
+        # standard error is zero
+        for c, stat in stats.items():
+            result.rep_means_mu[:, result.clusters == c] = stat["mean"]
+        stats = result.cluster_statistics("mu")
+        prediction.values = np.where(result.clusters == 0, stats[0]["mean"],
+                                     stats[1]["mean"] + 0.5)
+        rows = compare_theory(result, prediction)
+        assert [row.stderr for row in rows] == [0.0, 0.0]
+        assert [row.z_score for row in rows] == [0.0, float("inf")]
+        assert [row.flagged for row in rows] == [False, True]
+
     def test_unknown_series_rejected(self):
         result = run_experiment(small_config(replicates=2))
         with pytest.raises(ValueError, match="'mu' or 'psi'"):

@@ -1,8 +1,15 @@
 import csv
+import io
 import json
+import math
+import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blocklearn.exceptions import DeltaOutOfRange, InvalidPair
 from blocklearn.graphs import BlockModel, SbmParams, perron_vector, sample_sbm
@@ -20,9 +27,11 @@ from blocklearn.learning import (
     log_ratio_chunks,
     pair_ratio,
     ratio_estimates,
+    ROWS_PER_WRITE,
     RowPrefix,
     run,
     simulate_block,
+    write_rows,
 )
 from blocklearn.models import (
     LikelihoodProfile,
@@ -386,6 +395,115 @@ class TestTraceCsv:
             trace.to_csv(tmp_path / "other.csv", prefix=RowPrefix(151, 30, result.clusters[::-1]))
         with pytest.raises(ValueError, match="row prefix"):
             trace.to_csv(tmp_path / "other.csv", prefix=RowPrefix(150, 30, result.clusters))
+
+
+def printf_text(values):
+    return b"".join(b"%.17g\n" % v for v in values)
+
+
+def kernel_text(values):
+    fh = io.BytesIO()
+    write_rows(fh, "%.17g\n", [np.asarray(values, dtype=np.float64)])
+    return fh.getvalue()
+
+
+def dyadic_values(seed=70):
+    """``k / 2**j`` for j up to 70, with ties: an odd ``k / 2**j`` has j
+    fractional digits, the last a 5, so in ``[10**(17-j), 10**(18-j))`` it
+    has 18 significant digits and lies halfway between two 17-digit texts."""
+    rng = np.random.default_rng(seed)
+    values = []
+    for j in range(71):
+        low = math.ceil(Fraction(10) ** (17 - j) * 2**j)
+        high = min(math.ceil(Fraction(10) ** (18 - j) * 2**j), 2**53)
+        if low < high:
+            values += [int(k) / 2**j for k in rng.integers(low, high, 40) | 1]
+        values += [int(k) / 2**j for k in rng.integers(1, 2**53, 10) | 1]
+    return values
+
+
+class TestFloatKernel:
+    """``write_rows``'s ``%.17g`` text against Python's own formatting."""
+
+    FIXED = [1e-4, 9.9999999999999995e-05, 1e16, 9999999999999998.0, -0.0, 5e-324,
+             # the values TestTraceCsv marks as easy to get wrong
+             1e-300, 123456789.123, -2.5e16]
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        powers = 10.0 ** np.arange(-5, 18)
+        values = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
+        values = np.concatenate([values, -values, self.FIXED])
+        assert kernel_text(values) == printf_text(values)
+
+    def test_dyadic_ties(self):
+        values = dyadic_values()
+        ties = sum(len(Decimal(v).as_tuple().digits) == 18 for v in values)
+        assert ties >= 500
+        assert kernel_text(values) == printf_text(values)
+        assert kernel_text(np.negative(values)) == printf_text(np.negative(values))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                    min_size=1, max_size=64))
+    def test_any_float(self, values):
+        assert kernel_text(values) == printf_text(values)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+    def test_any_bit_pattern(self, bits):
+        values = np.array(bits, dtype=np.uint64).view(np.float64)
+        assert kernel_text(values) == printf_text(values)
+
+
+class CountingFile:
+    def __init__(self):
+        self.sizes = []
+
+    def write(self, data):
+        self.sizes.append(len(data))
+
+
+class TestWriteRows:
+    def test_one_write_per_window(self):
+        rows = 1_000_000
+        values = np.random.default_rng(8).normal(scale=5.0, size=rows)
+        # values the kernel leaves to Python's formatting, here and there
+        values[::997] = np.resize([0.0, -1e-300, np.nan, 1e300], values[::997].size)
+        fh = CountingFile()
+        tracemalloc.start()
+        try:
+            write_rows(fh, "%.17g\r\n", [values])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(fh.sizes) == -(-rows // ROWS_PER_WRITE)
+        # the widest %.17g text is 24 bytes ("-2.2250738585072014e-308")
+        assert max(fh.sizes) <= ROWS_PER_WRITE * (24 + 2)
+        # nothing as large as the column (8 MB) is made
+        assert peak < 2_000_000
+
+    def test_columns_must_match_the_format(self):
+        fh = io.BytesIO()
+        with pytest.raises(ValueError, match="does not take 1 columns"):
+            write_rows(fh, "%.17g,%d\n", [np.zeros(3)])
+        with pytest.raises(ValueError, match="one length"):
+            write_rows(fh, "%.17g,%d\n", [np.zeros(3), np.zeros(2, dtype=int)])
+        with pytest.raises(ValueError, match="unsupported conversion"):
+            write_rows(fh, "%.3f\n", [np.zeros(3)])
+        with pytest.raises(ValueError, match="NUL"):
+            write_rows(fh, "%s\n", [(["a\0"], np.zeros(3, dtype=int))])
+        assert fh.getvalue() == b""
+
+    def test_ints_and_table_strings(self):
+        ints = np.array([0, 7, -7, 10, -10, 99, 2**63 - 1, -2**63, 1000000])
+        table = ["", "a", "%%", "x,y"]
+        codes = np.arange(ints.size) % len(table)
+        flags = ints > 0
+        fh = io.BytesIO()
+        write_rows(fh, "%d;%s;%d%%\n", [ints, (table, codes), flags])
+        expected = "".join("%d;%s;%d%%\n" % (i, table[c], f)
+                           for i, c, f in zip(ints.tolist(), codes, flags.tolist()))
+        assert fh.getvalue() == expected.encode()
 
 
 class TestCheckPair:
