@@ -185,7 +185,7 @@ def _cmd_fit_delta(args):
             fh.write(b"delta,fit_error\r\n")
             if result.traditional_error is not None:
                 fh.write(b"0.0,%.17g\r\n" % result.traditional_error)  # delta 0: traditional
-            write_rows(fh, "%.17g,%.17g\r\n", [result.deltas, result.errors])
+            write_rows(fh, [result.deltas, result.errors])
         write_manifest(out, "fit-delta", ["delta_scan.csv"])
     return 0
 
@@ -249,7 +249,7 @@ def build_parser():
     pred.set_defaults(func=_cmd_predict)
 
     fit = sub.add_parser("fit-delta", help="scan step sizes against a recorded trace")
-    fit.add_argument("--trace", required=True, help="trace CSV (iter, agent, log_ratio columns)")
+    fit.add_argument("--trace", required=True, help="trace CSV (iter or step, agent, log_ratio columns)")
     fit.add_argument("--network", help="network text file (averaging-rule weights)")
     fit.add_argument("--combination", help="explicit combination matrix CSV")
     fit.add_argument("--grid", default="0.025:0.975:0.025", help="start:stop:step or comma list")

@@ -298,7 +298,7 @@ class ErrorReport:
         columns = [np.arange(self.counts.shape[0]), self.clusters, self.p_err, self.stderr]
         with open(path, "wb") as fh:
             fh.write(b"agent,cluster,p_err,stderr\r\n")
-            write_rows(fh, "%d,%d,%.17g,%.17g\r\n", columns)
+            write_rows(fh, columns)
 
 
 @dataclass
@@ -376,7 +376,7 @@ class ExperimentResult:
         steps, n = self.iter_mean.shape
         with open(out / "iteration_stats.csv", "wb") as fh:
             fh.write(b"iter,agent,mean_log_ratio,std_log_ratio\r\n")
-            write_rows(fh, "%.17g,%.17g\r\n", [self.iter_mean.ravel(), self.iter_std.ravel()],
+            write_rows(fh, [self.iter_mean.ravel(), self.iter_std.ravel()],
                        prefix=RowPrefix(steps, n))
         outputs.append("iteration_stats.csv")
 
@@ -643,4 +643,4 @@ def _write_comparison_csv(path, rows):
     columns = [np.array([getattr(row, name) for row in rows]) for name in ComparisonRow._fields]
     with open(path, "wb") as fh:
         fh.write(",".join(ComparisonRow._fields).encode("ascii") + b"\r\n")
-        write_rows(fh, "%d,%.17g,%.17g,%.17g,%.17g,%d\r\n", columns)
+        write_rows(fh, columns)

@@ -37,7 +37,9 @@ class BeliefSeries:
     ``split_index`` are the fitting segment, the rest the validation segment.
     Gaps (NaNs) are forward-filled at ingestion: an agent that is silent at a
     step keeps its previous value, and leading gaps fall back to 0 (the
-    uniform-belief ratio).
+    uniform-belief ratio).  ``from_array`` builds one from a ``(steps,
+    agents)`` array and ``from_trace_csv`` from a CSV with ``iter`` (or
+    ``step``), ``agent`` and ``log_ratio`` columns.
     """
 
     values: np.ndarray
@@ -67,30 +69,36 @@ class BeliefSeries:
         return cls(values=filled, split_index=split_index)
 
     @classmethod
-    def from_csv(cls, path, split_index=None, step_col="step", agent_col="agent", value_col="log_ratio"):
-        """Load a generic long-format CSV with step, agent and log-ratio columns.
-
-        The header is read first; the three named columns are then parsed in
-        one ``np.loadtxt`` call, in any column order.
+    def from_trace_csv(cls, path, split_index=None):
+        """Load a trace CSV, or any long-format CSV with ``step``, ``agent``
+        and ``log_ratio`` columns in any order: the step column is ``iter``
+        if the header has one, else ``step``.  The three columns are parsed
+        in one ``np.loadtxt`` call.
 
         Raises
         ------
         MalformedFile
-            If the header lacks one of the named columns, or a step or agent
-            id is not a non-negative integer.
+            If the header lacks one of the columns, a cell of one is not a
+            number, a step or agent id is not a non-negative integer, or a
+            log-ratio is infinite.
         InsufficientSteps
             If the file has no data rows.
         """
         with open(path, newline="") as fh:
             header = next(csv.reader([fh.readline()]), [])
-            names = (step_col, agent_col, value_col)
+            names = ("iter" if "iter" in header else "step", "agent", "log_ratio")
             missing = [name for name in names if name not in header]
             if missing:
                 raise MalformedFile(f"{path}: no {', '.join(missing)} column in header {header}")
+            usecols = [header.index(name) for name in names]
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # no data rows: reported below
-                data = np.loadtxt(fh, delimiter=",", usecols=[header.index(n) for n in names],
-                                  ndmin=2)
+                try:
+                    data = np.loadtxt(fh, delimiter=",", usecols=usecols, ndmin=2)
+                except ValueError as exc:
+                    name = next(name for name, col in zip(names, usecols)
+                                if not _parses(path, col))
+                    raise MalformedFile(f"{path}: column {name!r}: {exc}") from None
         if not data.size:
             raise InsufficientSteps(f"no rows in {path}")
         for name, ids in zip(names, data[:, :2].T):
@@ -98,15 +106,24 @@ class BeliefSeries:
             if bad.any():
                 raise MalformedFile(f"{path}: column {name!r} must hold non-negative integers, "
                                     f"got {ids[bad][0]:g}")
+        infinite = np.isinf(data[:, 2])
+        if infinite.any():
+            # a NaN is a gap and is forward-filled; an infinity has no fill
+            raise MalformedFile(f"{path}: column 'log_ratio' must hold finite values or gaps, "
+                                f"got {data[infinite, 2][0]:g}")
         steps, agents = data[:, 0].astype(np.int64), data[:, 1].astype(np.int64)
         values = np.full((steps.max() + 1, agents.max() + 1), np.nan)
         values[steps, agents] = data[:, 2]
         return cls.from_array(values, split_index)
 
-    @classmethod
-    def from_trace_csv(cls, path, split_index=None):
-        """Load the trace CSV written by the learning module."""
-        return cls.from_csv(path, split_index, step_col="iter")
+
+def _parses(path, col):
+    """Whether column ``col`` of a CSV file parses as numbers below its header."""
+    try:
+        np.loadtxt(path, delimiter=",", skiprows=1, usecols=col)
+    except ValueError:
+        return False
+    return True
 
 
 def _forward_fill(values):

@@ -569,7 +569,7 @@ def check_csv_text_vs_printf(seed=47, steps=300, n_agents=30):
     table = ["", "0", "1,7", "word", "x" * 12]
     codes = rng.integers(0, len(table), rows)
     clusters = rng.integers(0, 3, n_agents)
-    row_format = "%.17g,%d,%s;%.17g\r\n"
+    row_format = "%.17g,%d,%s,%.17g\r\n"
     columns = [floats[0], ints, (table, codes), floats[1]]
     loop = [row_format % (floats[0, i], ints[i], table[codes[i]], floats[1, i])
             for i in range(rows)]
@@ -581,7 +581,7 @@ def check_csv_text_vs_printf(seed=47, steps=300, n_agents=30):
             ("RowPrefix", RowPrefix(steps, n_agents, clusters),
              "".join(p + row for p, row in zip(prefixes, loop)))):
         bulk = BytesIO()
-        write_rows(bulk, row_format, columns, prefix=prefix)
+        write_rows(bulk, columns, prefix=prefix)
         if bulk.getvalue() != expected.encode("ascii"):
             got = bulk.getvalue().decode("ascii").splitlines()
             first = next(i for i, (a, b) in enumerate(zip(got, expected.splitlines()))

@@ -442,6 +442,36 @@ class TestFitDelta:
         payload = json.loads(capsys.readouterr().out)
         assert payload["best_delta"] == pytest.approx(0.5, abs=1e-9)
 
+    def test_step_column_reads_as_iter(self, tmp_path):
+        network = sample_sbm(SbmParams(n0=5, n1=5, p0=0.9, p1=0.9, q0=0.3, q1=0.3), seed=1)
+        net_path = tmp_path / "network.txt"
+        save_network(net_path, network)
+        series = recursion_series(np.linspace(-1, 1, 10), network.combination, 0.3, steps=30)
+        rows = "".join(f"{i},{k},{series[i, k]:.17g}\n"
+                       for i in range(series.shape[0]) for k in range(10))
+        for step in ("iter", "step"):
+            (tmp_path / f"{step}.csv").write_text(f"{step},agent,log_ratio\n" + rows)
+            code = main(["fit-delta", "--trace", str(tmp_path / f"{step}.csv"), "--network",
+                         str(net_path), "--traditional", "--out", str(tmp_path / step)])
+            assert code == 0
+        assert ((tmp_path / "step" / "delta_scan.csv").read_bytes()
+                == (tmp_path / "iter" / "delta_scan.csv").read_bytes())
+
+    @pytest.mark.parametrize("cell", ["abc", "inf"])
+    def test_unusable_log_ratio_is_one_json_error(self, tmp_path, capsys, cell):
+        network = sample_sbm(SbmParams(n0=2, n1=2, p0=0.9, p1=0.9, q0=0.6, q1=0.6), seed=1)
+        net_path = tmp_path / "network.txt"
+        save_network(net_path, network)
+        trace_path = tmp_path / "trace.csv"
+        trace_path.write_text("step,agent,log_ratio\n"
+                              + "".join(f"{i},{k},0.5\n" for i in range(8) for k in range(4))
+                              + f"8,0,{cell}\n")
+        code = main(["fit-delta", "--trace", str(trace_path), "--network", str(net_path)])
+        assert code == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "MalformedFile"
+        assert "trace.csv: column 'log_ratio'" in error["detail"]
+
     @pytest.mark.parametrize("flag", ["--network", "--combination"])
     def test_wrong_sized_matrix_is_one_json_error(self, tmp_path, capsys, flag):
         # a 4-agent matrix against a 6-agent trace names both sizes, not numpy's matmul text

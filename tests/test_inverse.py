@@ -107,7 +107,7 @@ class TestCsvParsing:
             writer.writerow(["log_ratio", "note", "agent", "step"])
             for i, k, value in rows:
                 writer.writerow([repr(value), "x", k, i])
-        series = BeliefSeries.from_csv(path)
+        series = BeliefSeries.from_trace_csv(path)
         assert np.array_equal(series.values, dictreader_values(path))
 
     def test_header_only_file(self, tmp_path):
@@ -120,7 +120,7 @@ class TestCsvParsing:
         path = tmp_path / "nostep.csv"
         path.write_text("agent,log_ratio\n0,1.5\n")
         with pytest.raises(MalformedFile):
-            BeliefSeries.from_csv(path)
+            BeliefSeries.from_trace_csv(path)
 
     @pytest.mark.parametrize("column", ["step", "agent"])
     @pytest.mark.parametrize("bad", ["-1", "1.7", "inf", "nan"])
@@ -133,7 +133,20 @@ class TestCsvParsing:
         path.write_text("step,agent,log_ratio\n"
                         + "".join(f"{r['step']},{r['agent']},0.5\n" for r in rows))
         with pytest.raises(MalformedFile, match=f"column '{column}'"):
-            BeliefSeries.from_csv(path)
+            BeliefSeries.from_trace_csv(path)
+
+    @pytest.mark.parametrize("column, bad", [("step", "abc"), ("agent", "1x"),
+                                             ("log_ratio", "abc"), ("log_ratio", "inf"),
+                                             ("log_ratio", "-inf")])
+    def test_cell_that_is_not_a_usable_number(self, tmp_path, column, bad):
+        rows = [{"step": "0", "agent": "0", "log_ratio": "0.5"},
+                {"step": "1", "agent": "0", "log_ratio": "0.5"}]
+        rows[1][column] = bad
+        path = tmp_path / "cells.csv"
+        path.write_text("log_ratio,agent,step\n"
+                        + "".join(f"{r['log_ratio']},{r['agent']},{r['step']}\n" for r in rows))
+        with pytest.raises(MalformedFile, match=f"cells.csv: column '{column}'"):
+            BeliefSeries.from_trace_csv(path)
 
 
 class TestEstimateLogLikelihoods:
