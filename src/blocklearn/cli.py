@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
+from functools import partial
 
 import numpy as np
 
@@ -31,11 +31,10 @@ from .harness import (
     compare_theory,
     resolve_inputs,
     run_experiment,
-    write_manifest,
 )
 from .inverse import BeliefSeries, scan_delta
-from .learning import write_rows
 from .theory import asymmetric_delta_thresholds, expected_log_ratio, symmetric_delta_threshold
+from .writers import write_directory, write_table
 
 
 def _parse_float_list(text):
@@ -85,12 +84,10 @@ def _cmd_generate(args):
     else:
         law = _sbm_params(args)
     network = sample_sbm(law, seed=args.seed, max_retries=args.max_retries)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    save_network(out / "network.txt", network)
-    save_matrix_csv(out / "combination.csv", network.combination)
-    write_manifest(out, "generate", ["network.txt", "combination.csv"])
-    print(f"wrote network with {network.size} agents to {out} (retries={network.retries})")
+    write_directory(args.out, "generate", [
+        ("network.txt", partial(save_network, network=network)),
+        ("combination.csv", partial(save_matrix_csv, matrix=network.combination))])
+    print(f"wrote network with {network.size} agents to {args.out} (retries={network.retries})")
     return 0
 
 
@@ -141,10 +138,7 @@ def _cmd_thresholds(args):
     text = json.dumps(report, indent=2)
     print(text)
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "thresholds.json").write_text(text + "\n")
-        write_manifest(out, "thresholds", ["thresholds.json"])
+        write_directory(args.out, "thresholds", [("thresholds.json", text + "\n")])
     return 0
 
 
@@ -154,11 +148,8 @@ def _cmd_predict(args):
     prediction = expected_log_ratio(source, profile, config.delta, config.pair)
     print(json.dumps({"cluster_means": prediction.cluster_means(clusters)}, indent=2))
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "prediction.json", "w") as fh:
-            json.dump(prediction.to_json(), fh, indent=2)
-        write_manifest(out, "predict", ["prediction.json"])
+        write_directory(args.out, "predict",
+                        [("prediction.json", json.dumps(prediction.to_json(), indent=2))])
     return 0
 
 
@@ -179,14 +170,11 @@ def _cmd_fit_delta(args):
     }
     print(json.dumps(payload, indent=2))
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "delta_scan.csv", "wb") as fh:
-            fh.write(b"delta,fit_error\r\n")
-            if result.traditional_error is not None:
-                fh.write(b"0.0,%.17g\r\n" % result.traditional_error)  # delta 0: traditional
-            write_rows(fh, [result.deltas, result.errors])
-        write_manifest(out, "fit-delta", ["delta_scan.csv"])
+        # the traditional fit comes first, as the row of delta 0.0
+        traditional = [] if result.traditional_error is None else [
+            [(["0.0"], [0]), [result.traditional_error]]]
+        write_directory(args.out, "fit-delta", [("delta_scan.csv", lambda path: write_table(
+            path, ["delta", "fit_error"], *traditional, [result.deltas, result.errors]))])
     return 0
 
 

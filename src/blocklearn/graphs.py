@@ -610,4 +610,8 @@ def save_matrix_csv(path, matrix):
 
 
 def load_matrix_csv(path):
-    return np.atleast_2d(np.loadtxt(path, delimiter=","))
+    """Read a matrix CSV; a cell that is not a number, or ragged rows, raise MalformedFile."""
+    try:
+        return np.atleast_2d(np.loadtxt(path, delimiter=","))
+    except ValueError as exc:
+        raise MalformedFile(f"{path}: not a matrix of numbers ({exc})") from None

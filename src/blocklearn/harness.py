@@ -17,11 +17,9 @@ from . import __version__, learning
 from .exceptions import AllReplicatesFailed, MalformedConfig, MismatchedConfig
 from .graphs import BlockModel, Network, SbmParams, load_network, sample_sbm
 from .learning import (
-    RowPrefix,
     check_pair,
     check_strategy,
     run,  # noqa: F401 - part of this module's namespace, which perfbench/tracing.py wraps
-    write_rows,
 )
 from .models import (
     LikelihoodProfile,
@@ -30,6 +28,7 @@ from .models import (
     random_multinomial_profile,
     seed_words,
 )
+from .writers import RowPrefix, trace_files, write_directory, write_table
 
 __all__ = [
     "ExperimentConfig",
@@ -39,7 +38,6 @@ __all__ = [
     "run_experiment",
     "compare_theory",
     "ComparisonRow",
-    "write_manifest",
 ]
 
 
@@ -108,16 +106,18 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, data, **overrides):
         """Build a config from its JSON form, with non-None ``overrides``
-        applied first.  A document that is not a JSON object, or an unknown
-        or missing field, raises MalformedConfig naming it; the field values
-        are checked as for any config."""
+        applied first.  A document that is not a JSON object, a ``version``
+        other than the integer 1, or an unknown or missing field, raises
+        MalformedConfig naming it; the field values are checked as for any
+        config."""
         if not isinstance(data, dict):
             found = _JSON_TYPES.get(type(data), type(data).__name__)
             raise MalformedConfig(f"a config must be a JSON object, got {found}")
         data = dict(data)
         version = data.pop("version", cls.SCHEMA_VERSION)
-        if version != cls.SCHEMA_VERSION:
-            raise ValueError(f"unsupported config schema version {version}")
+        if not _fits(version, Integral) or version != cls.SCHEMA_VERSION:
+            raise MalformedConfig(f"config field 'version' must be {cls.SCHEMA_VERSION}, "
+                                  f"got {version!r}")
         data.update({k: v for k, v in overrides.items() if v is not None})
         unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
@@ -295,10 +295,8 @@ class ErrorReport:
         return {int(c): float(p[self.clusters == c].mean()) for c in np.unique(self.clusters)}
 
     def to_csv(self, path):
-        columns = [np.arange(self.counts.shape[0]), self.clusters, self.p_err, self.stderr]
-        with open(path, "wb") as fh:
-            fh.write(b"agent,cluster,p_err,stderr\r\n")
-            write_rows(fh, columns)
+        write_table(path, ["agent", "cluster", "p_err", "stderr"],
+                    [np.arange(self.counts.shape[0]), self.clusters, self.p_err, self.stderr])
 
 
 @dataclass
@@ -358,48 +356,20 @@ class ExperimentResult:
         }
 
     def write_outputs(self, out_dir, comparison=None):
-        """Write the run's files and a ``manifest.json`` listing them.
-
-        Returns the names of the files written, apart from the manifest.
-        """
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        outputs = []
-
-        with open(out / "summary.json", "w") as fh:
-            json.dump(self.summary_dict(), fh, indent=2, sort_keys=True)
-        outputs.append("summary.json")
-
-        self.error_report.to_csv(out / "error_report.csv")
-        outputs.append("error_report.csv")
-
-        steps, n = self.iter_mean.shape
-        with open(out / "iteration_stats.csv", "wb") as fh:
-            fh.write(b"iter,agent,mean_log_ratio,std_log_ratio\r\n")
-            write_rows(fh, [self.iter_mean.ravel(), self.iter_std.ravel()],
-                       prefix=RowPrefix(steps, n))
-        outputs.append("iteration_stats.csv")
-
-        # every trace of the run has this shape and these clusters
-        trace_prefix = RowPrefix(steps, n, self.clusters)
-        for i, trace in enumerate(self.traces):
-            name = f"trace_{i:04d}.csv"
-            trace.to_csv(out / name, prefix=trace_prefix)
-            outputs += [name, name + ".meta.json"]
-
+        """Write the run's files and a ``manifest.json`` listing them; returns
+        the names of the files written, apart from the manifest."""
+        files = [
+            ("summary.json", json.dumps(self.summary_dict(), indent=2, sort_keys=True)),
+            ("error_report.csv", self.error_report.to_csv),
+            ("iteration_stats.csv", lambda path: write_table(
+                path, ["iter", "agent", "mean_log_ratio", "std_log_ratio"],
+                [self.iter_mean.ravel(), self.iter_std.ravel()],
+                prefix=RowPrefix(*self.iter_mean.shape))),
+            *trace_files(self.traces),
+        ]
         if comparison is not None:
-            _write_comparison_csv(out / "theory_comparison.csv", comparison)
-            outputs.append("theory_comparison.csv")
-
-        write_manifest(out, "simulate", outputs)
-        return outputs
-
-
-def write_manifest(out_dir, command, outputs):
-    """Write ``manifest.json`` into an existing output directory: the package
-    version, the command and the names of the files it wrote."""
-    with open(Path(out_dir) / "manifest.json", "w") as fh:
-        json.dump({"version": __version__, "command": command, "outputs": outputs}, fh, indent=2)
+            files.append(("theory_comparison.csv", partial(_write_comparison_csv, rows=comparison)))
+        return write_directory(out_dir, "simulate", files)
 
 
 # Replicates stepped together by one recursion.  Blocks are reduced in
@@ -640,7 +610,5 @@ def compare_theory(result, prediction):
 
 
 def _write_comparison_csv(path, rows):
-    columns = [np.array([getattr(row, name) for row in rows]) for name in ComparisonRow._fields]
-    with open(path, "wb") as fh:
-        fh.write(",".join(ComparisonRow._fields).encode("ascii") + b"\r\n")
-        write_rows(fh, columns)
+    write_table(path, ComparisonRow._fields,
+                [np.array([getattr(row, name) for row in rows]) for name in ComparisonRow._fields])

@@ -502,8 +502,8 @@ def load_profile(path):
     Raises
     ------
     MalformedFile
-        If the file is shorter than its header declares or a line has the
-        wrong number of fields.
+        If the file is shorter than its header declares, a line has the
+        wrong number of fields, or the entries do not make a profile.
     """
     with open(path) as fh:
         lines = [ln.split() for ln in fh if ln.strip() and not ln.startswith("#")]
@@ -519,9 +519,8 @@ def load_profile(path):
             f"{path}: expected {h} labels, {n} true states and {n * h} rows of {m} "
             f"probabilities, found {len(labels)}, {true_state.size} and {len(lines) - 3} rows"
         )
-    return LikelihoodProfile(
-        likelihoods=rows.reshape(n, h, m),
-        true_state=true_state,
-        hypotheses=HypothesisSet(labels),
-        reference=str(path),
-    )
+    try:  # a row that does not sum to one, a true state out of range, repeated labels
+        return LikelihoodProfile(likelihoods=rows.reshape(n, h, m), true_state=true_state,
+                                 hypotheses=HypothesisSet(labels), reference=str(path))
+    except ValueError as exc:
+        raise MalformedFile(f"{path}: {exc}") from None

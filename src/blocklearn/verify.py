@@ -36,9 +36,7 @@ from .inverse import (
     scan_delta,
 )
 from .learning import (
-    ROWS_PER_WRITE,
     BeliefState,
-    RowPrefix,
     asl_update,
     bayesian_update,
     estimate_state,
@@ -46,7 +44,6 @@ from .learning import (
     llr_table,
     log_ratio_chunks,
     ratio_estimates,
-    write_rows,
 )
 from .models import (
     BUCKETS,
@@ -57,6 +54,7 @@ from .models import (
     observation_matrix,
 )
 from .theory import expected_log_ratio, symmetric_log_ratio_closed_form
+from .writers import ROWS_PER_WRITE, RowPrefix, write_rows
 
 __all__ = ["CheckResult", "all_checks", "run_all"]
 

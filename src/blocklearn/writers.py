@@ -1,0 +1,348 @@
+"""The layout of every file blocklearn writes: CSV text, trace files, and a
+command's output directory with its manifest."""
+
+import functools
+import json
+from pathlib import Path
+
+import numpy as np
+
+from . import __version__
+
+__all__ = ["ROWS_PER_WRITE", "RowPrefix", "trace_files", "write_directory", "write_rows",
+           "write_table", "write_trace"]
+
+
+# Rows turned into text and written at once by ``write_rows``.
+ROWS_PER_WRITE = 4096
+
+# Veltkamp's constant 2**27 + 1 splits a double into two halves whose
+# pairwise products are exact.
+_SPLIT = 134217729.0
+
+
+@functools.cache
+def _float_tables():
+    """Lookup tables of the float kernel, built on first use (read-only,
+    117 KB).
+
+    A text slot is 40 bytes: ``-0.000`` (sign, and the ``0.`` and zeros of a
+    value below 1), then the 17 digits each followed by a point, ``d.d.``.
+    Returns
+
+    - ``words``, ``(10010,)`` uint64: ``d.d.d.d.`` for each 4-digit group
+      ``0..9999``, then the slot's first 8 bytes, ``-0.000d.``, for each
+      leading digit ``d`` at ``10000 + d``;
+    - ``trailing``, ``(10000,)`` uint8: the trailing zeros of each group (4
+      for 0);
+    - ``masks``, ``(2 * 20 * 17, 5)`` uint64: 0xff on the bytes of the slot
+      that the ``%.17g`` text uses and 0 elsewhere, at row ``(negative * 20
+      + exponent + 4) * 17 + zeros`` for exponents -4..15 and 0..16
+      trailing zeros;
+    - ``powers``, ``(3, 21)``: ``10**q`` for q in 0..20 (exact in binary64
+      up to q = 22) and its two Veltkamp halves.
+    """
+    ascii_digits = np.arange(10, dtype=np.uint8) + ord("0")
+    words = np.full((10010, 8), ord("."), dtype=np.uint8)
+    words[:10000, ::2] = np.stack(np.meshgrid(*[ascii_digits] * 4, indexing="ij"),
+                                  axis=-1).reshape(-1, 4)
+    words[10000:, :6] = np.frombuffer(b"-0.000", dtype=np.uint8)
+    words[10000:, 6] = ascii_digits
+    trailing = np.zeros(10000, dtype=np.uint8)
+    for power in (10, 100, 1000, 10000):
+        trailing[::power] += 1
+    negative, exponent, zeros, col = np.ix_(np.arange(2), np.arange(-4, 16), np.arange(17),
+                                            np.arange(40))
+    digit = (col - 6) // 2  # the digit at byte 6 + 2i, or the point after it at 7 + 2i
+    last = np.where(exponent >= 0, np.maximum(exponent, 16 - zeros), 16 - zeros)
+    masks = (((col == 0) & (negative == 1))
+             | ((exponent < 0) & (col >= 1) & (col <= 1 - exponent))
+             | ((col >= 6) & (col % 2 == 0) & (digit <= last))
+             | ((col >= 7) & (col % 2 == 1) & (exponent >= 0) & (digit == exponent)
+                & (16 - zeros > exponent)))
+    masks = (masks.reshape(-1, 40) * np.uint8(0xFF)).view(np.uint64)
+    power = 10.0 ** np.arange(21)
+    high = power * _SPLIT - (power * _SPLIT - power)
+    tables = words.view(np.uint64).ravel(), trailing, masks, np.stack([power, high, power - high])
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _scaled(a, exponent):
+    """``a * 10**(16 - exponent)`` as ``p + e`` with no rounding error:
+    Dekker's two-product on Veltkamp halves (no fused multiply-add needed),
+    ``e = ((a_hi b_hi - p) + a_hi b_lo + a_lo b_hi) + a_lo b_lo``."""
+    q = 16 - exponent
+    b, b_hi, b_lo = (row.take(q) for row in _float_tables()[3])
+    p = a * b
+    a_hi = a * _SPLIT
+    a_hi -= a_hi - a
+    a_lo = a - a_hi
+    e = a_hi * b_hi
+    e -= p
+    a_hi *= b_lo
+    e += a_hi
+    b_hi *= a_lo
+    e += b_hi
+    b_lo *= a_lo
+    e += b_lo
+    return p, e
+
+
+def _digits17(a):
+    """The 17 significant decimal digits of each ``a`` in ``[1e-4, 1e16)``,
+    correctly rounded (ties to even) as ``%.17g`` rounds them.
+
+    Returns ``(digits, exponent)``: ``a`` rounds to ``digits * 10**(exponent
+    - 16)`` with ``10**16 <= digits < 10**17``.
+    """
+    exponent = np.floor(np.log10(a)).astype(np.intp)
+    p, e = _scaled(a, exponent)
+    # the exact scaled value p + e must lie in [1e16, 1e17); log10 can put
+    # the exponent one off next to a power of ten
+    off = np.flatnonzero((p <= 1e16) | (p >= 1e17))
+    while off.size:
+        p_off, e_off = p[off], e[off]
+        low = (p_off < 1e16) | ((p_off == 1e16) & (e_off < 0))
+        high = (p_off > 1e17) | ((p_off == 1e17) & (e_off >= 0))
+        off = off[low | high]
+        exponent[off] += np.where(high, 1, -1)[low | high]
+        p[off], e[off] = _scaled(a[off], exponent[off])
+    # p is an even integer above 2**53, so rounding p + e to an integer
+    # half-to-even is rounding e.  No double in [1e-4, 1e16) rounds up to
+    # 10**17 here: the one below each power of ten 10**-3 .. 10**16 prints
+    # below it (0.099999999999999992), and 1e-4 itself lies above 10**-4.
+    digits = p.astype(np.int64)
+    digits += np.rint(e).astype(np.int64)
+    return digits, exponent
+
+
+def _float_text(values):
+    """``%.17g`` text of a float column, as an ``(n, 40)`` uint8 matrix whose
+    row i is the text of value i with NUL bytes in and after it.
+
+    Finite values with ``1e-4 <= |x| < 1e16``, where ``%.17g`` prints fixed
+    notation, are converted by ``_digits17``; every other value (zeros,
+    subnormals, tiny and huge values, nan, infinities) by ``'%.17g' % v``.
+    """
+    x = np.asarray(values, dtype=np.float64)
+    a = np.abs(x)
+    fast = (a >= 1e-4) & (a < 1e16)
+    # 2.0 stands in for the other values: it needs no exponent correction
+    digits, exponent = _digits17(np.where(fast, a, 2.0))
+    words, trailing, masks, _ = _float_tables()
+    # the leading digit, then four groups of four, one row of words per
+    # value: a C-ordered index makes the gather several times faster
+    groups = np.empty((x.size, 5), dtype=np.int64)
+    quotient = np.empty_like(digits)
+    for i, power in enumerate((10**16, 10**12, 10**8, 10**4)):
+        np.floor_divide(digits, power, out=quotient)
+        groups[:, i] = quotient
+        quotient *= power
+        digits -= quotient
+    groups[:, 4] = digits
+    zeros = trailing[digits].astype(np.intp)
+    groups[:, 0] += 10000
+    slot = words.take(groups)
+    # a group of zeros passes the trailing-zero count on to the group before it
+    rows = np.flatnonzero(digits == 0)
+    for group in groups.T[3:0:-1]:
+        if not rows.size:
+            break
+        zeros[rows] += trailing[group[rows]]
+        rows = rows[group[rows] == 0]
+    exponent += 4
+    exponent += 20 * np.signbit(x)
+    exponent *= 17
+    exponent += zeros
+    slot &= masks.take(exponent, axis=0)
+    chars = slot.view(np.uint8)
+    for i in np.flatnonzero(~fast):
+        text = b"%.17g" % x[i]
+        chars[i] = 0
+        chars[i, : len(text)] = np.frombuffer(text, dtype=np.uint8)
+    return chars
+
+
+def _int_text(values):
+    """``%d`` text of an integer (or boolean) column, right-aligned in a
+    slot as wide as the widest value, with NUL bytes before it."""
+    v = np.asarray(values).astype(np.int64)
+    magnitude = np.abs(v).view(np.uint64)  # |int64 min| wraps to 2**63, as wanted
+    width = len(str(int(magnitude.max()))) if v.size else 1
+    powers = np.uint64(10) ** np.arange(width - 1, -1, -1, dtype=np.uint64)
+    chars = (magnitude[:, None] // powers % np.uint64(10)).astype(np.uint8) + ord("0")
+    # a place is written when its power does not exceed the value, and the
+    # ones place always
+    unused = magnitude[:, None] < powers
+    unused[:, -1] = False
+    chars[unused] = 0
+    negative = v < 0
+    if negative.any():
+        sign = np.where(negative, np.uint8(ord("-")), np.uint8(0))
+        chars = np.concatenate([sign[:, None], chars], axis=1)
+    return chars
+
+
+def _table_text(table):
+    """The strings of a table column, one per row, padded with NUL.  NUL
+    marks the unused bytes of a slot, so a string may not hold it."""
+    if any("\0" in text for text in table):
+        raise ValueError(f"CSV text may not hold NUL: {table!r}")
+    encoded = [text.encode("ascii") for text in table]
+    chars = np.zeros((len(encoded), max(map(len, encoded), default=0)), dtype=np.uint8)
+    for row, text in zip(chars, encoded):
+        row[: len(text)] = np.frombuffer(text, dtype=np.uint8)
+    return chars
+
+
+class RowPrefix:
+    """The fixed ``iter,agent,`` text, or ``iter,agent,cluster,`` given the
+    agents' clusters, that starts each row of a table with one row per
+    (iteration, agent), iteration-major.
+
+    ``write_rows`` takes the prefix of one ``ROWS_PER_WRITE`` window at a
+    time from it, as a byte matrix of one row per table row (NUL bytes
+    mark the unused ones).  A window is built on first use and kept, so the
+    tables of one shape written through one prefix (a run's traces) convert
+    only their own columns.
+    """
+
+    def __init__(self, steps, n_agents, clusters=None):
+        self.steps = steps
+        self.n_agents = n_agents
+        self.clusters = None if clusters is None else np.asarray(clusters)
+        self._windows = {}
+
+    def window(self, start):
+        """The prefix bytes of rows ``start .. start + ROWS_PER_WRITE - 1``."""
+        if start not in self._windows:
+            index = np.arange(start, min(start + ROWS_PER_WRITE, self.steps * self.n_agents))
+            columns = list(np.divmod(index, self.n_agents))
+            if self.clusters is not None:
+                columns.append(self.clusters[columns[1]])
+            comma = np.full((index.size, 1), ord(","), dtype=np.uint8)
+            self._windows[start] = np.concatenate(
+                [part for col in columns for part in (_int_text(col), comma)], axis=1)
+        return self._windows[start]
+
+
+def _column_text(column):
+    """A ``write_rows`` column's data and the function that converts it to
+    a text matrix, a window of rows at a time, as ``(convert, data)``."""
+    if isinstance(column, tuple):
+        table, codes = column
+        return functools.partial(_table_text(table).take, axis=0), np.asarray(codes)
+    column = np.asarray(column)
+    if column.dtype.kind == "f":
+        return _float_text, column
+    if column.dtype.kind in "iub":
+        return _int_text, column
+    raise ValueError(f"write_rows cannot write a column of dtype {column.dtype}")
+
+
+_COMMA = np.frombuffer(b",", dtype=np.uint8)
+_CRLF = np.frombuffer(b"\r\n", dtype=np.uint8)
+
+
+def write_rows(fh, columns, prefix=None):
+    """Write equal-length columns as comma-separated rows with CRLF endings
+    to a binary file, one ``write`` per ``ROWS_PER_WRITE`` rows.
+
+    A float column is written as ``%.17g``, an integer or boolean column as
+    ``%d``, and a pair ``(table, codes)`` (a sequence of ASCII strings and,
+    per row, the index of its string) as the string.  The bytes are those
+    of a ``csv.writer`` row loop over such text.  With a ``RowPrefix``,
+    every row starts with the prefix's fixed text.
+
+    No Python object is made per value.  A window of rows is a ``uint8``
+    matrix of one slot per field: the prefix from its cache, floats from an
+    exact vectorised kernel, integers from digit arithmetic, strings from
+    the table's rows, and the separators.  NUL bytes fill what a slot does
+    not use, and deleting them leaves the window's text.
+    """
+    fields = [_column_text(column) for column in columns]
+    lengths = {data.size for _, data in fields}
+    if len(lengths) != 1:
+        raise ValueError("write_rows needs at least one column, all of one length")
+    total = lengths.pop()
+    for start in range(0, total, ROWS_PER_WRITE):
+        stop = min(start + ROWS_PER_WRITE, total)
+        parts = [] if prefix is None else [prefix.window(start)]
+        for convert, data in fields:
+            parts += [convert(data[start:stop]), np.broadcast_to(_COMMA, (stop - start, 1))]
+        parts[-1] = np.broadcast_to(_CRLF, (stop - start, 2))
+        text = bytearray((stop - start) * sum(part.shape[1] for part in parts))
+        np.concatenate(parts, axis=1, out=np.frombuffer(text, dtype=np.uint8).reshape(stop - start, -1))
+        fh.write(text.translate(None, b"\0"))
+
+
+def write_table(path, header, *blocks, prefix=None):
+    """Write a CSV file: the ``header`` line, then the rows of each block of
+    columns through ``write_rows`` (with ``prefix``, if given)."""
+    with open(path, "wb") as fh:
+        fh.write(",".join(header).encode("ascii") + b"\r\n")
+        for columns in blocks:
+            write_rows(fh, columns, prefix=prefix)
+
+
+def _write_trace_csv(path, trace, prefix):
+    """Rows ``iter, agent, cluster, log_ratio, estimate[, obs]`` of a
+    ``learning.Trace``: the float log-ratios, then the ``estimate[,obs]`` text
+    as a ``(table, codes)`` pair over the strings the trace can hold."""
+    header = ["iter", "agent", "cluster", "log_ratio", "estimate"]
+    n_estimates = int(trace.estimates.max()) + 1
+    if trace.observations is None:
+        tails = [str(e) for e in range(n_estimates)]
+        codes = trace.estimates
+    else:
+        header.append("obs")
+        # code e * (m + 1) for row 0, which has no observation, and
+        # e * (m + 1) + s + 1 for symbol s
+        m = int(trace.observations.max()) + 1 if trace.observations.size else 0
+        tails = [f"{e},{s}" for e in range(n_estimates) for s in [""] + list(range(m))]
+        codes = trace.estimates.astype(np.intp) * (m + 1)
+        codes[1:] += trace.observations.T
+        codes[1:] += 1
+    write_table(path, header, [trace.log_ratio.ravel(), (tails, codes.ravel())], prefix=prefix)
+
+
+def trace_files(traces, names=None):
+    """The files of a run's traces as ``(name, content)`` pairs: each trace's
+    CSV, named from ``names`` (by default ``trace_0000.csv`` and on), then
+    its JSON metadata sidecar, named after it."""
+    names = names or [f"trace_{i:04d}.csv" for i in range(len(traces))]
+    files, prefix = [], None
+    for name, trace in zip(names, traces):
+        # the traces of a run have one shape and one set of clusters
+        prefix = prefix or RowPrefix(trace.horizon + 1, trace.n_agents, trace.clusters)
+        files += [(name, functools.partial(_write_trace_csv, trace=trace, prefix=prefix)),
+                  (name + ".meta.json", json.dumps(trace.metadata, indent=2, default=str))]
+    return files
+
+
+def write_trace(path, trace):
+    """Write one trace as the CSV ``path`` and its metadata sidecar."""
+    path = Path(path)
+    (_, write_csv), (meta, text) = trace_files([trace], [path.name])
+    write_csv(path)
+    path.with_name(meta).write_text(text)
+
+
+def write_directory(out_dir, command, files):
+    """Write a command's ``(name, content)`` files into ``out_dir``, made if
+    missing, then ``manifest.json`` with the package version, the command and
+    the names written, which it returns.  A content is the file's text, or a
+    function that writes the file given its path."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, content in files:
+        if callable(content):
+            content(out / name)
+        else:
+            (out / name).write_text(content)
+    names = [name for name, _ in files]
+    manifest = {"version": __version__, "command": command, "outputs": names}
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
+    return names

@@ -12,7 +12,7 @@ from blocklearn.cli import main
 from blocklearn.graphs import SbmParams, load_network, sample_sbm, save_matrix_csv, save_network
 from blocklearn.inverse import BeliefSeries, recursion_series, scan_delta
 from blocklearn.learning import run
-from blocklearn.models import bernoulli_profile
+from blocklearn.models import bernoulli_profile, save_profile
 from blocklearn.theory import expected_log_ratio
 
 
@@ -105,16 +105,6 @@ class TestSimulate:
         assert (out / "theory_comparison.csv").exists()
         summary = json.loads((out / "summary.json").read_text())
         assert summary["replicates_ok"] == 2
-
-    def test_manifest_lists_the_files_written(self, tmp_path):
-        config = write_config(tmp_path, store_traces=True)
-        out = tmp_path / "results"
-        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["command"] == "simulate"
-        written = {path.name for path in out.iterdir()} - {"manifest.json"}
-        assert sorted(manifest["outputs"]) == sorted(written)
-        assert "trace_0001.csv.meta.json" in written
 
     def test_zero_horizon(self, tmp_path):
         config = write_config(tmp_path, horizon=0, burn_in=0)
@@ -349,6 +339,39 @@ class TestOutputFiles:
         ).encode()
 
 
+def command_inputs(command, tmp_path):
+    """Arguments, apart from ``--out``, of a run of ``command`` that writes
+    files; its input files go to ``tmp_path``."""
+    law = ["--n0", "5", "--n1", "5", "--p0", "0.9", "--p1", "0.9", "--q0", "0.3", "--q1", "0.3"]
+    if command == "generate":
+        return ["--seed", "1", *law]
+    if command == "thresholds":
+        return ["--d0", "0.035", "--d1", "0.04", "--p", "0.8", "--q", "0.1", *law]
+    if command == "fit-delta":
+        network = sample_sbm(SbmParams(n0=5, n1=5, p0=0.9, p1=0.9, q0=0.3, q1=0.3), seed=1)
+        save_network(tmp_path / "network.txt", network)
+        trace = run(network, bernoulli_profile(network.clusters, (0.1, 0.5)), delta=0.3,
+                    horizon=20, seed=1)
+        trace.to_csv(tmp_path / "trace.csv")
+        return ["--trace", str(tmp_path / "trace.csv"), "--network",
+                str(tmp_path / "network.txt"), "--traditional"]
+    return ["--config", str(write_config(tmp_path, store_traces=True))]
+
+
+class TestManifest:
+    @pytest.mark.parametrize("command", ["generate", "simulate", "thresholds", "predict",
+                                         "fit-delta"])
+    def test_manifest_lists_the_files_written(self, tmp_path, command):
+        out = tmp_path / "results"
+        assert main([command, *command_inputs(command, tmp_path), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == command
+        written = {path.name for path in out.iterdir()} - {"manifest.json"}
+        assert sorted(manifest["outputs"]) == sorted(written)
+        if command == "simulate":
+            assert "trace_0001.csv.meta.json" in written
+
+
 class TestPredict:
     def test_block_model_config(self, tmp_path, capsys):
         config = write_config(tmp_path, delta=0.1, **THREE_COMMUNITY)
@@ -364,6 +387,19 @@ class TestPredict:
         assert "truncation_steps" not in prediction
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "predict" and manifest["outputs"] == ["prediction.json"]
+
+    def test_profile_that_is_not_a_profile_is_one_json_error(self, tmp_path, capsys):
+        profile = bernoulli_profile(np.repeat([0, 1], 15), (0.1, 0.5))
+        path = tmp_path / "profile.txt"
+        save_profile(path, profile)
+        lines = path.read_text().splitlines()
+        lines[3] = "0.5 0.25"  # a row that does not sum to one
+        path.write_text("\n".join(lines) + "\n")
+        config = write_config(tmp_path, profile={"kind": "file", "path": str(path)})
+        assert main(["predict", "--config", str(config)]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "MalformedFile"
+        assert "profile.txt" in error["detail"] and "sum to one" in error["detail"]
 
     def test_prediction_table(self, tmp_path, capsys):
         config = write_config(tmp_path, delta=0.1)
@@ -491,6 +527,20 @@ class TestFitDelta:
         error = json.loads(err)
         assert error["error"] == "ValueError"
         assert "4x4" in error["detail"] and "6 agents" in error["detail"]
+
+    @pytest.mark.parametrize("text", ["0.5,0.5\r\n0.5,abc\r\n", "0.5,0.5\r\n0.5\r\n"],
+                             ids=["not-a-number", "ragged"])
+    def test_malformed_combination_csv_is_one_json_error(self, tmp_path, capsys, text):
+        path = tmp_path / "combination.csv"
+        path.write_text(text)
+        trace_path = tmp_path / "trace.csv"
+        trace_path.write_text("iter,agent,log_ratio\n"
+                              + "".join(f"{i},{k},0.5\n" for i in range(4) for k in range(2)))
+        code = main(["fit-delta", "--trace", str(trace_path), "--combination", str(path)])
+        assert code == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "MalformedFile"
+        assert error["detail"].startswith(f"{path}: not a matrix of numbers")
 
     def test_zero_grid_step_is_one_json_error(self, tmp_path, capsys):
         network = sample_sbm(SbmParams(n0=3, n1=3, p0=0.9, p1=0.9, q0=0.3, q1=0.3), seed=1)

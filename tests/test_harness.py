@@ -204,6 +204,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig.from_dict({"version": 99, "network": {}, "profile": {}})
 
+    # the string "1" used to be reported as "unsupported config schema version 1",
+    # and true was taken for 1
+    @pytest.mark.parametrize("version", [2, "1", True, 1.0])
+    def test_schema_version_is_a_named_field(self, version):
+        with pytest.raises(MalformedConfig,
+                           match=f"config field 'version' must be 1, got {version!r}$"):
+            ExperimentConfig.from_dict({"version": version, "network": VB1.to_dict(),
+                                        "profile": PROFILE})
+
 
 class TestRunExperiment:
     def test_deterministic_reports(self):

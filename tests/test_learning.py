@@ -27,11 +27,8 @@ from blocklearn.learning import (
     log_ratio_chunks,
     pair_ratio,
     ratio_estimates,
-    ROWS_PER_WRITE,
-    RowPrefix,
     run,
     simulate_block,
-    write_rows,
 )
 from blocklearn.models import (
     LikelihoodProfile,
@@ -44,6 +41,7 @@ from blocklearn.theory import (
     network_divergence,
     symmetric_log_ratio_closed_form,
 )
+from blocklearn.writers import ROWS_PER_WRITE, write_rows
 
 VB1 = SbmParams(n0=15, n1=15, p0=0.8, p1=0.8, q0=0.1, q1=0.1)
 CRITERION_5 = BlockModel(sizes=(20, 25, 30),
@@ -384,17 +382,16 @@ class TestTraceCsv:
                                   burn_in=50, replicates=4, base_seed=5, store_traces=True,
                                   record_observations=True)
         result = run_experiment(config)
-        prefix = RowPrefix(151, 30, result.clusters)
+        # write_outputs writes the run's traces through one shared RowPrefix,
+        # Trace.to_csv each trace through its own
+        result.write_outputs(tmp_path / "run")
         for i, trace in enumerate(result.traces):
-            trace.to_csv(tmp_path / f"shared_{i}.csv", prefix=prefix)
             trace.to_csv(tmp_path / f"alone_{i}.csv")
-            shared = (tmp_path / f"shared_{i}.csv").read_bytes()
+            shared = (tmp_path / "run" / f"trace_{i:04d}.csv").read_bytes()
             assert shared == (tmp_path / f"alone_{i}.csv").read_bytes()
-        assert len({(tmp_path / f"shared_{i}.csv").read_bytes() for i in range(4)}) == 4
-        with pytest.raises(ValueError, match="row prefix"):
-            trace.to_csv(tmp_path / "other.csv", prefix=RowPrefix(151, 30, result.clusters[::-1]))
-        with pytest.raises(ValueError, match="row prefix"):
-            trace.to_csv(tmp_path / "other.csv", prefix=RowPrefix(150, 30, result.clusters))
+            assert ((tmp_path / "run" / f"trace_{i:04d}.csv.meta.json").read_bytes()
+                    == (tmp_path / f"alone_{i}.csv.meta.json").read_bytes())
+        assert len({(tmp_path / f"alone_{i}.csv").read_bytes() for i in range(4)}) == 4
 
 
 def printf_text(values):

@@ -317,6 +317,21 @@ class TestProfileIO:
         with pytest.raises(MalformedFile):
             load_profile(path)
 
+    @pytest.mark.parametrize("line, text, match", [
+        (1, "theta0 theta0", "labels must be unique"),
+        (2, "0 2 1 1", "out of range"),
+        (3, "0.5 0.25 0.5", "sum to one"),
+    ], ids=["repeated-labels", "true-state", "row-sum"])
+    def test_entries_outside_a_profile_rejected(self, tmp_path, line, text, match):
+        profile = random_multinomial_profile(np.repeat([0, 1], 2), alphabet_size=3, seed=2)
+        path = tmp_path / "profile.txt"
+        save_profile(path, profile)
+        lines = path.read_text().splitlines()
+        lines[line] = text
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MalformedFile, match=f"profile.txt: .*{match}"):
+            load_profile(path)
+
 
 def edge_uniforms(cdf, rng):
     """Random draws, every bucket edge, 0, the largest double below 1, and
