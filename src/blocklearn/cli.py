@@ -34,7 +34,7 @@ from .harness import (
 )
 from .inverse import BeliefSeries, scan_delta
 from .theory import asymmetric_delta_thresholds, expected_log_ratio, symmetric_delta_threshold
-from .writers import write_directory, write_table
+from .writers import text_column, write_directory, write_table
 
 
 def _parse_float_list(text):
@@ -46,12 +46,16 @@ def _parse_int_list(text):
 
 
 def _parse_grid(text):
-    if ":" in text:
+    try:
+        if ":" not in text:
+            return np.asarray(_parse_float_list(text))
         start, stop, step = (float(tok) for tok in text.split(":"))
-        if step == 0:
-            raise ValueError(f"grid step must be nonzero, got {text!r}")
-        return np.arange(start, stop + step / 2, step)
-    return np.asarray(_parse_float_list(text))
+    except ValueError:
+        raise ValueError(f"--grid takes start:stop:step or a comma list of numbers, "
+                         f"got {text!r}") from None
+    if step == 0:
+        raise ValueError(f"--grid step must be nonzero, got {text!r}")
+    return np.arange(start, stop + step / 2, step)
 
 
 def _add_sbm_flags(parser):
@@ -91,26 +95,24 @@ def _cmd_generate(args):
     return 0
 
 
-def _load_config(args, require_out=False):
+def _load_config(args, **overrides):
     # flags are applied before the config is built, so a null burn_in
     # follows a --delta override
-    config = ExperimentConfig.from_json(
+    return ExperimentConfig.from_json(
         args.config,
         base_seed=args.seed,
         out_dir=args.out,
-        replicates=args.replicates,
         delta=args.delta,
-        estimator=args.estimator,
-        n_jobs=args.jobs,
         fixed_graph=args.fixed_graph or None,
+        **overrides,
     )
-    if require_out and not config.out_dir:
-        raise ValueError("an output directory is required (--out or out_dir in the config)")
-    return config
 
 
 def _cmd_simulate(args):
-    config = _load_config(args, require_out=True)
+    config = _load_config(args, replicates=args.replicates, estimator=args.estimator,
+                          n_jobs=args.jobs)
+    if not config.out_dir:
+        raise ValueError("an output directory is required (--out or out_dir in the config)")
     result = run_experiment(config)
     comparison = None
     if config.strategy == "asl":
@@ -172,7 +174,7 @@ def _cmd_fit_delta(args):
     if args.out:
         # the traditional fit comes first, as the row of delta 0.0
         traditional = [] if result.traditional_error is None else [
-            [(["0.0"], [0]), [result.traditional_error]]]
+            [text_column(["0.0"]), [result.traditional_error]]]
         write_directory(args.out, "fit-delta", [("delta_scan.csv", lambda path: write_table(
             path, ["delta", "fit_error"], *traditional, [result.deltas, result.errors]))])
     return 0
@@ -212,15 +214,15 @@ def build_parser():
         p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--seed", type=int)
         p.add_argument("--out")
-        p.add_argument("--replicates", type=int)
         p.add_argument("--delta", type=float)
         p.add_argument("--fixed-graph", action="store_true")
-        p.add_argument("--estimator", choices=("mu", "psi"))
-        p.add_argument("--jobs", type=int,
-                       help="accepted and ignored: replicates run batched in one process")
 
     sim = sub.add_parser("simulate", help="run a Monte Carlo experiment from a config file")
     _add_config_flags(sim)
+    sim.add_argument("--replicates", type=int)
+    sim.add_argument("--estimator", choices=("mu", "psi"))
+    sim.add_argument("--jobs", type=int,
+                     help="accepted and ignored: replicates run batched in one process")
     sim.set_defaults(func=_cmd_simulate)
 
     thr = sub.add_parser("thresholds", help="step-size thresholds for given parameters")

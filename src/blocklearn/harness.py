@@ -28,7 +28,7 @@ from .models import (
     random_multinomial_profile,
     seed_words,
 )
-from .writers import RowPrefix, trace_files, write_directory, write_table
+from .writers import trace_files, write_directory, write_table
 
 __all__ = [
     "ExperimentConfig",
@@ -185,16 +185,24 @@ def _check_field(name, value, kind, owner="config field"):
         raise MalformedConfig(f"{owner} {name!r} must be {_KIND_NAMES[kind]}, got {value!r}")
 
 
-def _spec_values(spec, section, kinds):
+def _spec_values(spec, section, kinds, optional=None):
     """The values of the fields named in ``kinds`` in a network or profile
-    spec dict, each checked against its kind."""
+    spec dict, then those named in ``optional`` (None when missing or null),
+    each checked against its kind.  A field that neither names, other than
+    ``kind``, is refused."""
+    fields = {**kinds, **(optional or {})}
     missing = [name for name in kinds if name not in spec]
     if missing:
         raise MalformedConfig(f"{section} spec of kind {spec['kind']!r} is missing "
                               f"{', '.join(map(repr, missing))}")
-    for name, kind in kinds.items():
-        _check_field(name, spec[name], kind, f"{section} spec field")
-    return [spec[name] for name in kinds]
+    unknown = [name for name in spec if name != "kind" and name not in fields]
+    if unknown:
+        raise MalformedConfig(f"{section} spec of kind {spec['kind']!r} has unknown "
+                              f"field(s) {', '.join(map(repr, unknown))}")
+    for name, kind in fields.items():
+        if name in kinds or spec.get(name) is not None:
+            _check_field(name, spec[name], kind, f"{section} spec field")
+    return [spec.get(name) for name in fields]
 
 
 def _resolve_network_source(spec):
@@ -228,16 +236,11 @@ def _resolve_profile(spec, clusters):
             return bernoulli_profile(clusters,
                                      *_spec_values(spec, "profile", {"success_probs": (Real,)}))
         if kind == "multinomial":
-            alphabet, seed = _spec_values(spec, "profile", {"alphabet": Integral, "seed": Integral})
-            n_hypotheses = spec.get("n_hypotheses")
-            if n_hypotheses is not None:
-                _check_field("n_hypotheses", n_hypotheses, Integral, "profile spec field")
-            return random_multinomial_profile(
-                clusters,
-                alphabet_size=alphabet,
-                seed=seed,
-                n_hypotheses=n_hypotheses,
-            )
+            alphabet, seed, n_hypotheses = _spec_values(
+                spec, "profile", {"alphabet": Integral, "seed": Integral},
+                optional={"n_hypotheses": Integral})
+            return random_multinomial_profile(clusters, alphabet_size=alphabet, seed=seed,
+                                              n_hypotheses=n_hypotheses)
         if kind == "file":
             return load_profile(*_spec_values(spec, "profile", {"path": str}))
         raise MalformedConfig(f"unknown profile spec kind {kind!r}")
@@ -363,8 +366,8 @@ class ExperimentResult:
             ("error_report.csv", self.error_report.to_csv),
             ("iteration_stats.csv", lambda path: write_table(
                 path, ["iter", "agent", "mean_log_ratio", "std_log_ratio"],
-                [self.iter_mean.ravel(), self.iter_std.ravel()],
-                prefix=RowPrefix(*self.iter_mean.shape))),
+                [*np.indices(self.iter_mean.shape).reshape(2, -1), self.iter_mean.ravel(),
+                 self.iter_std.ravel()])),
             *trace_files(self.traces),
         ]
         if comparison is not None:

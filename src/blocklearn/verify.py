@@ -54,7 +54,7 @@ from .models import (
     observation_matrix,
 )
 from .theory import expected_log_ratio, symmetric_log_ratio_closed_form
-from .writers import ROWS_PER_WRITE, RowPrefix, write_rows
+from .writers import ROWS_PER_WRITE, joined_ints, text_column, write_rows
 
 __all__ = ["CheckResult", "all_checks", "run_all"]
 
@@ -554,8 +554,9 @@ def check_csv_text_vs_printf(seed=47, steps=300, n_agents=30):
     windows): floats log-uniform over 1e-6..1e18, where the exact kernel
     works, and over 1e-320..1e300, with both signs, zeros, subnormals, nan
     and infinities; integers of either sign up to 13 digits; codes into a
-    table of strings.  The rows are written without a prefix and with a
-    ``RowPrefix``, and the bytes must equal the loop's.
+    table of strings, as a text column.  The columns are written alone and
+    behind the shared ``iter,agent,cluster`` text column of trace files, and
+    the bytes must equal the loop's.
     """
     rng = np.random.default_rng(seed)
     rows = steps * n_agents
@@ -568,18 +569,19 @@ def check_csv_text_vs_printf(seed=47, steps=300, n_agents=30):
     codes = rng.integers(0, len(table), rows)
     clusters = rng.integers(0, 3, n_agents)
     row_format = "%.17g,%d,%s,%.17g\r\n"
-    columns = [floats[0], ints, (table, codes), floats[1]]
+    columns = [floats[0], ints, text_column(table)[codes], floats[1]]
     loop = [row_format % (floats[0, i], ints[i], table[codes[i]], floats[1, i])
             for i in range(rows)]
     prefixes = ["%d,%d,%d," % (i // n_agents, i % n_agents, clusters[i % n_agents])
                 for i in range(rows)]
+    iters, agents = np.indices((steps, n_agents)).reshape(2, -1)
     mismatches = []
-    for name, prefix, expected in (
-            ("no prefix", None, "".join(loop)),
-            ("RowPrefix", RowPrefix(steps, n_agents, clusters),
+    for name, front, expected in (
+            ("plain columns", [], "".join(loop)),
+            ("iter,agent,cluster text", [joined_ints([iters, agents, clusters[agents]])],
              "".join(p + row for p, row in zip(prefixes, loop)))):
         bulk = BytesIO()
-        write_rows(bulk, columns, prefix=prefix)
+        write_rows(bulk, front + columns)
         if bulk.getvalue() != expected.encode("ascii"):
             got = bulk.getvalue().decode("ascii").splitlines()
             first = next(i for i, (a, b) in enumerate(zip(got, expected.splitlines()))

@@ -9,8 +9,8 @@ import numpy as np
 
 from . import __version__
 
-__all__ = ["ROWS_PER_WRITE", "RowPrefix", "trace_files", "write_directory", "write_rows",
-           "write_table", "write_trace"]
+__all__ = ["ROWS_PER_WRITE", "joined_ints", "text_column", "trace_files", "write_directory",
+           "write_rows", "write_table", "write_trace"]
 
 
 # Rows turned into text and written at once by ``write_rows``.
@@ -185,56 +185,42 @@ def _int_text(values):
     return chars
 
 
-def _table_text(table):
-    """The strings of a table column, one per row, padded with NUL.  NUL
-    marks the unused bytes of a slot, so a string may not hold it."""
-    if any("\0" in text for text in table):
-        raise ValueError(f"CSV text may not hold NUL: {table!r}")
-    encoded = [text.encode("ascii") for text in table]
+def text_column(strings):
+    """A text column of ``write_rows``: one row of ASCII bytes per string,
+    padded with NUL.  NUL marks the unused bytes of a row, so a string may
+    not hold it.  Indexing its rows repeats them: ``text_column(table)[codes]``."""
+    if any("\0" in text for text in strings):
+        raise ValueError(f"CSV text may not hold NUL: {strings!r}")
+    encoded = [text.encode("ascii") for text in strings]
     chars = np.zeros((len(encoded), max(map(len, encoded), default=0)), dtype=np.uint8)
     for row, text in zip(chars, encoded):
         row[: len(text)] = np.frombuffer(text, dtype=np.uint8)
     return chars
 
 
-class RowPrefix:
-    """The fixed ``iter,agent,`` text, or ``iter,agent,cluster,`` given the
-    agents' clusters, that starts each row of a table with one row per
-    (iteration, agent), iteration-major.
-
-    ``write_rows`` takes the prefix of one ``ROWS_PER_WRITE`` window at a
-    time from it, as a byte matrix of one row per table row (NUL bytes
-    mark the unused ones).  A window is built on first use and kept, so the
-    tables of one shape written through one prefix (a run's traces) convert
-    only their own columns.
-    """
-
-    def __init__(self, steps, n_agents, clusters=None):
-        self.steps = steps
-        self.n_agents = n_agents
-        self.clusters = None if clusters is None else np.asarray(clusters)
-        self._windows = {}
-
-    def window(self, start):
-        """The prefix bytes of rows ``start .. start + ROWS_PER_WRITE - 1``."""
-        if start not in self._windows:
-            index = np.arange(start, min(start + ROWS_PER_WRITE, self.steps * self.n_agents))
-            columns = list(np.divmod(index, self.n_agents))
-            if self.clusters is not None:
-                columns.append(self.clusters[columns[1]])
-            comma = np.full((index.size, 1), ord(","), dtype=np.uint8)
-            self._windows[start] = np.concatenate(
-                [part for col in columns for part in (_int_text(col), comma)], axis=1)
-        return self._windows[start]
+def joined_ints(columns):
+    """Equal-length, non-empty integer columns as one text column whose rows
+    are their ``%d`` texts joined by commas.  The columns are converted
+    ``ROWS_PER_WRITE`` rows at a time, since the digit arithmetic of
+    ``_int_text`` takes 16 bytes per digit."""
+    windows = []
+    for start in range(0, len(columns[0]), ROWS_PER_WRITE):
+        parts = [_int_text(column[start:start + ROWS_PER_WRITE]) for column in columns]
+        comma = np.full((len(parts[0]), 1), ord(","), dtype=np.uint8)
+        windows.append(np.concatenate([part for text in parts for part in (comma, text)][1:],
+                                      axis=1))
+    # a window is as wide as its widest values; NUL pads the narrower ones
+    width = max(window.shape[1] for window in windows)
+    return np.concatenate([np.pad(window, [(0, 0), (0, width - window.shape[1])])
+                           for window in windows])
 
 
 def _column_text(column):
-    """A ``write_rows`` column's data and the function that converts it to
-    a text matrix, a window of rows at a time, as ``(convert, data)``."""
-    if isinstance(column, tuple):
-        table, codes = column
-        return functools.partial(_table_text(table).take, axis=0), np.asarray(codes)
+    """A ``write_rows`` column's data and the function that converts a window
+    of its rows to a text matrix, as ``(convert, data)``."""
     column = np.asarray(column)
+    if column.ndim == 2 and column.dtype == np.uint8:
+        return np.asarray, column  # a text column's rows are its text
     if column.dtype.kind == "f":
         return _float_text, column
     if column.dtype.kind in "iub":
@@ -246,30 +232,29 @@ _COMMA = np.frombuffer(b",", dtype=np.uint8)
 _CRLF = np.frombuffer(b"\r\n", dtype=np.uint8)
 
 
-def write_rows(fh, columns, prefix=None):
+def write_rows(fh, columns):
     """Write equal-length columns as comma-separated rows with CRLF endings
     to a binary file, one ``write`` per ``ROWS_PER_WRITE`` rows.
 
     A float column is written as ``%.17g``, an integer or boolean column as
-    ``%d``, and a pair ``(table, codes)`` (a sequence of ASCII strings and,
-    per row, the index of its string) as the string.  The bytes are those
-    of a ``csv.writer`` row loop over such text.  With a ``RowPrefix``,
-    every row starts with the prefix's fixed text.
+    ``%d``, and a text column (a 2-D ``uint8`` array, as ``text_column`` and
+    ``joined_ints`` make) as its rows' bytes up to their NUL padding.  The
+    bytes are those of a ``csv.writer`` row loop over such text.
 
     No Python object is made per value.  A window of rows is a ``uint8``
-    matrix of one slot per field: the prefix from its cache, floats from an
-    exact vectorised kernel, integers from digit arithmetic, strings from
-    the table's rows, and the separators.  NUL bytes fill what a slot does
-    not use, and deleting them leaves the window's text.
+    matrix of one slot per field: floats from an exact vectorised kernel,
+    integers from digit arithmetic, text columns' rows as they are, and the
+    separators.  NUL bytes fill what a slot does not use, and deleting them
+    leaves the window's text.
     """
     fields = [_column_text(column) for column in columns]
-    lengths = {data.size for _, data in fields}
+    lengths = {len(data) for _, data in fields}
     if len(lengths) != 1:
         raise ValueError("write_rows needs at least one column, all of one length")
     total = lengths.pop()
     for start in range(0, total, ROWS_PER_WRITE):
         stop = min(start + ROWS_PER_WRITE, total)
-        parts = [] if prefix is None else [prefix.window(start)]
+        parts = []
         for convert, data in fields:
             parts += [convert(data[start:stop]), np.broadcast_to(_COMMA, (stop - start, 1))]
         parts[-1] = np.broadcast_to(_CRLF, (stop - start, 2))
@@ -278,19 +263,20 @@ def write_rows(fh, columns, prefix=None):
         fh.write(text.translate(None, b"\0"))
 
 
-def write_table(path, header, *blocks, prefix=None):
+def write_table(path, header, *blocks):
     """Write a CSV file: the ``header`` line, then the rows of each block of
-    columns through ``write_rows`` (with ``prefix``, if given)."""
+    columns through ``write_rows``."""
     with open(path, "wb") as fh:
         fh.write(",".join(header).encode("ascii") + b"\r\n")
         for columns in blocks:
-            write_rows(fh, columns, prefix=prefix)
+            write_rows(fh, columns)
 
 
-def _write_trace_csv(path, trace, prefix):
+def _write_trace_csv(path, trace, rows):
     """Rows ``iter, agent, cluster, log_ratio, estimate[, obs]`` of a
-    ``learning.Trace``: the float log-ratios, then the ``estimate[,obs]`` text
-    as a ``(table, codes)`` pair over the strings the trace can hold."""
+    ``learning.Trace``: the ``iter,agent,cluster`` text column ``rows``, the
+    float log-ratios, then the ``estimate[,obs]`` text, the row of each
+    (iteration, agent) picked from the strings the trace can hold."""
     header = ["iter", "agent", "cluster", "log_ratio", "estimate"]
     n_estimates = int(trace.estimates.max()) + 1
     if trace.observations is None:
@@ -305,7 +291,7 @@ def _write_trace_csv(path, trace, prefix):
         codes = trace.estimates.astype(np.intp) * (m + 1)
         codes[1:] += trace.observations.T
         codes[1:] += 1
-    write_table(path, header, [trace.log_ratio.ravel(), (tails, codes.ravel())], prefix=prefix)
+    write_table(path, header, [rows, trace.log_ratio.ravel(), text_column(tails)[codes.ravel()]])
 
 
 def trace_files(traces, names=None):
@@ -313,11 +299,15 @@ def trace_files(traces, names=None):
     CSV, named from ``names`` (by default ``trace_0000.csv`` and on), then
     its JSON metadata sidecar, named after it."""
     names = names or [f"trace_{i:04d}.csv" for i in range(len(traces))]
-    files, prefix = [], None
+    files = []
+    if traces:
+        # the traces of a run have one shape and one set of clusters, so
+        # one text column starts the rows of each
+        trace = traces[0]
+        iters, agents = np.indices((trace.horizon + 1, trace.n_agents)).reshape(2, -1)
+        rows = joined_ints([iters, agents, trace.clusters[agents]])
     for name, trace in zip(names, traces):
-        # the traces of a run have one shape and one set of clusters
-        prefix = prefix or RowPrefix(trace.horizon + 1, trace.n_agents, trace.clusters)
-        files += [(name, functools.partial(_write_trace_csv, trace=trace, prefix=prefix)),
+        files += [(name, functools.partial(_write_trace_csv, trace=trace, rows=rows)),
                   (name + ".meta.json", json.dumps(trace.metadata, indent=2, default=str))]
     return files
 

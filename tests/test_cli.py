@@ -164,6 +164,8 @@ class TestSimulate:
         ({"store_traces": "yes"}, "store_traces"),
         ({"base_seed": 1.5}, "base_seed"),
         ({"pair": [0, 1.5]}, "pair"),
+        ({"profile": {"kind": "multinomial", "alphabet": 4, "seed": 1, "n_hypothesis": 3}},
+         "n_hypothesis"),
     ])
     def test_malformed_config_is_one_json_error(self, tmp_path, capsys, change, field):
         config = write_config(tmp_path, **change)
@@ -411,6 +413,15 @@ class TestPredict:
         assert (out / "prediction.json").exists()
 
 
+    @pytest.mark.parametrize("flag", [["--replicates", "3"], ["--estimator", "psi"],
+                                      ["--jobs", "2"]])
+    def test_simulate_only_flags_are_refused(self, tmp_path, capsys, flag):
+        config = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["predict", "--config", str(config), *flag])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
     def test_fixed_graph_predicts_the_drawn_graph(self, tmp_path, capsys):
         config = write_config(tmp_path, delta=0.1, base_seed=42)
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "sim"),
@@ -558,6 +569,16 @@ class TestFitDelta:
         assert error["error"] == "ValueError"
         assert "grid step" in error["detail"]
 
+
+    @pytest.mark.parametrize("grid", ["0.1:0.5", "0.1,abc", "0.1:0.5:0.1:0.2"])
+    def test_malformed_grid_names_the_flag(self, tmp_path, capsys, grid):
+        # these used to report only the unpacking or float() error
+        code = main(["fit-delta", "--trace", str(tmp_path / "trace.csv"), "--network",
+                     str(tmp_path / "network.txt"), "--grid", grid])
+        assert code == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error == {"error": "ValueError", "detail": "--grid takes start:stop:step or "
+                         f"a comma list of numbers, got {grid!r}"}
 
 # Blocks every scipy import, imports every blocklearn module, then runs the
 # CLI on the remaining arguments.

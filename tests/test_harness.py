@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -198,6 +199,22 @@ class TestConfig:
     ])
     def test_wrong_typed_spec_field_is_named(self, spec, field):
         with pytest.raises(MalformedConfig, match=repr(field)):
+            run_experiment(small_config(**spec))
+
+    # a misspelt field used to be dropped: "n_hypothesis" gave the default
+    # two hypotheses
+    @pytest.mark.parametrize("spec, fields", [
+        ({"profile": {"kind": "multinomial", "alphabet": 4, "seed": 1, "n_hypothesis": 3}},
+         "'n_hypothesis'"),
+        ({"network": {"kind": "sbm", **VB1.to_dict(), "colour": "red"}}, "'colour'"),
+        ({"network": {"kind": "blocks", "sizes": [2, 3], "probs": [[0.9, 0.1], [0.2, 0.8]],
+                      "labels": [0, 1], "seed": 3}}, "'labels', 'seed'"),
+        ({"profile": {"kind": "bernoulli", "success_probs": [0.1, 0.5], "n_hypotheses": 2}},
+         "'n_hypotheses'"),
+        ({"profile": {"kind": "file", "path": "profile.txt", "alphabet": 2}}, "'alphabet'"),
+    ])
+    def test_unknown_spec_field_is_named(self, spec, fields):
+        with pytest.raises(MalformedConfig, match=re.escape(f"unknown field(s) {fields}")):
             run_experiment(small_config(**spec))
 
     def test_unknown_schema_version(self):
