@@ -26,15 +26,27 @@ from .graphs import (
     save_matrix_csv,
     save_network,
 )
-from .harness import (
-    ExperimentConfig,
-    compare_theory,
-    resolve_inputs,
-    run_experiment,
-)
-from .inverse import BeliefSeries, scan_delta
-from .theory import asymmetric_delta_thresholds, expected_log_ratio, symmetric_delta_threshold
 from .writers import text_column, write_directory, write_table
+
+# A subcommand imports the layers above ``graphs`` itself, so that each
+# command loads only the code it runs.  These three are looked up in this
+# module's namespace, where perfbench/tracing.py wraps them (with
+# ``sample_sbm``); each imports its layer when first called.
+
+
+def run_experiment(*args, **kwargs):
+    from .harness import run_experiment
+    return run_experiment(*args, **kwargs)
+
+
+def expected_log_ratio(*args, **kwargs):
+    from .theory import expected_log_ratio
+    return expected_log_ratio(*args, **kwargs)
+
+
+def scan_delta(*args, **kwargs):
+    from .inverse import scan_delta
+    return scan_delta(*args, **kwargs)
 
 
 def _parse_float_list(text):
@@ -96,6 +108,8 @@ def _cmd_generate(args):
 
 
 def _load_config(args, **overrides):
+    from .harness import ExperimentConfig
+
     # flags are applied before the config is built, so a null burn_in
     # follows a --delta override
     return ExperimentConfig.from_json(
@@ -109,6 +123,8 @@ def _load_config(args, **overrides):
 
 
 def _cmd_simulate(args):
+    from .harness import compare_theory
+
     config = _load_config(args, replicates=args.replicates, estimator=args.estimator,
                           n_jobs=args.jobs)
     if not config.out_dir:
@@ -129,6 +145,8 @@ def _cmd_simulate(args):
 
 
 def _cmd_thresholds(args):
+    from .theory import asymmetric_delta_thresholds, symmetric_delta_threshold
+
     report = {}
     if args.p is not None and args.q is not None:
         report["delta_min_symmetric"] = symmetric_delta_threshold(args.d0, args.d1, args.p, args.q)
@@ -145,6 +163,8 @@ def _cmd_thresholds(args):
 
 
 def _cmd_predict(args):
+    from .harness import resolve_inputs
+
     config = _load_config(args)
     source, clusters, profile = resolve_inputs(config)
     prediction = expected_log_ratio(source, profile, config.delta, config.pair)
@@ -156,6 +176,8 @@ def _cmd_predict(args):
 
 
 def _cmd_fit_delta(args):
+    from .inverse import BeliefSeries
+
     grid = _parse_grid(args.grid)
     if args.combination:
         combination = load_matrix_csv(args.combination)
@@ -181,7 +203,6 @@ def _cmd_fit_delta(args):
 
 
 def _cmd_verify(args):
-    # imported here, so that the other subcommands do not compile the suites
     from .verify import run_all
 
     results = run_all(names=args.suite or None)

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the argument checks that
+raise them."""
+
+from numbers import Integral
+
+import numpy as np
 
 
 class BlocklearnError(Exception):
@@ -73,3 +78,21 @@ class PreconditionFailed(BlocklearnError):
 
 class ZeroInformativeness(BlocklearnError):
     """A cluster has zero KL informativeness, so no threshold exists."""
+
+
+def check_delta(delta):
+    """Raise DeltaOutOfRange unless the step size, or every entry of an array
+    of them, lies strictly inside (0, 1).  None and NaN are rejected."""
+    values = np.asarray(np.nan if delta is None else delta)
+    inside = (values > 0.0) & (values < 1.0)
+    if not inside.all():
+        bad = delta if values.ndim == 0 else values[~inside][0]
+        raise DeltaOutOfRange(f"delta must be in (0, 1), got {bad}")
+
+
+def check_pair(pair, n_hypotheses):
+    """Raise InvalidPair unless ``pair`` names two of the ``n_hypotheses``
+    hypotheses by index (negative indices are rejected, not wrapped)."""
+    if len(pair) != 2 or not all(isinstance(h, Integral) and 0 <= h < n_hypotheses for h in pair):
+        raise InvalidPair(f"pair {list(pair)} must be two hypothesis indices in "
+                          f"0..{n_hypotheses - 1}")

@@ -606,7 +606,8 @@ def load_network(path):
 def save_matrix_csv(path, matrix):
     """Write a dense matrix as CSV with 17 significant digits (lossless for
     double precision)."""
-    np.savetxt(path, np.asarray(matrix, dtype=float), delimiter=",", fmt="%.17g")
+    with open(path, "w") as fh:
+        np.savetxt(fh, np.asarray(matrix, dtype=float), delimiter=",", fmt="%.17g")
 
 
 def load_matrix_csv(path):

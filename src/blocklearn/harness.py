@@ -295,7 +295,8 @@ class ErrorReport:
 
     def cluster_means(self):
         p = self.p_err
-        return {int(c): float(p[self.clusters == c].mean()) for c in np.unique(self.clusters)}
+        return {int(c): float(p[self.clusters == c].mean())
+                for c in sorted(set(self.clusters.tolist()))}
 
     def to_csv(self, path):
         write_table(path, ["agent", "cluster", "p_err", "stderr"],
@@ -336,7 +337,7 @@ class ExperimentResult:
         rep = getattr(self, f"rep_means_{series}")
         pooled = getattr(self, f"pooled_var_{series}")
         stats = {}
-        for c in np.unique(self.clusters):
+        for c in sorted(set(self.clusters.tolist())):
             cols = rep[:, self.clusters == c].mean(axis=1)  # per-replicate cluster mean
             se = float(cols.std(ddof=1) / math.sqrt(cols.size)) if cols.size > 1 else float("nan")
             stats[int(c)] = {

@@ -15,8 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import InsufficientSteps, MalformedFile
-from .learning import check_delta
+from .exceptions import InsufficientSteps, MalformedFile, check_delta
 
 __all__ = [
     "BeliefSeries",

@@ -22,12 +22,11 @@ its oracle in ``blocklearn verify``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
 from . import __version__, writers
-from .exceptions import DeltaOutOfRange, InvalidPair
+from .exceptions import check_delta, check_pair
 from .models import observation_matrix
 
 __all__ = [
@@ -265,16 +264,6 @@ def trace_metadata(network, profile, seed, strategy, delta, horizon, pair, estim
     return metadata
 
 
-def check_delta(delta):
-    """Raise DeltaOutOfRange unless the step size, or every entry of an array
-    of them, lies strictly inside (0, 1).  None and NaN are rejected."""
-    values = np.asarray(np.nan if delta is None else delta)
-    inside = (values > 0.0) & (values < 1.0)
-    if not inside.all():
-        bad = delta if values.ndim == 0 else values[~inside][0]
-        raise DeltaOutOfRange(f"delta must be in (0, 1), got {bad}")
-
-
 def check_strategy(strategy, delta, estimator):
     """Reject an unknown strategy or estimator, and a step size outside
     (0, 1), or none, for the step-size strategy."""
@@ -284,14 +273,6 @@ def check_strategy(strategy, delta, estimator):
         check_delta(delta)
     if estimator not in ("mu", "psi"):
         raise ValueError(f"estimator must be 'mu' or 'psi', got {estimator!r}")
-
-
-def check_pair(pair, n_hypotheses):
-    """Raise InvalidPair unless ``pair`` names two of the ``n_hypotheses``
-    hypotheses by index (negative indices are rejected, not wrapped)."""
-    if len(pair) != 2 or not all(isinstance(h, Integral) and 0 <= h < n_hypotheses for h in pair):
-        raise InvalidPair(f"pair {list(pair)} must be two hypothesis indices in "
-                          f"0..{n_hypotheses - 1}")
 
 
 def simulate_block(combination_t, profile, symbols, strategy, delta, pair, estimator,

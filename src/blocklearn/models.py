@@ -212,7 +212,7 @@ def cluster_informativeness(profile, clusters, tol=1e-9):
     """Summarize per-cluster informativeness and check within-cluster homogeneity."""
     clusters = np.asarray(clusters, dtype=int)
     table = divergence_table(profile)
-    labels = np.unique(clusters)
+    labels = sorted(set(clusters.tolist()))
 
     max_dev = 0.0
     for c in labels:
@@ -224,7 +224,7 @@ def cluster_informativeness(profile, clusters, tol=1e-9):
     summed = np.array([others[clusters == c].mean() for c in labels])
 
     d0 = d1 = None
-    if labels.size == 2:
+    if len(labels) == 2:
         truth0 = profile.true_state[clusters == labels[0]]
         truth1 = profile.true_state[clusters == labels[1]]
         if truth0.size and truth1.size and np.all(truth0 == truth0[0]) and np.all(truth1 == truth1[0]):

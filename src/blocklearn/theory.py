@@ -21,9 +21,10 @@ from .exceptions import (
     InvalidRegime,
     PreconditionFailed,
     ZeroInformativeness,
+    check_delta,
+    check_pair,
 )
 from .graphs import BlockModel, expected_combination
-from .learning import check_delta, check_pair
 from .models import divergence_table
 
 __all__ = [
@@ -113,7 +114,8 @@ class LogRatioPrediction:
 
     def cluster_means(self, clusters):
         clusters = np.asarray(clusters)
-        return {int(c): float(self.values[clusters == c].mean()) for c in np.unique(clusters)}
+        return {int(c): float(self.values[clusters == c].mean())
+                for c in sorted(set(clusters.tolist()))}
 
     def to_json(self):
         return {

@@ -228,10 +228,6 @@ def _column_text(column):
     raise ValueError(f"write_rows cannot write a column of dtype {column.dtype}")
 
 
-_COMMA = np.frombuffer(b",", dtype=np.uint8)
-_CRLF = np.frombuffer(b"\r\n", dtype=np.uint8)
-
-
 def write_rows(fh, columns):
     """Write equal-length columns as comma-separated rows with CRLF endings
     to a binary file, one ``write`` per ``ROWS_PER_WRITE`` rows.
@@ -252,14 +248,20 @@ def write_rows(fh, columns):
     if len(lengths) != 1:
         raise ValueError("write_rows needs at least one column, all of one length")
     total = lengths.pop()
+    separators = [b","] * (len(fields) - 1) + [b"\r\n"]
     for start in range(0, total, ROWS_PER_WRITE):
         stop = min(start + ROWS_PER_WRITE, total)
-        parts = []
-        for convert, data in fields:
-            parts += [convert(data[start:stop]), np.broadcast_to(_COMMA, (stop - start, 1))]
-        parts[-1] = np.broadcast_to(_CRLF, (stop - start, 2))
-        text = bytearray((stop - start) * sum(part.shape[1] for part in parts))
-        np.concatenate(parts, axis=1, out=np.frombuffer(text, dtype=np.uint8).reshape(stop - start, -1))
+        parts = [convert(data[start:stop]) for convert, data in fields]
+        width = sum(part.shape[1] for part in parts) + sum(map(len, separators))
+        text = bytearray((stop - start) * width)
+        window = np.frombuffer(text, dtype=np.uint8).reshape(stop - start, width)
+        col = 0
+        for part, separator in zip(parts, separators):
+            window[:, col:col + part.shape[1]] = part
+            col += part.shape[1]
+            for byte in separator:
+                window[:, col] = byte
+                col += 1
         fh.write(text.translate(None, b"\0"))
 
 

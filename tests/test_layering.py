@@ -3,8 +3,9 @@
 ``writers`` owns every file layout and builds on no other module but
 ``exceptions``.  The model layers know nothing of the experiment runner, the
 command line or the verify suites, and the runner knows nothing of the last
-two.  Imports are read from the source with ``ast``, so an import inside a
-function counts as well.
+two.  ``inverse`` fits a recorded trace without the recursion or the
+observation models, so ``fit-delta`` loads neither.  Imports are read from the
+source with ``ast``, so an import inside a function counts as well.
 """
 
 import ast
@@ -19,6 +20,7 @@ MODEL_LAYERS = ["graphs", "models", "learning", "theory", "inverse"]
 FORBIDDEN = {
     "writers": MODULES - {"writers", "exceptions"},
     **{name: {"harness", "cli", "verify"} for name in MODEL_LAYERS},
+    "inverse": {"harness", "cli", "verify", "learning", "models"},
     "harness": {"cli", "verify"},
 }
 
