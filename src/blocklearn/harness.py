@@ -14,10 +14,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__, learning
-from .exceptions import AllReplicatesFailed, MalformedConfig, MismatchedConfig
+from .exceptions import AllReplicatesFailed, MalformedConfig, MismatchedConfig, check_pair
 from .graphs import BlockModel, Network, SbmParams, load_network, sample_sbm
 from .learning import (
-    check_pair,
     check_strategy,
     run,  # noqa: F401 - part of this module's namespace, which perfbench/tracing.py wraps
 )
@@ -28,7 +27,7 @@ from .models import (
     random_multinomial_profile,
     seed_words,
 )
-from .writers import trace_files, write_directory, write_table
+from .writers import TRACE_NAME, TraceWriter, write_directory, write_table, write_traces
 
 __all__ = [
     "ExperimentConfig",
@@ -55,6 +54,8 @@ class ExperimentConfig:
     and ``0 <= burn_in <= horizon``, raising MalformedConfig naming the field,
     and stores integer and real fields as plain ``int`` and ``float``.
     ``n_jobs`` is accepted and ignored: replicates run batched in one process.
+    With ``store_traces``, an ``out_dir`` makes ``run_experiment`` write the
+    trace files into it as the run goes, in place of keeping them in memory.
     """
 
     network: object
@@ -319,6 +320,8 @@ class ExperimentResult:
     pooled_var_mu: np.ndarray
     failures: list
     traces: list = field(default_factory=list, repr=False)
+    # the names of the trace files written into config.out_dir during the run
+    streamed: list = field(default_factory=list, repr=False)
     # the Network every replicate used (fixed graph or network file), or the
     # BlockModel law each replicate drew its own graph from
     network: object = field(default=None, repr=False)
@@ -361,7 +364,12 @@ class ExperimentResult:
 
     def write_outputs(self, out_dir, comparison=None):
         """Write the run's files and a ``manifest.json`` listing them; returns
-        the names of the files written, apart from the manifest."""
+        the names of the files written, apart from the manifest.  Streamed
+        traces are listed, so any ``out_dir`` but theirs raises ValueError."""
+        if self.streamed and Path(out_dir).resolve() != Path(self.config.out_dir).resolve():
+            raise ValueError(f"this run's traces are in {self.config.out_dir}, not {out_dir}")
+        trace_names = self.streamed or write_traces(
+            [Path(out_dir) / TRACE_NAME.format(i) for i in range(len(self.traces))], self.traces)
         files = [
             ("summary.json", json.dumps(self.summary_dict(), indent=2, sort_keys=True)),
             ("error_report.csv", self.error_report.to_csv),
@@ -369,7 +377,7 @@ class ExperimentResult:
                 path, ["iter", "agent", "mean_log_ratio", "std_log_ratio"],
                 [*np.indices(self.iter_mean.shape).reshape(2, -1), self.iter_mean.ravel(),
                  self.iter_std.ravel()])),
-            *trace_files(self.traces),
+            *[(name, None) for name in trace_names],
         ]
         if comparison is not None:
             files.append(("theory_comparison.csv", partial(_write_comparison_csv, rows=comparison)))
@@ -436,9 +444,10 @@ def run_experiment(config):
     Replicate r uses seed ``base_seed + r`` for both its graph draw (unless
     the graph is fixed) and its observation streams.  Replicates run in
     blocks of ``BLOCK_SIZE`` through ``learning.simulate_block``, and each
-    chunk of iterations is reduced as it is produced; per-replicate traces
-    are kept only with ``store_traces``.  Failed replicates are recorded and
-    skipped.
+    chunk of iterations is reduced as it is produced.  Traces are kept only
+    with ``store_traces``: written into ``out_dir`` as the run goes when the
+    config names one, else in the result.  Failed replicates are recorded
+    and skipped.
     """
     source, clusters, profile = resolve_inputs(config)
     fixed_t = np.ascontiguousarray(source.combination.T) if isinstance(source, Network) else None
@@ -449,12 +458,18 @@ def run_experiment(config):
     window = horizon - burn_in
     sum_replicates, sum_samples = _chunk_sums(n)
 
-    iter_sum = np.zeros((horizon + 1, n))
-    iter_sq = np.zeros((horizon + 1, n))
+    stream = Path(config.out_dir) if config.store_traces and config.out_dir else None
+    if stream:
+        # write_outputs writes the manifest last: a directory without one
+        # holds an unfinished run
+        stream.mkdir(parents=True, exist_ok=True)
+        (stream / "manifest.json").unlink(missing_ok=True)
+
+    iter_sum = iter_sq = None
     counts = np.zeros((n, h), dtype=np.int64)
     psi_sq = np.zeros(n)
     mu_sq = np.zeros(n)
-    rep_psi, rep_mu, traces, failures = [], [], [], []
+    rep_psi, rep_mu, traces, streamed, failures = [], [], [], [], []
 
     for first in range(0, config.replicates, BLOCK_SIZE):
         indices = range(first, min(first + BLOCK_SIZE, config.replicates))
@@ -462,6 +477,9 @@ def run_experiment(config):
         failures += block_failures
         if not kept:
             continue
+        if iter_sum is None:
+            # made once the first draw has freed its buffers
+            iter_sum, iter_sq = np.zeros((2, horizon + 1, n))
         if block is None:
             combination_t = fixed_t
         else:
@@ -498,14 +516,25 @@ def run_experiment(config):
 
         record = None
         if config.store_traces:
-            record = [(source if block is None else block.network(i), config.base_seed + indices[i],
-                       {"burn_in": burn_in, "replicate": indices[i], **law_metadata})
-                      for i in kept]
-        traces += learning.simulate_block(
+            observations = symbols if config.record_observations else None
+            if stream:
+                record = TraceWriter([stream / TRACE_NAME.format(len(streamed) // 2 + j)
+                                      for j in range(size)], clusters, h, observations)
+            else:
+                record = learning.TraceRecorder(size, horizon, clusters, h, observations)
+        learning.simulate_block(
             combination_t, profile, symbols, config.strategy, config.delta, config.pair,
-            config.estimator, on_chunk=reduce_chunk, record=record,
-            record_observations=config.record_observations, burn_in=burn_in,
+            config.estimator, on_chunk=reduce_chunk, record=record, burn_in=burn_in,
         )
+        if record is not None:
+            metadata = [learning.trace_metadata(
+                source if block is None else block.network(i), profile,
+                config.base_seed + first + i, config.strategy, config.delta, horizon, config.pair,
+                config.estimator, {"burn_in": burn_in, "replicate": first + i, **law_metadata})
+                for i in kept]
+            (streamed if stream else traces).extend(record.close(metadata))
+        # the next block is drawn without this one's symbols
+        symbols = record = observations = None
         block_hits = hits.sum(axis=1)  # (H-1, N)
         counts[:, 1:] += block_hits.T
         counts[:, 0] += size * window - block_hits.sum(axis=0)
@@ -522,8 +551,11 @@ def run_experiment(config):
 
     rep_psi = np.vstack(rep_psi)
     rep_mu = np.vstack(rep_mu)
-    iter_mean = iter_sum / n_ok
-    iter_std = np.sqrt(np.clip(iter_sq / n_ok - iter_mean**2, 0.0, None))
+    # in place: the (horizon + 1, N) sums are the largest arrays left
+    iter_mean = np.divide(iter_sum, n_ok, out=iter_sum)
+    iter_std = np.divide(iter_sq, n_ok, out=iter_sq)
+    iter_std -= iter_mean**2
+    np.sqrt(np.clip(iter_std, 0.0, None, out=iter_std), out=iter_std)
     total_samples = window * n_ok
     if total_samples:
         pooled_var_psi = psi_sq / total_samples - (rep_psi.mean(axis=0)) ** 2
@@ -551,6 +583,7 @@ def run_experiment(config):
         pooled_var_mu=np.clip(pooled_var_mu, 0.0, None),
         failures=failures,
         traces=traces,
+        streamed=streamed,
         network=source,
         profile=profile,
     )

@@ -32,7 +32,7 @@ from .models import observation_matrix
 __all__ = [
     "BeliefState",
     "Trace",
-    "check_pair",
+    "TraceRecorder",
     "check_strategy",
     "log_normalize",
     "bayesian_update",
@@ -140,8 +140,8 @@ class Trace:
         return self.log_ratio.shape[1]
 
     def to_csv(self, path):
-        """Write the trace CSV and its JSON metadata sidecar (``writers.write_trace``)."""
-        writers.write_trace(path, self)
+        """Write the trace CSV and its JSON metadata sidecar (``writers.write_traces``)."""
+        writers.write_traces([path], [self])
 
 
 # -- the log-ratio engine ------------------------------------------------------
@@ -275,8 +275,34 @@ def check_strategy(strategy, delta, estimator):
         raise ValueError(f"estimator must be 'mu' or 'psi', got {estimator!r}")
 
 
+class TraceRecorder:
+    """The recording hook of ``simulate_block`` that keeps the series of a
+    block of ``n_reps`` replicates in memory; ``close`` returns them as
+    Traces, with the block's ``(B, N, T)`` ``observations`` if given."""
+
+    def __init__(self, n_reps, horizon, clusters, n_hypotheses, observations=None):
+        self.clusters, self.observations = clusters, observations
+        # iteration 0 is the uniform initial state: log-ratios zero, estimate 0
+        self.psi = np.zeros((n_reps, horizon + 1, clusters.size))
+        self.mu = np.zeros_like(self.psi)
+        self.est = np.zeros(self.psi.shape, dtype=np.min_scalar_type(n_hypotheses - 1))
+
+    def __call__(self, start, psi, mu, est):
+        rows = slice(start + 1, start + 1 + psi.shape[0])
+        for series, chunk in ((self.psi, psi), (self.mu, mu), (self.est, est)):
+            series[:, rows] = chunk.transpose(1, 0, 2)
+
+    def close(self, metadata):
+        """One Trace per replicate, with its ``metadata`` dict."""
+        obs = self.observations
+        return [Trace(log_ratio=self.psi[j], estimates=self.est[j], clusters=self.clusters.copy(),
+                      metadata=meta, mu_log_ratio=self.mu[j],
+                      observations=None if obs is None else obs[j])
+                for j, meta in enumerate(metadata)]
+
+
 def simulate_block(combination_t, profile, symbols, strategy, delta, pair, estimator,
-                   on_chunk=None, record=None, record_observations=False, burn_in=0):
+                   on_chunk=None, record=None, burn_in=0):
     """Step a block of replicates through the log-ratio recursion.
 
     Every simulation goes through here: ``run`` is its one-replicate case,
@@ -296,33 +322,19 @@ def simulate_block(combination_t, profile, symbols, strategy, delta, pair, estim
     on_chunk : callable, optional
         Called as ``on_chunk(start, psi, mu, est)`` for iterations
         ``start + 1 .. start + K``: the public and private log-ratios of
-        ``pair`` and the state estimates, each of shape ``(K, B, N)``.
+        ``pair`` and the state estimates, each a new ``(K, B, N)`` array.
         ``mu`` and ``est`` are None on a chunk that ends at or before
         ``burn_in`` when nothing is recorded.
-    record : sequence of (network, seed, extra), optional
-        One entry per replicate: its network, its seed and the metadata its
-        trace adds to ``trace_metadata``.  When given, the series of every
-        replicate are recorded and returned as traces.
-    record_observations : bool
-        Whether the recorded traces keep their symbols, as views of
-        ``symbols``.
+    record : callable, optional
+        The recording hook, called like ``on_chunk`` before it on every
+        chunk, with ``mu`` and ``est`` always given: a ``TraceRecorder``
+        keeps the series in memory, a ``writers.TraceWriter`` writes them
+        to trace files.
     burn_in : int
         Iterations whose ``mu`` and ``est`` the caller does not need, unless
-        it records traces.
-
-    Returns
-    -------
-    list of Trace
-        One per replicate when ``record`` is given, else empty.
+        it records them.
     """
-    n_reps, n, horizon = symbols.shape
     w_like, w_prior = (delta, 1.0 - delta) if strategy == "asl" else (1.0, 1.0)
-    if record is not None:
-        # iteration 0 is the uniform initial state: log-ratios zero, estimate 0
-        trace_psi = np.zeros((n_reps, horizon + 1, n))
-        trace_mu = np.zeros((n_reps, horizon + 1, n))
-        trace_est = np.zeros((n_reps, horizon + 1, n),
-                             dtype=np.min_scalar_type(profile.n_hypotheses - 1))
     chunks = log_ratio_chunks(combination_t, llr_table(profile), symbols.transpose(2, 0, 1),
                               w_like, w_prior)
     for start, x_psi, x_mu in chunks:
@@ -333,26 +345,9 @@ def simulate_block(combination_t, profile, symbols, strategy, delta, pair, estim
             mu = pair_ratio(x_mu, pair)
             est = ratio_estimates(x_mu if estimator == "mu" else x_psi)
         if record is not None:
-            rows = slice(start + 1, start + 1 + psi.shape[0])
-            trace_psi[:, rows] = psi.transpose(1, 0, 2)
-            trace_mu[:, rows] = mu.transpose(1, 0, 2)
-            trace_est[:, rows] = est.transpose(1, 0, 2)
+            record(start, psi, mu, est)
         if on_chunk is not None:
             on_chunk(start, psi, mu, est)
-    if record is None:
-        return []
-    return [
-        Trace(
-            log_ratio=trace_psi[j],
-            estimates=trace_est[j],
-            clusters=network.clusters.copy(),
-            metadata=trace_metadata(network, profile, seed, strategy, delta, horizon, pair,
-                                    estimator, extra),
-            mu_log_ratio=trace_mu[j],
-            observations=symbols[j] if record_observations else None,
-        )
-        for j, (network, seed, extra) in enumerate(record)
-    ]
 
 
 def run(
@@ -393,15 +388,11 @@ def run(
         raise ValueError("network and profile disagree on the number of agents")
     check_strategy(strategy, delta, estimator)
     check_pair(pair, profile.n_hypotheses)
-    (trace,) = simulate_block(
-        np.ascontiguousarray(network.combination.T),
-        profile,
-        observation_matrix(profile, horizon, [seed]),
-        strategy,
-        delta,
-        pair,
-        estimator,
-        record=[(network, seed, None)],
-        record_observations=record_observations,
-    )
+    symbols = observation_matrix(profile, horizon, [seed])
+    recorder = TraceRecorder(1, horizon, network.clusters, profile.n_hypotheses,
+                             symbols if record_observations else None)
+    simulate_block(np.ascontiguousarray(network.combination.T), profile, symbols, strategy, delta,
+                   pair, estimator, record=recorder)
+    (trace,) = recorder.close([trace_metadata(network, profile, seed, strategy, delta, horizon,
+                                              pair, estimator)])
     return trace

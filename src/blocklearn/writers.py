@@ -9,12 +9,15 @@ import numpy as np
 
 from . import __version__
 
-__all__ = ["ROWS_PER_WRITE", "joined_ints", "text_column", "trace_files", "write_directory",
-           "write_rows", "write_table", "write_trace"]
+__all__ = ["ROWS_PER_WRITE", "TRACE_NAME", "TraceWriter", "joined_ints", "text_column",
+           "write_directory", "write_rows", "write_table", "write_traces"]
 
 
 # Rows turned into text and written at once by ``write_rows``.
 ROWS_PER_WRITE = 4096
+
+# The name of the i-th trace CSV of a run.
+TRACE_NAME = "trace_{:04d}.csv"
 
 # Veltkamp's constant 2**27 + 1 splits a double into two halves whose
 # pairwise products are exact.
@@ -274,65 +277,106 @@ def write_table(path, header, *blocks):
             write_rows(fh, columns)
 
 
-def _write_trace_csv(path, trace, rows):
-    """Rows ``iter, agent, cluster, log_ratio, estimate[, obs]`` of a
-    ``learning.Trace``: the ``iter,agent,cluster`` text column ``rows``, the
-    float log-ratios, then the ``estimate[,obs]`` text, the row of each
-    (iteration, agent) picked from the strings the trace can hold."""
-    header = ["iter", "agent", "cluster", "log_ratio", "estimate"]
-    n_estimates = int(trace.estimates.max()) + 1
-    if trace.observations is None:
-        tails = [str(e) for e in range(n_estimates)]
-        codes = trace.estimates
-    else:
-        header.append("obs")
-        # code e * (m + 1) for row 0, which has no observation, and
-        # e * (m + 1) + s + 1 for symbol s
-        m = int(trace.observations.max()) + 1 if trace.observations.size else 0
-        tails = [f"{e},{s}" for e in range(n_estimates) for s in [""] + list(range(m))]
-        codes = trace.estimates.astype(np.intp) * (m + 1)
-        codes[1:] += trace.observations.T
-        codes[1:] += 1
-    write_table(path, header, [rows, trace.log_ratio.ravel(), text_column(tails)[codes.ravel()]])
+class TraceWriter:
+    """The recording hook of ``learning.simulate_block`` that writes the trace
+    CSVs ``paths`` of a block of replicates as the recursion produces their
+    rows, ``iter, agent, cluster, log_ratio, estimate[, obs]``.  A call takes
+    the public log-ratios and the estimates of iterations ``start + 1 ..
+    start + K``, ``(K, B, N)`` arrays the caller does not reuse.  Rows wait
+    until about ``ROWS_PER_WRITE`` per file, then are appended through
+    ``write_rows``, one file open at a time.  ``observations``, the block's
+    ``(B, N, T)`` symbols or None, fill the ``obs`` column; ``n_estimates``
+    bounds the estimates."""
+
+    def __init__(self, paths, clusters, n_estimates, observations=None):
+        self.paths = [Path(path) for path in paths]
+        self.clusters, self.observations = clusters, observations
+        header = b"iter,agent,cluster,log_ratio,estimate"
+        if observations is None:
+            self.tails = text_column([str(e) for e in range(n_estimates)])
+        else:
+            header += b",obs"
+            # code e * (m + 1) for iteration 0, which has no observation, and
+            # e * (m + 1) + s + 1 for symbol s, of the m symbols 0 .. m - 1
+            m = int(observations.max(initial=0)) + 1
+            self.tails = text_column([f"{e},{s}" for e in range(n_estimates)
+                                      for s in [""] + list(range(m))])
+            self.stride = m + 1
+        zeros = np.zeros((1, len(self.paths), clusters.size))
+        # the rows waiting, of iterations first .. stop - 1
+        self.pending, self.first, self.stop = [(zeros, zeros.astype(np.uint8))], 0, 1
+        for path in self.paths:
+            path.write_bytes(header + b"\r\n")
+
+    def __call__(self, start, psi, mu, est):
+        self.pending.append((psi, est))
+        self.stop = start + 1 + psi.shape[0]
+        # write before another chunk of this size would take them past
+        # ROWS_PER_WRITE
+        if (self.stop - self.first + psi.shape[0]) * self.clusters.size > ROWS_PER_WRITE:
+            self._write()
+
+    def _write(self):
+        psi, est = (np.concatenate(series) for series in zip(*self.pending))
+        first, stop = self.first, self.stop
+        self.pending, self.first = [], stop
+        iters, agents = np.indices(psi.shape[::2]).reshape(2, -1)
+        rows = joined_ints([iters + first, agents, self.clusters[agents]])
+        codes = est.astype(np.intp)
+        if self.observations is not None:
+            codes *= self.stride
+            observed = max(first, 1)  # iteration i >= 1 observed symbol i - 1
+            symbols = self.observations[..., observed - 1:stop - 1]
+            codes[observed - first:] += symbols.transpose(2, 0, 1)
+            codes[observed - first:] += 1
+        for j, path in enumerate(self.paths):
+            with open(path, "ab") as fh:
+                write_rows(fh, [rows, psi[:, j].ravel(), self.tails[codes[:, j].ravel()]])
+
+    def close(self, metadata):
+        """Write the waiting rows, then each file's JSON sidecar from its
+        ``metadata`` dict; returns the names written."""
+        if self.pending:
+            self._write()
+        names = []
+        for path, meta in zip(self.paths, metadata, strict=True):
+            names += [path.name, path.name + ".meta.json"]
+            path.with_name(names[-1]).write_text(json.dumps(meta, indent=2, default=str))
+        return names
 
 
-def trace_files(traces, names=None):
-    """The files of a run's traces as ``(name, content)`` pairs: each trace's
-    CSV, named from ``names`` (by default ``trace_0000.csv`` and on), then
-    its JSON metadata sidecar, named after it."""
-    names = names or [f"trace_{i:04d}.csv" for i in range(len(traces))]
-    files = []
-    if traces:
-        # the traces of a run have one shape and one set of clusters, so
-        # one text column starts the rows of each
-        trace = traces[0]
-        iters, agents = np.indices((trace.horizon + 1, trace.n_agents)).reshape(2, -1)
-        rows = joined_ints([iters, agents, trace.clusters[agents]])
-    for name, trace in zip(names, traces):
-        files += [(name, functools.partial(_write_trace_csv, trace=trace, rows=rows)),
-                  (name + ".meta.json", json.dumps(trace.metadata, indent=2, default=str))]
-    return files
-
-
-def write_trace(path, trace):
-    """Write one trace as the CSV ``path`` and its metadata sidecar."""
-    path = Path(path)
-    (_, write_csv), (meta, text) = trace_files([trace], [path.name])
-    write_csv(path)
-    path.with_name(meta).write_text(text)
+def write_traces(paths, traces):
+    """Write ``learning.Trace``s of one shape and one set of clusters as the
+    CSVs ``paths``, in a directory made if missing, with their metadata
+    sidecars: one TraceWriter fed the traces as a block, a window of rows at
+    a time.  Returns the names written."""
+    if not traces:
+        return []
+    Path(paths[0]).parent.mkdir(parents=True, exist_ok=True)
+    trace = traces[0]
+    obs = None if trace.observations is None else np.stack([t.observations for t in traces])
+    writer = TraceWriter(paths, trace.clusters, max(int(t.estimates.max()) for t in traces) + 1,
+                         obs)
+    step = max(ROWS_PER_WRITE // trace.n_agents - 1, 1)  # iteration 0 joins the first window
+    for start in range(0, trace.horizon, step):
+        rows = slice(start + 1, start + 1 + step)
+        writer(start, np.stack([t.log_ratio[rows] for t in traces], axis=1), None,
+               np.stack([t.estimates[rows] for t in traces], axis=1))
+    return writer.close([t.metadata for t in traces])
 
 
 def write_directory(out_dir, command, files):
     """Write a command's ``(name, content)`` files into ``out_dir``, made if
     missing, then ``manifest.json`` with the package version, the command and
-    the names written, which it returns.  A content is the file's text, or a
-    function that writes the file given its path."""
+    the names written, which it returns.  A content is the file's text, a
+    function that writes the file given its path, or None for a file that
+    is already there."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name, content in files:
         if callable(content):
             content(out / name)
-        else:
+        elif content is not None:
             (out / name).write_text(content)
     names = [name for name, _ in files]
     manifest = {"version": __version__, "command": command, "outputs": names}

@@ -1,6 +1,7 @@
 import csv
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -539,6 +540,95 @@ class TestRunExperiment:
                     writer.writerow([i, k, f"{result.iter_mean[i, k]:.17g}",
                                      f"{result.iter_std[i, k]:.17g}"])
         assert (tmp_path / "run" / "iteration_stats.csv").read_bytes() == reference.read_bytes()
+
+
+SPARSE = SbmParams(n0=4, n1=4, p0=0.35, p1=0.35, q0=0.04, q1=0.04)
+
+
+class TestStreamedTraces:
+    """With ``store_traces`` and an ``out_dir``, ``run_experiment`` writes the
+    trace files as the run goes and keeps none in memory."""
+
+    @staticmethod
+    def outputs(config, out_dir):
+        """Run ``config`` and write its outputs into ``out_dir``, with the
+        theory rows ``simulate`` adds to a step-size run."""
+        result = run_experiment(config)
+        comparison = None
+        if config.strategy == "asl":
+            prediction = expected_log_ratio(result.network, result.profile, config.delta,
+                                            config.pair)
+            comparison = compare_theory(result, prediction)
+        return result, result.write_outputs(out_dir, comparison=comparison)
+
+    @pytest.mark.parametrize("overrides", [
+        # the benchmark's simulate round: one drawn graph, 20 traces with symbols
+        dict(delta=0.1, horizon=1500, burn_in=500, replicates=20, base_seed=42,
+             fixed_graph=True, record_observations=True),
+        # two blocks on a sparse law; replicates 0 and 1 fail on their seeds
+        dict(network=SPARSE, delta=0.3, horizon=60, burn_in=20, replicates=70, base_seed=-2,
+             record_observations=True),
+        dict(network=CRITERION_5, profile=MULTINOMIAL, pair=[0, 2], horizon=120, burn_in=40,
+             replicates=3, record_observations=True),
+        dict(horizon=0, burn_in=0, replicates=3, record_observations=True),
+        dict(strategy="traditional", delta=None, burn_in=None, horizon=100, replicates=4),
+    ], ids=["cli-roundtrip", "sparse-two-blocks", "criterion-5", "horizon-0", "traditional"])
+    def test_streamed_directory_equals_in_memory_outputs(self, tmp_path, overrides):
+        streamed, in_memory = tmp_path / "streamed", tmp_path / "in_memory"
+        streamed.mkdir()
+        (streamed / "manifest.json").write_text("{}")  # from an earlier run
+        config = small_config(store_traces=True, **overrides)
+        reference, names = self.outputs(config, in_memory)
+
+        stream_config = small_config(store_traces=True, out_dir=str(streamed), **overrides)
+        result = run_experiment(stream_config)
+        assert result.traces == []
+        assert result.streamed == [name for name in names if name.startswith("trace_")]
+        # the traces are on disk before write_outputs, and the stale
+        # manifest is gone until it writes its own
+        assert sorted(path.name for path in streamed.iterdir()) == sorted(result.streamed)
+        _, streamed_names = self.outputs(stream_config, streamed)
+
+        assert streamed_names == names
+        for name in names + ["manifest.json"]:
+            expected = (in_memory / name).read_bytes()
+            if name == "summary.json":
+                summary = json.loads((streamed / name).read_text())
+                assert summary["config"].pop("out_dir") == str(streamed)
+                summary["config"]["out_dir"] = None
+                assert summary == json.loads(expected)
+            else:
+                assert (streamed / name).read_bytes() == expected, name
+        assert len(result.streamed) == 2 * len(reference.traces) > 0
+
+    def test_memory_does_not_grow_with_stored_cells(self, tmp_path):
+        # traces kept in memory take 17 bytes per (replicate, step, agent)
+        # cell; a streamed run keeps none, and grows with the horizon by a
+        # block's symbols (1 byte per cell) and the per-iteration sums (16
+        # bytes per (step, agent), 0.8 per cell at 20 replicates)
+        def peak(horizon):
+            config = small_config(delta=0.1, horizon=horizon, burn_in=100, replicates=20,
+                                  store_traces=True, record_observations=True,
+                                  out_dir=str(tmp_path / str(horizon)))
+            tracemalloc.start()
+            try:
+                run_experiment(config)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(200)  # first-use allocations
+        added = peak(3000) - peak(1500)
+        assert added / (20 * 1500 * 30) < 2
+
+    def test_streamed_result_writes_only_into_its_directory(self, tmp_path):
+        config = small_config(store_traces=True, out_dir=str(tmp_path / "run"))
+        result = run_experiment(config)
+        with pytest.raises(ValueError, match="traces are in"):
+            result.write_outputs(tmp_path / "elsewhere")
+        assert not (tmp_path / "elsewhere").exists()
+        result.write_outputs(tmp_path / "." / "run")
+        assert (tmp_path / "run" / "manifest.json").exists()
 
 
 class TestCompareTheory:

@@ -8,6 +8,7 @@ from blocklearn.graphs import BlockModel, SbmParams, perron_vector, sample_sbm
 from blocklearn.inverse import BeliefSeries, estimate_log_likelihoods, scan_delta
 from blocklearn.learning import (
     BeliefState,
+    TraceRecorder,
     asl_update,
     bayesian_update,
     check_strategy,
@@ -335,14 +336,14 @@ class TestSimulateBlock:
         symbols = observation_matrix(profile, 40, [1, 2])
         combination_t = np.ascontiguousarray(network.combination.T)
         seen = []
-        traces = simulate_block(
+        recorder = TraceRecorder(2, 40, network.clusters, profile.n_hypotheses) if record else None
+        simulate_block(
             combination_t, profile, symbols, "asl", 0.1, (0, 2), "mu",
             on_chunk=lambda start, psi, mu, est: seen.append(
                 (start, psi.copy(), None if mu is None else mu.copy(),
                  None if est is None else est.copy())),
-            record=[(network, s, None) for s in (1, 2)] if record else None,
-            burn_in=burn_in)
-        return seen, traces
+            record=recorder, burn_in=burn_in)
+        return seen, recorder and recorder.close([{}, {}])
 
     @pytest.mark.parametrize("burn_in", [0, 15, 16, 17, 32, 40])
     def test_burn_in_chunks_skip_mu_and_estimates(self, burn_in):

@@ -81,8 +81,8 @@ class TestTraceCsv:
                                   burn_in=50, replicates=4, base_seed=5, store_traces=True,
                                   record_observations=True)
         result = run_experiment(config)
-        # write_outputs starts the rows of the run's traces with one shared
-        # iter,agent,cluster text column, Trace.to_csv each trace with its own
+        # write_outputs writes the run's traces as the files of one
+        # directory, Trace.to_csv each trace alone
         result.write_outputs(tmp_path / "run")
         for i, trace in enumerate(result.traces):
             trace.to_csv(tmp_path / f"alone_{i}.csv")
