@@ -15,8 +15,8 @@ import importlib
 
 __version__ = "0.1.0"
 
-_MODULES = ("exceptions", "graphs", "models", "learning", "theory", "inverse", "harness",
-            "writers")
+_MODULES = ("exceptions", "graphs", "models", "learning", "theory", "inverse", "config",
+            "harness", "writers")
 
 _NAMES = {
     "graphs": (
@@ -74,9 +74,9 @@ _NAMES = {
         "scan_delta",
         "traditional_fit",
     ),
+    "config": ("ExperimentConfig",),
     "harness": (
         "ErrorReport",
-        "ExperimentConfig",
         "ExperimentResult",
         "compare_theory",
         "run_experiment",

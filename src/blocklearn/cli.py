@@ -108,7 +108,7 @@ def _cmd_generate(args):
 
 
 def _load_config(args, **overrides):
-    from .harness import ExperimentConfig
+    from .config import ExperimentConfig
 
     # flags are applied before the config is built, so a null burn_in
     # follows a --delta override
@@ -163,7 +163,7 @@ def _cmd_thresholds(args):
 
 
 def _cmd_predict(args):
-    from .harness import resolve_inputs
+    from .config import resolve_inputs
 
     config = _load_config(args)
     source, clusters, profile = resolve_inputs(config)

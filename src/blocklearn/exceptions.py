@@ -59,6 +59,10 @@ class InvalidPair(BlocklearnError, ValueError):
     """A hypothesis pair does not name two of the profile's hypotheses."""
 
 
+class InvalidStrategy(BlocklearnError, ValueError):
+    """A belief-update strategy or state estimator is not one the recursion knows."""
+
+
 class AllReplicatesFailed(BlocklearnError, RuntimeError):
     """Every replicate of an experiment failed, so there is nothing to aggregate."""
 
@@ -96,3 +100,14 @@ def check_pair(pair, n_hypotheses):
     if len(pair) != 2 or not all(isinstance(h, Integral) and 0 <= h < n_hypotheses for h in pair):
         raise InvalidPair(f"pair {list(pair)} must be two hypothesis indices in "
                           f"0..{n_hypotheses - 1}")
+
+
+def check_strategy(strategy, delta, estimator):
+    """Raise InvalidStrategy for an unknown strategy or estimator, and
+    DeltaOutOfRange unless the step-size strategy has a step size in (0, 1)."""
+    if strategy not in ("asl", "traditional"):
+        raise InvalidStrategy(f"unknown strategy {strategy!r}")
+    if strategy == "asl":
+        check_delta(delta)
+    if estimator not in ("mu", "psi"):
+        raise InvalidStrategy(f"estimator must be 'mu' or 'psi', got {estimator!r}")

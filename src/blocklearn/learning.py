@@ -26,14 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__, writers
-from .exceptions import check_delta, check_pair
+from .exceptions import check_delta, check_pair, check_strategy
 from .models import observation_matrix
 
 __all__ = [
     "BeliefState",
     "Trace",
     "TraceRecorder",
-    "check_strategy",
     "log_normalize",
     "bayesian_update",
     "asl_update",
@@ -262,17 +261,6 @@ def trace_metadata(network, profile, seed, strategy, delta, horizon, pair, estim
     if extra:
         metadata.update(extra)
     return metadata
-
-
-def check_strategy(strategy, delta, estimator):
-    """Reject an unknown strategy or estimator, and a step size outside
-    (0, 1), or none, for the step-size strategy."""
-    if strategy not in ("asl", "traditional"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    if strategy == "asl":
-        check_delta(delta)
-    if estimator not in ("mu", "psi"):
-        raise ValueError(f"estimator must be 'mu' or 'psi', got {estimator!r}")
 
 
 class TraceRecorder:

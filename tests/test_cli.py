@@ -196,6 +196,34 @@ class TestSimulate:
         assert error["error"] == "MalformedConfig"
         assert error["detail"] == f"a config must be a JSON object, got {found}"
 
+    # a file that is not JSON used to print the parser's JSONDecodeError,
+    # naming neither the file nor the config
+    @pytest.mark.parametrize("command", ["simulate", "predict"])
+    def test_config_that_is_not_json_is_one_json_error(self, tmp_path, capsys, command):
+        path = tmp_path / "config.json"
+        path.write_text("network: sbm\n")
+        code = main([command, "--config", str(path), "--out", str(tmp_path / "run")])
+        assert code == 2
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        error = json.loads(err)
+        assert error["error"] == "MalformedConfig"
+        assert error["detail"].startswith(f"config file {str(path)!r} is not JSON: ")
+
+    # an unknown strategy or estimator used to print as a plain ValueError
+    @pytest.mark.parametrize("command", ["simulate", "predict"])
+    @pytest.mark.parametrize("change, detail", [
+        ({"strategy": "bogus"}, "unknown strategy 'bogus'"),
+        ({"estimator": "max"}, "estimator must be 'mu' or 'psi', got 'max'"),
+    ])
+    def test_unknown_strategy_is_one_typed_error(self, tmp_path, capsys, command, change,
+                                                 detail):
+        config = write_config(tmp_path, **change)
+        code = main([command, "--config", str(config), "--out", str(tmp_path / "run")])
+        assert code == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error == {"error": "InvalidStrategy", "detail": detail}
+
     @pytest.mark.parametrize("command", ["simulate", "predict"])
     def test_pair_outside_the_hypotheses_is_one_json_error(self, tmp_path, capsys, command):
         config = write_config(tmp_path, pair=[0, 5])

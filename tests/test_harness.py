@@ -6,11 +6,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from blocklearn import config as config_module
 from blocklearn import harness, learning
 from blocklearn.exceptions import (
     BlocklearnError,
     DeltaOutOfRange,
     InvalidPair,
+    InvalidStrategy,
     MalformedConfig,
     MismatchedConfig,
 )
@@ -197,10 +199,40 @@ class TestConfig:
          "n_hypotheses"),
         ({"profile": {"kind": "bernoulli", "success_probs": [0.1, "0.5"]}}, "success_probs"),
         ({"profile": {"kind": "file", "path": ["profile.txt"]}}, "path"),
+        # values of the right type outside their field's range
+        ({"profile": {"kind": "multinomial", "alphabet": 0, "seed": 10}}, "alphabet"),
+        ({"profile": {"kind": "multinomial", "alphabet": -2, "seed": 10}}, "alphabet"),
+        ({"profile": {"kind": "multinomial", "alphabet": 25, "seed": -3}}, "seed"),
+        ({"profile": {"kind": "multinomial", "alphabet": 25, "seed": 10, "n_hypotheses": 1}},
+         "n_hypotheses"),
+        ({"profile": {"kind": "bernoulli", "success_probs": [0.1]}}, "success_probs"),
+        ({"profile": {"kind": "bernoulli", "success_probs": [0.1, 1.5]}}, "success_probs"),
+        ({"network": {"kind": "blocks", "sizes": [2, 3], "probs": [[0.5, 0.1], [0.1]]}},
+         "probs"),
+        ({"network": {"kind": "blocks", "sizes": [3, -1], "probs": [[0.5, 0.1], [0.1, 0.5]]}},
+         "sizes"),
+        ({"network": {"kind": "sbm", **VB1.to_dict(), "p0": 1.5}}, "p0"),
     ])
     def test_wrong_typed_spec_field_is_named(self, spec, field):
         with pytest.raises(MalformedConfig, match=repr(field)):
             run_experiment(small_config(**spec))
+
+    # a law or profile builder's own ValueError names the spec it came from
+    @pytest.mark.parametrize("spec, found", [
+        ({"network": {"kind": "blocks", "sizes": [], "probs": []}},
+         "network spec of kind 'blocks': need at least one community"),
+        ({"profile": {"kind": "bernoulli", "success_probs": [0.1, 1e-13]}},
+         "profile spec of kind 'bernoulli': likelihood entries must be at least"),
+        ({"network": CRITERION_5, "profile": {**MULTINOMIAL, "n_hypotheses": 2}},
+         "profile spec of kind 'multinomial': true_state indices out of range"),
+    ])
+    def test_builder_error_names_the_spec(self, spec, found):
+        with pytest.raises(MalformedConfig, match=re.escape(found)):
+            config_module.resolve_inputs(small_config(**spec))
+
+    def test_the_runner_uses_the_config_module(self):
+        assert harness.ExperimentConfig is config_module.ExperimentConfig
+        assert harness.resolve_inputs is config_module.resolve_inputs
 
     # a misspelt field used to be dropped: "n_hypothesis" gave the default
     # two hypotheses
@@ -745,3 +777,9 @@ class TestCheckStrategy:
             small_config(strategy=strategy, delta=delta, estimator=estimator)
         assert type(from_run.value) is type(from_config.value)
         assert str(from_run.value) == str(from_config.value)
+
+    @pytest.mark.parametrize("strategy, estimator", [("bogus", "mu"), ("asl", "max")])
+    def test_unknown_names_raise_a_typed_error(self, strategy, estimator):
+        with pytest.raises(InvalidStrategy) as excinfo:
+            small_config(strategy=strategy, estimator=estimator)
+        assert isinstance(excinfo.value, BlocklearnError) and isinstance(excinfo.value, ValueError)

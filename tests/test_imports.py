@@ -56,7 +56,7 @@ NOT_LOADED = {
     "generate": ["blocklearn.harness", "blocklearn.learning", "blocklearn.models",
                  "blocklearn.theory", "blocklearn.inverse"],
     "simulate": ["numpy.ma"],
-    "predict": ["numpy.ma"],
+    "predict": ["numpy.ma", "blocklearn.harness", "blocklearn.learning"],
     "fit-delta": ["blocklearn.harness", "blocklearn.learning", "blocklearn.models"],
 }
 

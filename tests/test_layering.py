@@ -4,7 +4,9 @@
 ``exceptions``.  The model layers know nothing of the experiment runner, the
 command line or the verify suites, and the runner knows nothing of the last
 two.  ``inverse`` fits a recorded trace without the recursion or the
-observation models, so ``fit-delta`` loads neither.  Imports are read from the
+observation models, so ``fit-delta`` loads neither.  ``config`` parses and
+resolves experiment configs from ``graphs``, ``models`` and ``exceptions``
+alone, so ``predict`` loads no recursion.  Imports are read from the
 source with ``ast``, so an import inside a function counts as well.
 """
 
@@ -22,6 +24,7 @@ FORBIDDEN = {
     **{name: {"harness", "cli", "verify"} for name in MODEL_LAYERS},
     "inverse": {"harness", "cli", "verify", "learning", "models"},
     "harness": {"cli", "verify"},
+    "config": MODULES - {"config", "graphs", "models", "exceptions"},
 }
 
 
@@ -50,6 +53,7 @@ def test_imports_are_found():
     assert {"harness", "writers", "exceptions", "verify"} <= imported_modules("cli")
     assert imported_modules("writers") == set()
     assert imported_modules("learning") == {"exceptions", "models", "writers"}
+    assert imported_modules("config") == {"exceptions", "graphs", "models"}
 
 
 @pytest.mark.parametrize("name", sorted(FORBIDDEN))

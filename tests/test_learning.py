@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from blocklearn.exceptions import DeltaOutOfRange, InvalidPair
+from blocklearn.exceptions import DeltaOutOfRange, InvalidPair, check_strategy
 from blocklearn.graphs import BlockModel, SbmParams, perron_vector, sample_sbm
 from blocklearn.inverse import BeliefSeries, estimate_log_likelihoods, scan_delta
 from blocklearn.learning import (
@@ -11,7 +11,6 @@ from blocklearn.learning import (
     TraceRecorder,
     asl_update,
     bayesian_update,
-    check_strategy,
     estimate_state,
     geometric_combine,
     llr_table,
