@@ -16,7 +16,7 @@ from functools import partial
 import numpy as np
 
 from . import __version__
-from .exceptions import BlocklearnError
+from .exceptions import BlocklearnError, MalformedFile
 from .graphs import (
     BlockModel,
     SbmParams,
@@ -60,14 +60,17 @@ def _parse_int_list(text):
 def _parse_grid(text):
     try:
         if ":" not in text:
-            return np.asarray(_parse_float_list(text))
-        start, stop, step = (float(tok) for tok in text.split(":"))
+            grid = np.asarray(_parse_float_list(text))
+        else:
+            start, stop, step = (float(tok) for tok in text.split(":"))
+            grid = np.arange(start, stop + step / 2, step) if step else None
     except ValueError:
-        raise ValueError(f"--grid takes start:stop:step or a comma list of numbers, "
-                         f"got {text!r}") from None
-    if step == 0:
+        grid = np.empty(0)
+    if grid is None:
         raise ValueError(f"--grid step must be nonzero, got {text!r}")
-    return np.arange(start, stop + step / 2, step)
+    if not grid.size:
+        raise ValueError(f"--grid takes start:stop:step or a comma list of numbers, got {text!r}")
+    return grid
 
 
 def _add_sbm_flags(parser):
@@ -181,6 +184,10 @@ def _cmd_fit_delta(args):
     grid = _parse_grid(args.grid)
     if args.combination:
         combination = load_matrix_csv(args.combination)
+        bad = ~(combination >= 0).all(axis=0) | ~(np.abs(combination.sum(axis=0) - 1.0) <= 1e-9)
+        if bad.any():  # a NaN fails both tests; 1e-9 is Network's tolerance
+            raise MalformedFile(f"{args.combination}: column {bad.argmax()} is not a combination "
+                                "column: its entries must be nonnegative and sum to 1")
     elif args.network:
         combination = load_network(args.network).combination
     else:

@@ -235,6 +235,7 @@ def run_experiment(config):
     psi_sq = np.zeros(n)
     mu_sq = np.zeros(n)
     rep_psi, rep_mu, traces, streamed, failures = [], [], [], [], []
+    n_ok = 0  # replicates run so far: the number of the next trace, when stored
 
     for first in range(0, config.replicates, BLOCK_SIZE):
         indices = range(first, min(first + BLOCK_SIZE, config.replicates))
@@ -279,19 +280,22 @@ def run_experiment(config):
             for hyp in range(1, h):
                 hits[hyp - 1] += (est == hyp).sum(axis=0, dtype=_CHUNK_COUNT)
 
-        record = None
+        on_chunk, skip = reduce_chunk, burn_in
         if config.store_traces:
             observations = symbols if config.record_observations else None
             if stream:
-                record = TraceWriter([stream / TRACE_NAME.format(len(streamed) // 2 + j)
-                                      for j in range(size)], clusters, h, observations)
+                record = TraceWriter([stream / TRACE_NAME.format(n_ok + j) for j in range(size)],
+                                     clusters, h, observations)
             else:
                 record = learning.TraceRecorder(size, horizon, clusters, h, observations)
-        learning.simulate_block(
-            combination_t, profile, symbols, config.strategy, config.delta, config.pair,
-            config.estimator, on_chunk=reduce_chunk, record=record, burn_in=burn_in,
-        )
-        if record is not None:
+
+            def on_chunk(*chunk):
+                record(*chunk)
+                reduce_chunk(*chunk)
+            skip = 0  # a recorder needs mu and the estimates of every chunk
+        learning.simulate_block(combination_t, profile, symbols, config.strategy, config.delta,
+                                config.pair, config.estimator, on_chunk, burn_in=skip)
+        if config.store_traces:
             metadata = [learning.trace_metadata(
                 source if block is None else block.network(i), profile,
                 config.base_seed + first + i, config.strategy, config.delta, horizon, config.pair,
@@ -300,6 +304,7 @@ def run_experiment(config):
             (streamed if stream else traces).extend(record.close(metadata))
         # the next block is drawn without this one's symbols
         symbols = record = observations = None
+        n_ok += size
         block_hits = hits.sum(axis=1)  # (H-1, N)
         counts[:, 1:] += block_hits.T
         counts[:, 0] += size * window - block_hits.sum(axis=0)
@@ -310,7 +315,6 @@ def run_experiment(config):
             rep_psi.append(np.full((size, n), np.nan))
             rep_mu.append(np.full((size, n), np.nan))
 
-    n_ok = sum(block.shape[0] for block in rep_mu)
     if n_ok == 0:
         raise AllReplicatesFailed(f"all {config.replicates} replicates failed: {failures}")
 

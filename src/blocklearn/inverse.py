@@ -135,6 +135,27 @@ def _forward_fill(values):
     return padded[source, np.arange(values.shape[1])][1:]
 
 
+def _implied_log_likelihoods(series, combination, w_like, w_prior):
+    """The mean over the fitting steps of ``(y_i - w_prior * A^T y_{i-1}) /
+    w_like``: the log-likelihood ratios that the recursion
+    ``y_i = w_like * nu_i + w_prior * A^T y_{i-1}`` implies."""
+    k = series.split_index
+    if k < 2:
+        raise InsufficientSteps("need at least 2 fitting steps to form one increment")
+    y = series.values
+    residual = y[1:k] - w_prior * (y[: k - 1] @ np.asarray(combination, dtype=float))
+    return residual.mean(axis=0) / w_like
+
+
+def _validation_error(series, combination, estimates, w_like, w_prior):
+    """``sqrt(sum_k (m_k - w_prior (A^T m)_k - w_like e_k)^2) / N`` for the
+    validation-segment mean log-ratios ``m`` and the estimates ``e``."""
+    m = series.values[series.split_index :].mean(axis=0)
+    residual = (m - w_prior * (m @ np.asarray(combination, dtype=float))
+                - w_like * np.asarray(estimates, dtype=float))
+    return float(np.linalg.norm(residual) / series.n_agents)
+
+
 def estimate_log_likelihoods(series, combination, delta):
     """Estimate expected log-likelihood ratios from the fitting segment.
 
@@ -144,14 +165,7 @@ def estimate_log_likelihoods(series, combination, delta):
     ``(y_i - (1 - delta) * A^T y_{i-1}) / delta`` over the fitting steps.
     """
     check_delta(delta)
-    if series.split_index < 2:
-        raise InsufficientSteps("need at least 2 fitting steps to form one increment")
-    combination = np.asarray(combination, dtype=float)
-    y = series.values
-    current = y[1 : series.split_index]
-    lagged = y[0 : series.split_index - 1]
-    residual = current - (1.0 - delta) * (lagged @ combination)
-    return residual.mean(axis=0) / delta
+    return _implied_log_likelihoods(series, combination, delta, 1.0 - delta)
 
 
 def fit_error(series, combination, delta, estimates):
@@ -161,30 +175,18 @@ def fit_error(series, combination, delta, estimates):
     ``sqrt(sum_k (m_k - (1 - delta) (A^T m)_k - delta * e_k)^2) / N``.
     """
     check_delta(delta)
-    combination = np.asarray(combination, dtype=float)
-    estimates = np.asarray(estimates, dtype=float)
-    m = series.values[series.split_index :].mean(axis=0)
-    residual = m - (1.0 - delta) * (m @ combination) - delta * estimates
-    return float(np.linalg.norm(residual) / series.n_agents)
+    return _validation_error(series, combination, estimates, delta, 1.0 - delta)
 
 
 def traditional_fit(series, combination):
     """Fit quality of the step-size-free (full Bayesian) recursion.
 
-    The identity ``y_i = nu_i + A^T y_{i-1}`` has no step size; the same
-    estimate-then-score procedure applies with both coefficients equal to 1.
-    Returns ``(estimates, error)``.
+    The identity ``y_i = nu_i + A^T y_{i-1}`` has no step size: it is the
+    step-size fit with both weights equal to 1.  Returns ``(estimates,
+    error)``.
     """
-    if series.split_index < 2:
-        raise InsufficientSteps("need at least 2 fitting steps to form one increment")
-    combination = np.asarray(combination, dtype=float)
-    y = series.values
-    current = y[1 : series.split_index]
-    lagged = y[0 : series.split_index - 1]
-    estimates = (current - lagged @ combination).mean(axis=0)
-    m = y[series.split_index :].mean(axis=0)
-    residual = m - m @ combination - estimates
-    return estimates, float(np.linalg.norm(residual) / series.n_agents)
+    estimates = _implied_log_likelihoods(series, combination, 1.0, 1.0)
+    return estimates, _validation_error(series, combination, estimates, 1.0, 1.0)
 
 
 class DeltaScan(NamedTuple):

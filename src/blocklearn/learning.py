@@ -290,7 +290,7 @@ class TraceRecorder:
 
 
 def simulate_block(combination_t, profile, symbols, strategy, delta, pair, estimator,
-                   on_chunk=None, record=None, burn_in=0):
+                   on_chunk, burn_in=0):
     """Step a block of replicates through the log-ratio recursion.
 
     Every simulation goes through here: ``run`` is its one-replicate case,
@@ -307,35 +307,28 @@ def simulate_block(combination_t, profile, symbols, strategy, delta, pair, estim
         them for B seeds.
     strategy, delta, pair, estimator
         As in ``run``; ``check_strategy`` has accepted them.
-    on_chunk : callable, optional
+    on_chunk : callable
         Called as ``on_chunk(start, psi, mu, est)`` for iterations
         ``start + 1 .. start + K``: the public and private log-ratios of
         ``pair`` and the state estimates, each a new ``(K, B, N)`` array.
         ``mu`` and ``est`` are None on a chunk that ends at or before
-        ``burn_in`` when nothing is recorded.
-    record : callable, optional
-        The recording hook, called like ``on_chunk`` before it on every
-        chunk, with ``mu`` and ``est`` always given: a ``TraceRecorder``
-        keeps the series in memory, a ``writers.TraceWriter`` writes them
-        to trace files.
+        ``burn_in``.  A recording hook (a ``TraceRecorder``, or a
+        ``writers.TraceWriter`` that writes trace files) needs every chunk's,
+        so it is passed with ``burn_in`` 0.
     burn_in : int
-        Iterations whose ``mu`` and ``est`` the caller does not need, unless
-        it records them.
+        Iterations whose ``mu`` and ``est`` the hook does not need.
     """
     w_like, w_prior = (delta, 1.0 - delta) if strategy == "asl" else (1.0, 1.0)
     chunks = log_ratio_chunks(combination_t, llr_table(profile), symbols.transpose(2, 0, 1),
                               w_like, w_prior)
     for start, x_psi, x_mu in chunks:
         psi = pair_ratio(x_psi, pair)  # (K, B, N)
-        if record is None and start + psi.shape[0] <= burn_in:
+        if start + psi.shape[0] <= burn_in:
             mu = est = None
         else:
             mu = pair_ratio(x_mu, pair)
             est = ratio_estimates(x_mu if estimator == "mu" else x_psi)
-        if record is not None:
-            record(start, psi, mu, est)
-        if on_chunk is not None:
-            on_chunk(start, psi, mu, est)
+        on_chunk(start, psi, mu, est)
 
 
 def run(
@@ -380,7 +373,7 @@ def run(
     recorder = TraceRecorder(1, horizon, network.clusters, profile.n_hypotheses,
                              symbols if record_observations else None)
     simulate_block(np.ascontiguousarray(network.combination.T), profile, symbols, strategy, delta,
-                   pair, estimator, record=recorder)
+                   pair, estimator, recorder)
     (trace,) = recorder.close([trace_metadata(network, profile, seed, strategy, delta, horizon,
                                               pair, estimator)])
     return trace

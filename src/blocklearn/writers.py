@@ -203,19 +203,12 @@ def text_column(strings):
 
 def joined_ints(columns):
     """Equal-length, non-empty integer columns as one text column whose rows
-    are their ``%d`` texts joined by commas.  The columns are converted
-    ``ROWS_PER_WRITE`` rows at a time, since the digit arithmetic of
-    ``_int_text`` takes 16 bytes per digit."""
-    windows = []
-    for start in range(0, len(columns[0]), ROWS_PER_WRITE):
-        parts = [_int_text(column[start:start + ROWS_PER_WRITE]) for column in columns]
-        comma = np.full((len(parts[0]), 1), ord(","), dtype=np.uint8)
-        windows.append(np.concatenate([part for text in parts for part in (comma, text)][1:],
-                                      axis=1))
-    # a window is as wide as its widest values; NUL pads the narrower ones
-    width = max(window.shape[1] for window in windows)
-    return np.concatenate([np.pad(window, [(0, 0), (0, width - window.shape[1])])
-                           for window in windows])
+    are their ``%d`` texts joined by commas.  The digit arithmetic of
+    ``_int_text`` takes 16 bytes per digit, so a caller passes the rows of
+    one write at a time, as ``TraceWriter`` does."""
+    parts = [_int_text(column) for column in columns]
+    comma = np.full((len(parts[0]), 1), ord(","), dtype=np.uint8)
+    return np.concatenate([part for text in parts for part in (comma, text)][1:], axis=1)
 
 
 def _column_text(column):

@@ -581,6 +581,32 @@ class TestFitDelta:
         assert error["error"] == "MalformedFile"
         assert error["detail"].startswith(f"{path}: not a matrix of numbers")
 
+    @pytest.mark.parametrize("kind", ["all-5", "transpose", "negative"])
+    def test_matrix_that_is_not_a_combination_is_refused(self, tmp_path, capsys, kind):
+        # each of these used to fit with exit 0
+        network = sample_sbm(SbmParams(n0=5, n1=5, p0=0.9, p1=0.9, q0=0.3, q1=0.3), seed=1)
+        profile = bernoulli_profile(network.clusters, (0.1, 0.5))
+        trace_path = tmp_path / "trace.csv"
+        run(network, profile, strategy="asl", delta=0.5, horizon=40, seed=1).to_csv(trace_path)
+        if kind == "all-5":
+            matrix, column = np.full((10, 10), 5.0), 0
+        elif kind == "transpose":
+            matrix = network.combination.T
+            column = int(np.flatnonzero(np.abs(matrix.sum(axis=0) - 1.0) > 1e-9)[0])
+        else:
+            matrix, column = network.combination.copy(), 3
+            matrix[:, 3] = 0.0
+            matrix[:2, 3] = [1.5, -0.5]  # sums to 1
+        path = tmp_path / "combination.csv"
+        save_matrix_csv(path, matrix)
+        code = main(["fit-delta", "--trace", str(trace_path), "--combination", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        error = json.loads(err)
+        assert error["error"] == "MalformedFile"
+        assert error["detail"].startswith(f"{path}: column {column} is not a combination column")
+
     def test_zero_grid_step_is_one_json_error(self, tmp_path, capsys):
         network = sample_sbm(SbmParams(n0=3, n1=3, p0=0.9, p1=0.9, q0=0.3, q1=0.3), seed=1)
         net_path = tmp_path / "network.txt"
@@ -598,9 +624,11 @@ class TestFitDelta:
         assert "grid step" in error["detail"]
 
 
-    @pytest.mark.parametrize("grid", ["0.1:0.5", "0.1,abc", "0.1:0.5:0.1:0.2"])
+    @pytest.mark.parametrize("grid", ["0.1:0.5", "0.1,abc", "0.1:0.5:0.1:0.2", "0.5:0.1:0.1",
+                                      ","])
     def test_malformed_grid_names_the_flag(self, tmp_path, capsys, grid):
-        # these used to report only the unpacking or float() error
+        # these used to report only the unpacking or float() error, or an
+        # empty grid without the flag
         code = main(["fit-delta", "--trace", str(tmp_path / "trace.csv"), "--network",
                      str(tmp_path / "network.txt"), "--grid", grid])
         assert code == 2

@@ -30,6 +30,7 @@ from blocklearn.harness import (
 from blocklearn.learning import run
 from blocklearn.theory import expected_log_ratio
 from blocklearn.models import bernoulli_profile, random_multinomial_profile
+from test_writers import row_loop_csv
 
 VB1 = SbmParams(n0=15, n1=15, p0=0.8, p1=0.8, q0=0.1, q1=0.1)
 PROFILE = {"kind": "bernoulli", "success_probs": [0.1, 0.5]}
@@ -575,6 +576,7 @@ class TestRunExperiment:
 
 
 SPARSE = SbmParams(n0=4, n1=4, p0=0.35, p1=0.35, q0=0.04, q1=0.04)
+WIDE = SbmParams(n0=150, n1=150, p0=0.1, p1=0.1, q0=0.01, q1=0.01)
 
 
 class TestStreamedTraces:
@@ -604,7 +606,10 @@ class TestStreamedTraces:
              replicates=3, record_observations=True),
         dict(horizon=0, burn_in=0, replicates=3, record_observations=True),
         dict(strategy="traditional", delta=None, burn_in=None, horizon=100, replicates=4),
-    ], ids=["cli-roundtrip", "sparse-two-blocks", "criterion-5", "horizon-0", "traditional"])
+        # one 16-step chunk is 4800 rows, more than one write's ROWS_PER_WRITE
+        dict(network=WIDE, horizon=40, burn_in=8, replicates=2, record_observations=True),
+    ], ids=["cli-roundtrip", "sparse-two-blocks", "criterion-5", "horizon-0", "traditional",
+            "300-agents"])
     def test_streamed_directory_equals_in_memory_outputs(self, tmp_path, overrides):
         streamed, in_memory = tmp_path / "streamed", tmp_path / "in_memory"
         streamed.mkdir()
@@ -632,6 +637,8 @@ class TestStreamedTraces:
             else:
                 assert (streamed / name).read_bytes() == expected, name
         assert len(result.streamed) == 2 * len(reference.traces) > 0
+        row_loop_csv(reference.traces[0], tmp_path / "loop.csv")
+        assert (streamed / "trace_0000.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
 
     def test_memory_does_not_grow_with_stored_cells(self, tmp_path):
         # traces kept in memory take 17 bytes per (replicate, step, agent)

@@ -330,18 +330,23 @@ class TestCheckPair:
 class TestSimulateBlock:
     @staticmethod
     def chunks(burn_in, record):
+        """The chunks one hook sees, copied, and the traces of a recorder
+        that the hook calls first when ``record`` is set."""
         network = sample_sbm(CRITERION_5, seed=3)
         profile = random_multinomial_profile(network.clusters, 25, seed=10)
         symbols = observation_matrix(profile, 40, [1, 2])
         combination_t = np.ascontiguousarray(network.combination.T)
         seen = []
         recorder = TraceRecorder(2, 40, network.clusters, profile.n_hypotheses) if record else None
-        simulate_block(
-            combination_t, profile, symbols, "asl", 0.1, (0, 2), "mu",
-            on_chunk=lambda start, psi, mu, est: seen.append(
-                (start, psi.copy(), None if mu is None else mu.copy(),
-                 None if est is None else est.copy())),
-            record=recorder, burn_in=burn_in)
+
+        def on_chunk(start, psi, mu, est):
+            if recorder is not None:
+                recorder(start, psi, mu, est)
+            seen.append((start, psi.copy(), None if mu is None else mu.copy(),
+                         None if est is None else est.copy()))
+
+        simulate_block(combination_t, profile, symbols, "asl", 0.1, (0, 2), "mu", on_chunk,
+                       burn_in=burn_in)
         return seen, recorder and recorder.close([{}, {}])
 
     @pytest.mark.parametrize("burn_in", [0, 15, 16, 17, 32, 40])
@@ -357,12 +362,17 @@ class TestSimulateBlock:
                 assert np.array_equal(mu, mu_full) and np.array_equal(est, est_full)
 
     def test_recorded_blocks_keep_every_chunk(self):
-        seen, traces = self.chunks(40, record=True)
-        _, full = self.chunks(0, record=True)
+        # a recorder is passed with burn_in 0, and sees mu and the estimates
+        # of every chunk
+        seen, traces = self.chunks(0, record=True)
+        assert [c[0] for c in seen] == [0, 16, 32]
         assert all(mu is not None and est is not None for _, _, mu, est in seen)
-        for a, b in zip(traces, full, strict=True):
-            assert np.array_equal(a.mu_log_ratio, b.mu_log_ratio)
-            assert np.array_equal(a.estimates, b.estimates)
+        mu = np.concatenate([c[2] for c in seen])  # (T, B, N)
+        est = np.concatenate([c[3] for c in seen])
+        for j, trace in enumerate(traces):
+            assert np.array_equal(trace.mu_log_ratio[1:], mu[:, j])
+            assert np.array_equal(trace.estimates[1:], est[:, j])
+            assert not trace.mu_log_ratio[0].any() and not trace.estimates[0].any()
 
 
 class TestLogRatioChunks:
