@@ -167,6 +167,8 @@ class Network:
             raise ValueError("adjacency and combination must be square and same size")
         if self.clusters.shape != (n,):
             raise ValueError("clusters must have one label per agent")
+        if not np.all(self.combination >= 0):  # false for NaN too
+            raise ValueError("combination weights must be nonnegative numbers")
         col_sums = self.combination.sum(axis=0)
         if np.any(np.abs(col_sums - 1.0) > 1e-9):
             raise ValueError("combination matrix is not left-stochastic")

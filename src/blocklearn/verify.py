@@ -54,7 +54,7 @@ from .models import (
     observation_matrix,
 )
 from .theory import expected_log_ratio, symmetric_log_ratio_closed_form
-from .writers import ROWS_PER_WRITE, joined_ints, text_column, write_rows
+from .writers import ROWS_PER_WRITE, text_column, write_rows
 
 __all__ = ["CheckResult", "all_checks", "run_all"]
 
@@ -555,8 +555,8 @@ def check_csv_text_vs_printf(seed=47, steps=300, n_agents=30):
     works, and over 1e-320..1e300, with both signs, zeros, subnormals, nan
     and infinities; integers of either sign up to 13 digits; codes into a
     table of strings, as a text column.  The columns are written alone and
-    behind the shared ``iter,agent,cluster`` text column of trace files, and
-    the bytes must equal the loop's.
+    behind a trace file's ``iter,agent,cluster`` integer columns, and the
+    bytes must equal the loop's.
     """
     rng = np.random.default_rng(seed)
     rows = steps * n_agents
@@ -578,7 +578,7 @@ def check_csv_text_vs_printf(seed=47, steps=300, n_agents=30):
     mismatches = []
     for name, front, expected in (
             ("plain columns", [], "".join(loop)),
-            ("iter,agent,cluster text", [joined_ints([iters, agents, clusters[agents]])],
+            ("iter,agent,cluster columns", [iters, agents, clusters[agents]],
              "".join(p + row for p, row in zip(prefixes, loop)))):
         bulk = BytesIO()
         write_rows(bulk, front + columns)

@@ -9,8 +9,8 @@ import numpy as np
 
 from . import __version__
 
-__all__ = ["ROWS_PER_WRITE", "TRACE_NAME", "TraceWriter", "joined_ints", "text_column",
-           "write_directory", "write_rows", "write_table", "write_traces"]
+__all__ = ["ROWS_PER_WRITE", "TRACE_NAME", "TraceWriter", "text_column", "write_directory",
+           "write_rows", "write_table", "write_traces"]
 
 
 # Rows turned into text and written at once by ``write_rows``.
@@ -127,7 +127,7 @@ def _float_text(values):
 
     Finite values with ``1e-4 <= |x| < 1e16``, where ``%.17g`` prints fixed
     notation, are converted by ``_digits17``; every other value (zeros,
-    subnormals, tiny and huge values, nan, infinities) by ``'%.17g' % v``.
+    subnormals, tiny and huge values, nan, infinities) by ``_value_text``.
     """
     x = np.asarray(values, dtype=np.float64)
     a = np.abs(x)
@@ -161,54 +161,30 @@ def _float_text(values):
     exponent += zeros
     slot &= masks.take(exponent, axis=0)
     chars = slot.view(np.uint8)
-    for i in np.flatnonzero(~fast):
-        text = b"%.17g" % x[i]
-        chars[i] = 0
-        chars[i, : len(text)] = np.frombuffer(text, dtype=np.uint8)
+    rest = np.flatnonzero(~fast)
+    if rest.size:
+        text = _value_text("%.17g", x[rest])
+        chars[rest] = 0
+        chars[rest, :text.shape[1]] = text
     return chars
 
 
-def _int_text(values):
-    """``%d`` text of an integer (or boolean) column, right-aligned in a
-    slot as wide as the widest value, with NUL bytes before it."""
-    v = np.asarray(values).astype(np.int64)
-    magnitude = np.abs(v).view(np.uint64)  # |int64 min| wraps to 2**63, as wanted
-    width = len(str(int(magnitude.max()))) if v.size else 1
-    powers = np.uint64(10) ** np.arange(width - 1, -1, -1, dtype=np.uint64)
-    chars = (magnitude[:, None] // powers % np.uint64(10)).astype(np.uint8) + ord("0")
-    # a place is written when its power does not exceed the value, and the
-    # ones place always
-    unused = magnitude[:, None] < powers
-    unused[:, -1] = False
-    chars[unused] = 0
-    negative = v < 0
-    if negative.any():
-        sign = np.where(negative, np.uint8(ord("-")), np.uint8(0))
-        chars = np.concatenate([sign[:, None], chars], axis=1)
-    return chars
+def _value_text(template, values):
+    """``template % value`` for each value of a 1-D column, as a text column.
+    Each distinct bit pattern is formatted once (so ``-0.0`` keeps its sign),
+    and its text row is repeated for every value that has it."""
+    bits, codes = np.unique(values.view(f"u{values.itemsize}"), return_inverse=True)
+    return text_column([template % v for v in bits.view(values.dtype).tolist()])[codes]
 
 
 def text_column(strings):
     """A text column of ``write_rows``: one row of ASCII bytes per string,
     padded with NUL.  NUL marks the unused bytes of a row, so a string may
     not hold it.  Indexing its rows repeats them: ``text_column(table)[codes]``."""
-    if any("\0" in text for text in strings):
+    if "\0" in "".join(strings):
         raise ValueError(f"CSV text may not hold NUL: {strings!r}")
-    encoded = [text.encode("ascii") for text in strings]
-    chars = np.zeros((len(encoded), max(map(len, encoded), default=0)), dtype=np.uint8)
-    for row, text in zip(chars, encoded):
-        row[: len(text)] = np.frombuffer(text, dtype=np.uint8)
-    return chars
-
-
-def joined_ints(columns):
-    """Equal-length, non-empty integer columns as one text column whose rows
-    are their ``%d`` texts joined by commas.  The digit arithmetic of
-    ``_int_text`` takes 16 bytes per digit, so a caller passes the rows of
-    one write at a time, as ``TraceWriter`` does."""
-    parts = [_int_text(column) for column in columns]
-    comma = np.full((len(parts[0]), 1), ord(","), dtype=np.uint8)
-    return np.concatenate([part for text in parts for part in (comma, text)][1:], axis=1)
+    encoded = np.array(strings, dtype=bytes)  # UnicodeEncodeError unless ASCII
+    return encoded.view(np.uint8).reshape(len(strings), encoded.itemsize)
 
 
 def _column_text(column):
@@ -220,7 +196,7 @@ def _column_text(column):
     if column.dtype.kind == "f":
         return _float_text, column
     if column.dtype.kind in "iub":
-        return _int_text, column
+        return functools.partial(_value_text, "%d"), column
     raise ValueError(f"write_rows cannot write a column of dtype {column.dtype}")
 
 
@@ -229,15 +205,16 @@ def write_rows(fh, columns):
     to a binary file, one ``write`` per ``ROWS_PER_WRITE`` rows.
 
     A float column is written as ``%.17g``, an integer or boolean column as
-    ``%d``, and a text column (a 2-D ``uint8`` array, as ``text_column`` and
-    ``joined_ints`` make) as its rows' bytes up to their NUL padding.  The
-    bytes are those of a ``csv.writer`` row loop over such text.
+    ``%d``, and a text column (a 2-D ``uint8`` array, as ``text_column``
+    makes) as its rows' bytes up to their NUL padding.  The bytes are those
+    of a ``csv.writer`` row loop over such text.
 
-    No Python object is made per value.  A window of rows is a ``uint8``
-    matrix of one slot per field: floats from an exact vectorised kernel,
-    integers from digit arithmetic, text columns' rows as they are, and the
-    separators.  NUL bytes fill what a slot does not use, and deleting them
-    leaves the window's text.
+    A window of rows is a ``uint8`` matrix of one slot per field, of two
+    kinds besides text columns' rows: floats in fixed notation from an exact
+    vectorised kernel, and every other field from a table of its column's
+    distinct values in the window, each formatted once by Python.  NUL bytes
+    fill what a slot does not use, and deleting them leaves the window's
+    text.
     """
     fields = [_column_text(column) for column in columns]
     lengths = {len(data) for _, data in fields}
@@ -283,7 +260,8 @@ class TraceWriter:
 
     def __init__(self, paths, clusters, n_estimates, observations=None):
         self.paths = [Path(path) for path in paths]
-        self.clusters, self.observations = clusters, observations
+        self.observations = observations
+        self.agents = text_column([f"{k},{c}" for k, c in enumerate(clusters.tolist())])
         header = b"iter,agent,cluster,log_ratio,estimate"
         if observations is None:
             self.tails = text_column([str(e) for e in range(n_estimates)])
@@ -306,7 +284,7 @@ class TraceWriter:
         self.stop = start + 1 + psi.shape[0]
         # write before another chunk of this size would take them past
         # ROWS_PER_WRITE
-        if (self.stop - self.first + psi.shape[0]) * self.clusters.size > ROWS_PER_WRITE:
+        if (self.stop - self.first + psi.shape[0]) * len(self.agents) > ROWS_PER_WRITE:
             self._write()
 
     def _write(self):
@@ -314,7 +292,7 @@ class TraceWriter:
         first, stop = self.first, self.stop
         self.pending, self.first = [], stop
         iters, agents = np.indices(psi.shape[::2]).reshape(2, -1)
-        rows = joined_ints([iters + first, agents, self.clusters[agents]])
+        prefix = [text_column([str(i) for i in range(first, stop)])[iters], self.agents[agents]]
         codes = est.astype(np.intp)
         if self.observations is not None:
             codes *= self.stride
@@ -324,7 +302,7 @@ class TraceWriter:
             codes[observed - first:] += 1
         for j, path in enumerate(self.paths):
             with open(path, "ab") as fh:
-                write_rows(fh, [rows, psi[:, j].ravel(), self.tails[codes[:, j].ravel()]])
+                write_rows(fh, prefix + [psi[:, j].ravel(), self.tails[codes[:, j].ravel()]])
 
     def close(self, metadata):
         """Write the waiting rows, then each file's JSON sidecar from its

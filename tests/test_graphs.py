@@ -443,6 +443,18 @@ class TestInverseBinomialMoment:
             assert exact >= approx - 1e-14
 
 
+class TestNetwork:
+    # a weight where 0 -> 1 has no edge: -0.5 in a column that still sums to
+    # one, and NaN, whose column sum is NaN and fails no comparison
+    @pytest.mark.parametrize("column", [[-0.5, 7 / 6, 1 / 3], [np.nan, 0.5, 0.5]])
+    def test_weight_without_edge_rejected(self, column):
+        adjacency = np.array([[1, 0, 1], [1, 1, 1], [1, 1, 1]], dtype=np.int8)
+        combination = averaging_combination(adjacency)
+        combination[:, 1] = column
+        with pytest.raises(ValueError, match="nonnegative"):
+            Network(adjacency=adjacency, combination=combination, clusters=np.zeros(3, int))
+
+
 class TestNetworkIO:
     def test_round_trip_two_communities(self, tmp_path):
         network = sample_sbm(VB1, seed=8)

@@ -42,13 +42,16 @@ class TestTraceCsv:
     def test_bytes_match_row_loop(self, tmp_path, record_observations):
         network = sample_sbm(VB1, seed=3)
         profile = bernoulli_profile(network.clusters, (0.1, 0.5))
-        trace = run(network, profile, strategy="asl", delta=0.2, horizon=150, seed=4,
-                    record_observations=record_observations)
-        # values whose %.17g text is easy to get wrong
-        trace.log_ratio[1, :4] = [-0.0, 1e-300, 123456789.123, -2.5e16]
-        trace.to_csv(tmp_path / "bulk.csv")
-        row_loop_csv(trace, tmp_path / "loop.csv")
-        assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+        # at horizon 1005, iterations 999 and 1000 share a write: one
+        # iteration table holds 3- and 4-digit rows
+        for horizon in (150, 1005):
+            trace = run(network, profile, strategy="asl", delta=0.2, horizon=horizon, seed=4,
+                        record_observations=record_observations)
+            # values whose %.17g text is easy to get wrong
+            trace.log_ratio[1, :4] = [-0.0, 1e-300, 123456789.123, -2.5e16]
+            trace.to_csv(tmp_path / "bulk.csv")
+            row_loop_csv(trace, tmp_path / "loop.csv")
+            assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
 
     @pytest.mark.parametrize("record_observations", [False, True])
     def test_criterion_5_trace(self, tmp_path, record_observations):
@@ -123,7 +126,10 @@ class TestFloatKernel:
 
     FIXED = [1e-4, 9.9999999999999995e-05, 1e16, 9999999999999998.0, -0.0, 5e-324,
              # the values TestTraceCsv marks as easy to get wrong
-             1e-300, 123456789.123, -2.5e16]
+             1e-300, 123456789.123, -2.5e16,
+             # values the kernel leaves to a table of distinct values: 0.0
+             # equals -0.0, so that table must tell values apart by their bits
+             0.0, np.nan, np.uint64(0x7FF4000000000001).view(np.float64), np.inf, -np.inf]
 
     def test_powers_of_ten_and_their_neighbours(self):
         powers = 10.0 ** np.arange(-5, 18)
@@ -193,12 +199,15 @@ class TestWriteRows:
         assert fh.getvalue() == b""
 
     def test_ints_and_table_strings(self):
-        ints = np.array([0, 7, -7, 10, -10, 99, 2**63 - 1, -2**63, 1000000])
         table = ["", "a", "%%", "x,y"]
-        codes = np.arange(ints.size) % len(table)
-        flags = ints > 0
-        fh = io.BytesIO()
-        write_rows(fh, [ints, text_column(table)[codes], flags])
-        expected = "".join("%d,%s,%d\r\n" % (i, table[c], f)
-                           for i, c, f in zip(ints.tolist(), codes, flags.tolist()))
-        assert fh.getvalue() == expected.encode()
+        for ints in (np.array([0, 7, -7, 10, -10, 99, 2**63 - 1, -2**63, 1000000]),
+                     # more distinct values than rows in a write: the
+                     # column's tables span several writes
+                     np.arange(-ROWS_PER_WRITE, 2 * ROWS_PER_WRITE) * 7919):
+            codes = np.arange(ints.size) % len(table)
+            flags = ints > 0
+            fh = io.BytesIO()
+            write_rows(fh, [ints, text_column(table)[codes], flags])
+            expected = "".join("%d,%s,%d\r\n" % (i, table[c], f)
+                               for i, c, f in zip(ints.tolist(), codes, flags.tolist()))
+            assert fh.getvalue() == expected.encode()
