@@ -21,7 +21,8 @@ from .learning import (
     run,  # noqa: F401 - part of this module's namespace, which perfbench/tracing.py wraps
 )
 from .models import LikelihoodProfile, seed_words
-from .writers import TRACE_NAME, TraceWriter, write_directory, write_table, write_traces
+from .writers import (ROWS_PER_WRITE, TRACE_NAME, TraceWriter, iteration_prefix, remove_outputs,
+                      text_column, write_directory, write_rows, write_table, write_traces)
 
 __all__ = [
     "ErrorReport",
@@ -128,20 +129,21 @@ class ExperimentResult:
         }
 
     def write_outputs(self, out_dir, comparison=None):
-        """Write the run's files and a ``manifest.json`` listing them; returns
-        the names of the files written, apart from the manifest.  Streamed
-        traces are listed, so any ``out_dir`` but theirs raises ValueError."""
-        if self.streamed and Path(out_dir).resolve() != Path(self.config.out_dir).resolve():
+        """Write the run's files and a ``manifest.json`` listing them, in place
+        of an earlier ``simulate``'s; returns the names of the files written,
+        apart from the manifest.  Streamed traces are listed, so any
+        ``out_dir`` but theirs raises ValueError."""
+        if not self.streamed:
+            remove_outputs(out_dir, "simulate")
+        elif Path(out_dir).resolve() != Path(self.config.out_dir).resolve():
             raise ValueError(f"this run's traces are in {self.config.out_dir}, not {out_dir}")
         trace_names = self.streamed or write_traces(
             [Path(out_dir) / TRACE_NAME.format(i) for i in range(len(self.traces))], self.traces)
         files = [
             ("summary.json", json.dumps(self.summary_dict(), indent=2, sort_keys=True)),
             ("error_report.csv", self.error_report.to_csv),
-            ("iteration_stats.csv", lambda path: write_table(
-                path, ["iter", "agent", "mean_log_ratio", "std_log_ratio"],
-                [*np.indices(self.iter_mean.shape).reshape(2, -1), self.iter_mean.ravel(),
-                 self.iter_std.ravel()])),
+            ("iteration_stats.csv",
+             partial(_write_iteration_stats, mean=self.iter_mean, std=self.iter_std)),
             *[(name, None) for name in trace_names],
         ]
         if comparison is not None:
@@ -225,10 +227,10 @@ def run_experiment(config):
 
     stream = Path(config.out_dir) if config.store_traces and config.out_dir else None
     if stream:
-        # write_outputs writes the manifest last: a directory without one
-        # holds an unfinished run
+        # an earlier simulate's files go first, and write_outputs writes the
+        # manifest last: a directory without one holds an unfinished run
         stream.mkdir(parents=True, exist_ok=True)
-        (stream / "manifest.json").unlink(missing_ok=True)
+        remove_outputs(stream, "simulate")
 
     iter_sum = iter_sq = None
     counts = np.zeros((n, h), dtype=np.int64)
@@ -413,6 +415,19 @@ def compare_theory(result, prediction):
             )
         )
     return rows
+
+
+def _write_iteration_stats(path, mean, std):
+    """Write ``iteration_stats.csv`` a window of ``ROWS_PER_WRITE`` rows (or
+    one iteration) at a time."""
+    agents = text_column([str(k) for k in range(mean.shape[1])])
+    step = max(ROWS_PER_WRITE // len(agents), 1)
+    with open(path, "wb") as fh:
+        fh.write(b"iter,agent,mean_log_ratio,std_log_ratio\r\n")
+        for first in range(0, len(mean), step):
+            rows = slice(first, first + step)
+            write_rows(fh, iteration_prefix(first, min(first + step, len(mean)), agents)
+                       + [mean[rows].ravel(), std[rows].ravel()])
 
 
 def _write_comparison_csv(path, rows):

@@ -9,8 +9,8 @@ import numpy as np
 
 from . import __version__
 
-__all__ = ["ROWS_PER_WRITE", "TRACE_NAME", "TraceWriter", "text_column", "write_directory",
-           "write_rows", "write_table", "write_traces"]
+__all__ = ["ROWS_PER_WRITE", "TRACE_NAME", "TraceWriter", "iteration_prefix", "remove_outputs",
+           "text_column", "write_directory", "write_rows", "write_table", "write_traces"]
 
 
 # Rows turned into text and written at once by ``write_rows``.
@@ -238,6 +238,14 @@ def write_rows(fh, columns):
         fh.write(text.translate(None, b"\0"))
 
 
+def iteration_prefix(first, stop, agents):
+    """The leading text columns of the CSV rows of iterations ``first ..
+    stop - 1``, one row per agent each: the iteration, and the agent's row
+    of the text table ``agents``."""
+    iters = text_column([str(i) for i in range(first, stop)])
+    return [iters.repeat(len(agents), axis=0), np.tile(agents, (stop - first, 1))]
+
+
 def write_table(path, header, *blocks):
     """Write a CSV file: the ``header`` line, then the rows of each block of
     columns through ``write_rows``."""
@@ -253,8 +261,8 @@ class TraceWriter:
     rows, ``iter, agent, cluster, log_ratio, estimate[, obs]``.  A call takes
     the public log-ratios and the estimates of iterations ``start + 1 ..
     start + K``, ``(K, B, N)`` arrays the caller does not reuse.  Rows wait
-    until about ``ROWS_PER_WRITE`` per file, then are appended through
-    ``write_rows``, one file open at a time.  ``observations``, the block's
+    until about ``ROWS_PER_WRITE`` per file, then are converted and appended
+    through ``write_rows`` one file at a time.  ``observations``, the block's
     ``(B, N, T)`` symbols or None, fill the ``obs`` column; ``n_estimates``
     bounds the estimates."""
 
@@ -288,21 +296,20 @@ class TraceWriter:
             self._write()
 
     def _write(self):
-        psi, est = (np.concatenate(series) for series in zip(*self.pending))
         first, stop = self.first, self.stop
-        self.pending, self.first = [], stop
-        iters, agents = np.indices(psi.shape[::2]).reshape(2, -1)
-        prefix = [text_column([str(i) for i in range(first, stop)])[iters], self.agents[agents]]
-        codes = est.astype(np.intp)
-        if self.observations is not None:
-            codes *= self.stride
-            observed = max(first, 1)  # iteration i >= 1 observed symbol i - 1
-            symbols = self.observations[..., observed - 1:stop - 1]
-            codes[observed - first:] += symbols.transpose(2, 0, 1)
-            codes[observed - first:] += 1
+        pending, self.pending, self.first = self.pending, [], stop
+        prefix = iteration_prefix(first, stop, self.agents)
+        observed = max(first, 1)  # iteration i >= 1 observed symbol i - 1
+        # one file's rows at a time: its log-ratios and estimate[,obs] codes
         for j, path in enumerate(self.paths):
+            psi = np.concatenate([chunk[:, j] for chunk, _ in pending])
+            codes = np.concatenate([chunk[:, j] for _, chunk in pending], dtype=np.intp)
+            if self.observations is not None:
+                codes *= self.stride
+                codes[observed - first:] += self.observations[j, :, observed - 1:stop - 1].T
+                codes[observed - first:] += 1
             with open(path, "ab") as fh:
-                write_rows(fh, prefix + [psi[:, j].ravel(), self.tails[codes[:, j].ravel()]])
+                write_rows(fh, prefix + [psi.ravel(), self.tails[codes.ravel()]])
 
     def close(self, metadata):
         """Write the waiting rows, then each file's JSON sidecar from its
@@ -334,6 +341,21 @@ def write_traces(paths, traces):
         writer(start, np.stack([t.log_ratio[rows] for t in traces], axis=1), None,
                np.stack([t.estimates[rows] for t in traces], axis=1))
     return writer.close([t.metadata for t in traces])
+
+
+def remove_outputs(out_dir, command):
+    """Delete ``out_dir``'s ``manifest.json`` and, when a ``command`` run
+    wrote it, the files it lists; nothing else is touched."""
+    manifest = Path(out_dir) / "manifest.json"
+    try:
+        old = json.loads(manifest.read_text())
+    except (OSError, ValueError):  # no manifest, or one cut short
+        old = {}
+    if isinstance(old, dict) and old.get("command") == command:
+        for name in old.get("outputs", []):
+            if Path(name).name == name:  # a name in out_dir, not a path out of it
+                (manifest.parent / name).unlink(missing_ok=True)
+    manifest.unlink(missing_ok=True)
 
 
 def write_directory(out_dir, command, files):

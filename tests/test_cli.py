@@ -401,6 +401,31 @@ class TestManifest:
         if command == "simulate":
             assert "trace_0001.csv.meta.json" in written
 
+    @pytest.mark.parametrize("store_traces", [True, False])
+    def test_repeated_simulate_leaves_only_its_own_files(self, tmp_path, store_traces):
+        out = tmp_path / "results"
+        out.mkdir()
+        (out / "notes.txt").write_text("not an output")
+        config = write_config(tmp_path, store_traces=True)
+        assert main(["simulate", "--config", str(config), "--fixed-graph", "--replicates", "2",
+                     "--out", str(out)]) == 0
+        assert (out / "trace_0001.csv").exists()
+        # a smaller run into the same directory removes what the first wrote
+        config = write_config(tmp_path, store_traces=store_traces)
+        assert main(["simulate", "--config", str(config), "--fixed-graph", "--replicates", "1",
+                     "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        written = {path.name for path in out.iterdir()} - {"manifest.json", "notes.txt"}
+        assert sorted(manifest["outputs"]) == sorted(written)
+        assert ("trace_0000.csv" in written) == store_traces
+        assert (out / "notes.txt").read_text() == "not an output"
+
+    def test_another_commands_outputs_are_kept(self, tmp_path):
+        out = tmp_path / "results"
+        assert main(["generate", *command_inputs("generate", tmp_path), "--out", str(out)]) == 0
+        assert main(["simulate", *command_inputs("simulate", tmp_path), "--out", str(out)]) == 0
+        assert (out / "network.txt").exists() and (out / "combination.csv").exists()
+
 
 class TestPredict:
     def test_block_model_config(self, tmp_path, capsys):

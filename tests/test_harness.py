@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import re
 import tracemalloc
@@ -16,7 +17,7 @@ from blocklearn.exceptions import (
     MalformedConfig,
     MismatchedConfig,
 )
-from blocklearn.graphs import BlockModel, SbmParams, sample_sbm, save_network
+from blocklearn.graphs import BlockModel, Network, SbmParams, sample_sbm, save_network
 from blocklearn.harness import (
     BLOCK_SIZE,
     ComparisonRow,
@@ -30,6 +31,7 @@ from blocklearn.harness import (
 from blocklearn.learning import run
 from blocklearn.theory import expected_log_ratio
 from blocklearn.models import bernoulli_profile, random_multinomial_profile
+from blocklearn.writers import ROWS_PER_WRITE
 from test_writers import row_loop_csv
 
 VB1 = SbmParams(n0=15, n1=15, p0=0.8, p1=0.8, q0=0.1, q1=0.1)
@@ -559,20 +561,50 @@ class TestRunExperiment:
         assert (tmp_path / "iteration_stats.csv").read_bytes() == reference.read_bytes()
 
     def test_iteration_stats_bytes(self, tmp_path):
-        # 151 x 30 rows: two ROWS_PER_WRITE chunks
-        result = run_experiment(small_config(replicates=2, horizon=150))
-        result.iter_mean[1, :4] = [-0.0, 1e-300, float("nan"), float("inf")]
-        result.iter_std[150, -3:] = [float("-inf"), float("nan"), 2.5e16]
-        result.write_outputs(tmp_path / "run")
-        reference = tmp_path / "loop.csv"
-        with open(reference, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iter", "agent", "mean_log_ratio", "std_log_ratio"])
-            for i in range(151):
-                for k in range(30):
+        # 151 x 30 rows: two ROWS_PER_WRITE windows
+        small = small_config(replicates=2, horizon=150)
+        # an identity network built in code, with more agents than
+        # ROWS_PER_WRITE: each window is one iteration, which write_rows
+        # writes in two parts
+        n = ROWS_PER_WRITE + 3
+        wide = small_config(network=Network(adjacency=np.eye(n, dtype=np.int8),
+                                             combination=np.eye(n), clusters=np.arange(n) % 2),
+                            replicates=2, horizon=2, burn_in=0)
+        for name, config in [("small", small), ("wide", wide)]:
+            result = run_experiment(config)
+            result.iter_mean[1, :4] = [-0.0, 1e-300, float("nan"), float("inf")]
+            result.iter_std[-1, -3:] = [float("-inf"), float("nan"), 2.5e16]
+            result.write_outputs(tmp_path / name)
+            reference = tmp_path / f"{name}_loop.csv"
+            with open(reference, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["iter", "agent", "mean_log_ratio", "std_log_ratio"])
+                for i, k in np.ndindex(result.iter_mean.shape):
                     writer.writerow([i, k, f"{result.iter_mean[i, k]:.17g}",
                                      f"{result.iter_std[i, k]:.17g}"])
-        assert (tmp_path / "run" / "iteration_stats.csv").read_bytes() == reference.read_bytes()
+            assert ((tmp_path / name / "iteration_stats.csv").read_bytes()
+                    == reference.read_bytes()), name
+
+    def test_iteration_stats_memory_does_not_grow_with_the_horizon(self, tmp_path):
+        result = run_experiment(small_config(replicates=2))
+
+        def peak(horizon):
+            rng = np.random.default_rng(horizon)
+            long = dataclasses.replace(result, iter_mean=rng.normal(size=(horizon + 1, 30)),
+                                       iter_std=rng.random((horizon + 1, 30)))
+            tracemalloc.start()
+            try:
+                long.write_outputs(tmp_path / str(horizon))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                (tmp_path / str(horizon) / "iteration_stats.csv").unlink()
+
+        peak(100)  # first-use allocations
+        # (iteration, agent) index columns for all 20,001 x 30 rows would
+        # take 9.6 MB; a window of ROWS_PER_WRITE rows takes the same at
+        # any horizon
+        assert peak(20_000) - peak(2_000) < 100_000
 
 
 SPARSE = SbmParams(n0=4, n1=4, p0=0.35, p1=0.35, q0=0.04, q1=0.04)

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import os
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
@@ -14,7 +15,7 @@ from blocklearn.graphs import BlockModel, SbmParams, sample_sbm
 from blocklearn.harness import ExperimentConfig, run_experiment
 from blocklearn.learning import run
 from blocklearn.models import bernoulli_profile, random_multinomial_profile
-from blocklearn.writers import ROWS_PER_WRITE, text_column, write_rows
+from blocklearn.writers import ROWS_PER_WRITE, TraceWriter, text_column, write_rows
 
 VB1 = SbmParams(n0=15, n1=15, p0=0.8, p1=0.8, q0=0.1, q1=0.1)
 CRITERION_5 = BlockModel(sizes=(20, 25, 30),
@@ -94,6 +95,32 @@ class TestTraceCsv:
             assert ((tmp_path / "run" / f"trace_{i:04d}.csv.meta.json").read_bytes()
                     == (tmp_path / f"alone_{i}.csv.meta.json").read_bytes())
         assert len({(tmp_path / f"alone_{i}.csv").read_bytes() for i in range(4)}) == 4
+
+
+class TestTraceWriter:
+    def test_memory_is_one_window_of_one_file(self, tmp_path):
+        # a criterion-5 block of 64 replicates, with observations; the peak
+        # is one write's, and 208 iterations make four writes
+        b, n, horizon = 64, 75, 208
+        rng = np.random.default_rng(5)
+        psi = rng.normal(size=(horizon, b, n))
+        est = rng.integers(0, 3, size=(horizon, b, n), dtype=np.uint8)
+        observations = rng.integers(0, 25, size=(b, n, horizon), dtype=np.uint8)
+        # the 64 files would fill 30 MB of disk: the rows go to the null device
+        paths = [tmp_path / f"trace_{j:04d}.csv" for j in range(b)]
+        for path in paths:
+            path.symlink_to(os.devnull)
+        tracemalloc.start()
+        try:
+            writer = TraceWriter(paths, np.repeat([0, 1, 2], [20, 25, 30]), 3, observations)
+            for start in range(0, horizon, 16):
+                writer(start, psi[start:start + 16], None, est[start:start + 16])
+            writer.close([{}] * b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one write's log-ratios of all 64 files alone take 1.9 MB
+        assert peak < 1_500_000
 
 
 def printf_text(values):
