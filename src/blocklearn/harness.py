@@ -160,18 +160,22 @@ _CHUNK_COUNT = np.min_scalar_type(learning.STEPS_PER_CHUNK)
 
 
 def _chunk_sums(n_agents):
-    """Two functions that sum a ``(K, B, N)`` chunk over its replicates, to
-    ``(K, N)``, and over its iterations and replicates, to ``(N,)``.
+    """Three functions that sum a ``(K, B, N)`` chunk ``x``: ``x`` and
+    ``x * x`` over the replicates, to ``(K, N)``, and ``x * x`` over the
+    iterations and replicates, to ``(N,)``.
 
     Their results are bitwise those of ``sum(axis=1)`` and
     ``sum(axis=(0, 1))``.  Over axes that are not the innermost, ``sum`` and
-    ``einsum`` both add in order, and ``einsum`` is faster.  With one agent
-    those axes are contiguous and ``sum`` adds pairwise, so that case keeps
+    ``einsum`` both add in order, and ``einsum`` is faster; its two-operand
+    form squares as it adds, with no array of squares.  With one agent those
+    axes are contiguous and ``sum`` adds pairwise, so that case keeps
     ``sum``.
     """
     if n_agents == 1:
-        return partial(np.sum, axis=1), partial(np.sum, axis=(0, 1))
-    return partial(np.einsum, "kbn->kn"), partial(np.einsum, "kbn->n")
+        return (partial(np.sum, axis=1), lambda x: np.sum(x * x, axis=1),
+                lambda x: np.sum(x * x, axis=(0, 1)))
+    return (partial(np.einsum, "kbn->kn"), lambda x: np.einsum("kbn,kbn->kn", x, x),
+            lambda x: np.einsum("kbn,kbn->n", x, x))
 
 
 def _draw_block(indices, source, profile, config):
@@ -223,7 +227,7 @@ def run_experiment(config):
     n, h = profile.n_agents, profile.n_hypotheses
     horizon, burn_in = config.horizon, config.burn_in
     window = horizon - burn_in
-    sum_replicates, sum_samples = _chunk_sums(n)
+    sum_replicates, square_replicates, square_samples = _chunk_sums(n)
 
     stream = Path(config.out_dir) if config.store_traces and config.out_dir else None
     if stream:
@@ -265,20 +269,19 @@ def run_experiment(config):
 
         def reduce_chunk(start, psi, mu, est):
             nonlocal psi_sq, mu_sq, psi_sum, mu_sum
-            sq = psi * psi
             rows = slice(start + 1, start + 1 + psi.shape[0])
             iter_sum[rows] += sum_replicates(psi)
-            iter_sq[rows] += sum_replicates(sq)
+            iter_sq[rows] += square_replicates(psi)
             # steady-state window: iterations burn_in + 1 .. horizon; a chunk
             # that ends before it comes with mu and est None
             first_in = max(burn_in - start, 0)
             if first_in >= psi.shape[0]:
                 return
-            mu, est = mu[first_in:], est[first_in:]
-            psi_sum += psi[first_in:].sum(axis=0)
+            psi, mu, est = psi[first_in:], mu[first_in:], est[first_in:]
+            psi_sum += psi.sum(axis=0)
             mu_sum += mu.sum(axis=0)
-            psi_sq += sum_samples(sq[first_in:])
-            mu_sq += sum_samples(mu * mu)
+            psi_sq += square_samples(psi)
+            mu_sq += square_samples(mu)
             for hyp in range(1, h):
                 hits[hyp - 1] += (est == hyp).sum(axis=0, dtype=_CHUNK_COUNT)
 

@@ -149,6 +149,10 @@ class Trace:
 # with a few array operations instead of a few per iteration.
 STEPS_PER_CHUNK = 16
 
+# Bytes of stacked combination matrices the recursion steps together: about
+# the share of a per-core L2 cache that leaves room for the log-ratios.
+STACK_BYTES = 1 << 20
+
 
 def llr_table(profile):
     """``(N, m, H-1)`` log-likelihood ratios of every symbol against hypothesis 0."""
@@ -188,21 +192,32 @@ def log_ratio_chunks(combination_t, table, symbols, w_like, w_prior):
     offsets = np.arange(n) * alphabet
     chunk = min(STEPS_PER_CHUNK, horizon)
     x_psi = np.empty((chunk, n_reps, n, n_ratios))
-    x_mu = np.empty_like(x_psi)
+    # every chunk but the last has `chunk` steps, so step 0 of a chunk reads
+    # the previous chunk's last x_mu from row -1: zero before the first
+    x_mu = np.zeros_like(x_psi)
     index = np.empty((chunk, n_reps, n), dtype=np.intp)
-    like = np.empty_like(x_psi)
-    steps = list(zip(x_psi, x_mu, like))
-    prev_mu = np.zeros((n_reps, n, n_ratios))
+    # a stack of matrices over STACK_BYTES steps in sub-blocks that fit it,
+    # each through all the chunk's steps before the next; every replicate's
+    # product sees the same operands and strides, so the split changes no bit
+    split = combination_t.ndim == 3 and combination_t.nbytes > STACK_BYTES
+    span = max(STACK_BYTES // combination_t[0].nbytes, 1) if split else max(n_reps, 1)
+    scratch = np.empty((min(span, n_reps), n, n_ratios))
+    blocks = []
+    for lo in range(0, n_reps, span):
+        rows = slice(lo, lo + span)
+        steps = [(x_psi[t, rows], x_mu[t - 1, rows], x_mu[t, rows]) for t in range(chunk)]
+        blocks.append((combination_t[rows] if split else combination_t, scratch[: n_reps - lo],
+                       steps))
     for start in range(0, horizon, STEPS_PER_CHUNK):
         size = min(STEPS_PER_CHUNK, horizon - start)
         # w_like * l for the whole chunk, in one gather; every index is in
         # range, and "clip" lets take write straight into the buffer
         np.add(offsets, symbols[start : start + size], out=index[:size])
-        weighted.take(index[:size], axis=0, out=like[:size], mode="clip")
-        for psi, mu, step_like in steps[:size]:
-            np.multiply(prev_mu, w_prior, out=psi)
-            psi += step_like
-            prev_mu = np.matmul(combination_t, psi, out=mu)
+        weighted.take(index[:size], axis=0, out=x_psi[:size], mode="clip")
+        for matrices, prior, steps in blocks:
+            for psi, prev_mu, mu in steps[:size]:
+                psi += np.multiply(prev_mu, w_prior, out=prior)
+                np.matmul(matrices, psi, out=mu)
         yield start, x_psi[:size], x_mu[:size]
 
 

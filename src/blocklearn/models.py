@@ -465,7 +465,7 @@ def observation_matrix(profile, horizon, seed):
     if np.ndim(seed) == 0:
         return observation_matrix(profile, horizon, [seed])[0].astype(np.int64)
     n = profile.n_agents
-    states = _child_states(seed, n).tolist()
+    states = _child_states(seed, n)
     out = np.empty((len(states), n, horizon), dtype=np.min_scalar_type(profile.alphabet_size - 1))
     bit_generator = np.random.PCG64(0)
     generator = np.random.Generator(bit_generator)
@@ -473,7 +473,7 @@ def observation_matrix(profile, horizon, seed):
     table = profile._symbol_table
     index = None if table is None else np.empty((n, horizon), dtype=np.intp)
     for block_row, agent_states in zip(out, states):
-        for row, words in zip(uniforms, agent_states):
+        for row, words in zip(uniforms, agent_states.tolist()):
             bit_generator.state = _pcg64_state(words)
             generator.random(out=row)
         _symbols_from_uniforms(profile._true_cdf, table, uniforms, block_row, index)

@@ -333,15 +333,17 @@ class TestRunExperiment:
     def test_chunk_sums_are_bitwise_numpy_sums(self, n_agents):
         # the forms run_experiment reduces chunks with: einsum, or with one
         # agent numpy's own sums, each bitwise equal to sum over the axes
-        sum_replicates, sum_samples = _chunk_sums(n_agents)
+        sum_replicates, square_replicates, square_samples = _chunk_sums(n_agents)
         rng = np.random.default_rng(n_agents)
         for steps in (1, 7, 16):
             for reps in (1, 5, 16, 64):
                 shape = (steps, reps, n_agents)
                 chunk = rng.normal(size=shape) * np.exp(5.0 * rng.normal(size=shape))
                 assert np.array_equal(sum_replicates(chunk), chunk.sum(axis=1))
+                assert np.array_equal(square_replicates(chunk), (chunk * chunk).sum(axis=1))
                 for window in (chunk, chunk[steps // 2:]):
-                    assert np.array_equal(sum_samples(window), window.sum(axis=(0, 1)))
+                    assert np.array_equal(square_samples(window),
+                                          (window * window).sum(axis=(0, 1)))
 
     def test_blocks_match_standalone_runs(self):
         # more replicates than one block, with failed graph draws in both
@@ -605,6 +607,23 @@ class TestRunExperiment:
         # take 9.6 MB; a window of ROWS_PER_WRITE rows takes the same at
         # any horizon
         assert peak(20_000) - peak(2_000) < 100_000
+
+    def test_block_memory_at_acceptance_scale(self):
+        # one 64-replicate block of the criterion-5 law: its 2.9 MB stack of
+        # graphs, its symbols and the recursion's (16, 64, 75, 2) buffers.
+        # One buffer pair per chunk, no arrays of squares and seed states
+        # converted one replicate at a time keep the peak at 9.2 MB; a third
+        # chunk buffer and arrays of squares would take it to 10.7 MB
+        profile = random_multinomial_profile(CRITERION_5.labels(), alphabet_size=25, seed=10)
+        config = ExperimentConfig(network=CRITERION_5, profile=profile, strategy="asl",
+                                  delta=0.1, horizon=64, burn_in=32, replicates=64, base_seed=777)
+        tracemalloc.start()
+        try:
+            run_experiment(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 9.8e6
 
 
 SPARSE = SbmParams(n0=4, n1=4, p0=0.35, p1=0.35, q0=0.04, q1=0.04)

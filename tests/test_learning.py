@@ -376,13 +376,16 @@ class TestSimulateBlock:
 
 
 class TestLogRatioChunks:
-    @pytest.mark.parametrize("horizon", [1, 15, 16, 17])
+    # 64 stacked 75 x 75 matrices take 2.9 MB, more than STACK_BYTES: that
+    # input steps in sub-blocks
+    @pytest.mark.parametrize("horizon, n, reps", [(1, 6, 3), (15, 6, 3), (16, 6, 3), (17, 6, 3),
+                                                  (40, 75, 64)], ids=["1", "15", "16", "17", "40"])
     @pytest.mark.parametrize("asl", [True, False])
     @pytest.mark.parametrize("shared", [True, False])
     @pytest.mark.parametrize("n_hypotheses", [2, 3])
-    def test_matches_per_step_recursion(self, horizon, asl, shared, n_hypotheses):
+    def test_matches_per_step_recursion(self, horizon, n, reps, asl, shared, n_hypotheses):
         rng = np.random.default_rng(horizon + 10 * n_hypotheses)
-        n, reps, alphabet = 6, 3, 4
+        alphabet = 4
         raw = rng.random((n, n_hypotheses, alphabet)) + 0.05
         profile = LikelihoodProfile(likelihoods=raw / raw.sum(axis=2, keepdims=True),
                                     true_state=rng.integers(0, n_hypotheses, n))
