@@ -9,6 +9,7 @@ file), verify (built-in property/oracle suites).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from functools import partial
@@ -88,6 +89,8 @@ def _sbm_params(args):
 
 
 def _cmd_generate(args):
+    if args.seed < 0:
+        raise ValueError(f"--seed must be at least 0, got {args.seed}")
     if args.sizes:
         if args.p is None or args.q is None:
             raise ValueError("k-community mode needs --sizes, --p and --q")
@@ -293,5 +296,19 @@ def main(argv=None):
         return 2
 
 
+def console():
+    """The ``blocklearn`` process: ``main`` on ``sys.argv``, then exit with its code.
+
+    Every object alive when ``main`` returns dies with the process, so they
+    are frozen out of the interpreter's final garbage collections and the OS
+    reclaims their memory.  Atexit handlers, stream flushes and finalizers
+    still run.  ``main`` itself leaves the collector alone, since its caller
+    may go on running.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console()

@@ -258,6 +258,9 @@ def resolve_inputs(config):
     """
     source = _resolve_network_source(config.network)
     if config.fixed_graph and not isinstance(source, Network):
+        if config.base_seed < 0:
+            raise MalformedConfig("config field 'base_seed' must be at least 0 to draw the "
+                                  f"fixed graph, got {config.base_seed}")
         source = sample_sbm(source, seed=config.base_seed)
     clusters = source.clusters if isinstance(source, Network) else source.labels()
     profile = _resolve_profile(config.profile, clusters)

@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import os
 import subprocess
@@ -60,6 +61,15 @@ class TestGenerate:
         assert code == 2
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ValueError"
+
+    def test_negative_seed_names_the_flag(self, tmp_path, capsys):
+        code = main(["generate", "--seed", "-1", "--out", str(tmp_path / "x"),
+                     "--n0", "5", "--n1", "5", "--p0", "0.8", "--p1", "0.8",
+                     "--q0", "0.1", "--q1", "0.1"])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValueError", "detail": "--seed must be at least 0, got -1"}
+        assert not (tmp_path / "x").exists()
 
 
 class TestThresholds:
@@ -475,6 +485,17 @@ class TestPredict:
         assert exit_info.value.code == 2
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["predict", "simulate"])
+    def test_negative_seed_of_the_fixed_graph_names_base_seed(self, tmp_path, capsys, command):
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(config), "--out", str(out), "--fixed-graph",
+                     "--seed", "-1"]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "MalformedConfig",
+            "detail": "config field 'base_seed' must be at least 0 to draw the fixed graph, got -1"}
+        assert not out.exists()
+
     def test_fixed_graph_predicts_the_drawn_graph(self, tmp_path, capsys):
         config = write_config(tmp_path, delta=0.1, base_seed=42)
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "sim"),
@@ -710,3 +731,93 @@ class TestVerify:
 
     def test_unknown_suite(self, capsys):
         assert main(["verify", "--suite", "nope"]) == 2
+
+
+# -- the process entry --------------------------------------------------------------
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# ``python -m blocklearn.cli`` without the ``-m``: registers an atexit handler
+# first, so that it runs after every handler the command registers, and
+# prints from it how many objects the collector holds frozen.
+RUN_MODULE = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: print(f"atexit ran, {gc.get_freeze_count()} frozen", file=sys.stderr))
+sys.argv = ["blocklearn", *sys.argv[1:]]
+runpy.run_module("blocklearn.cli", run_name="__main__")
+"""
+
+ENTRIES = {"-m": ["-m", "blocklearn.cli"], "runpy": ["-c", RUN_MODULE]}
+
+
+def run_process(entry, argv, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *ENTRIES[entry], *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def tree_bytes(root):
+    return {str(path.relative_to(root)): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+class TestProcessEntry:
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    def test_files_match_in_process_runs(self, tmp_path, monkeypatch, capsys, entry):
+        # the same relative argv in two copies of one directory, one run by
+        # main() in this process and one by a blocklearn process
+        argvs = [
+            ["simulate", "--config", "config.json", "--out", "sim", "--fixed-graph"],
+            ["fit-delta", "--trace", "sim/trace_0001.csv", "--network", "net.txt",
+             "--traditional", "--out", "fit"],
+        ]
+        dirs = {side: tmp_path / side for side in ("main", "process")}
+        for root in dirs.values():
+            root.mkdir()
+            write_config(root, store_traces=True, record_observations=True)
+            save_network(root / "net.txt",
+                         sample_sbm(SbmParams(n0=15, n1=15, p0=0.8, p1=0.8, q0=0.1, q1=0.1), 3))
+        monkeypatch.chdir(dirs["main"])
+        for argv in argvs:
+            assert main(argv) == 0
+            assert run_process(entry, argv, dirs["process"]).returncode == 0
+        capsys.readouterr()
+        files = tree_bytes(dirs["main"])
+        assert {"sim/trace_0001.csv", "fit/delta_scan.csv"} <= set(files)
+        assert tree_bytes(dirs["process"]) == files
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    def test_exit_codes(self, tmp_path, entry):
+        ok = run_process(entry, ["thresholds", "--d0", "0.368", "--d1", "0.511",
+                                 "--p", "0.8", "--q", "0.1"], tmp_path)
+        assert ok.returncode == 0, ok.stderr
+        assert "delta_min_symmetric" in json.loads(ok.stdout)
+        failed = run_process(entry, ["fit-delta", "--trace", "missing.csv",
+                                     "--combination", "missing.csv"], tmp_path)
+        assert failed.returncode == 2
+        assert json.loads(failed.stderr.splitlines()[0])["error"] == "FileNotFoundError"
+
+    @pytest.mark.parametrize("code", [0, 2])
+    def test_atexit_handlers_run_after_the_command(self, tmp_path, code):
+        # one process per exit code: the command's own output comes first,
+        # then the handler registered before it, which sees the objects the
+        # entry froze out of the final collections
+        argv = (["thresholds", "--d0", "0.368", "--d1", "0.511", "--p", "0.8", "--q", "0.1"]
+                if code == 0 else ["generate", "--seed", "-1", "--out", "x", "--n0", "5"])
+        proc = run_process("runpy", argv, tmp_path)
+        assert proc.returncode == code
+        *_, last = proc.stderr.splitlines()
+        assert last.startswith("atexit ran, ") and last.endswith(" frozen")
+        assert int(last.split()[2]) > 0
+
+
+class TestMainLeavesTheCollector:
+    @pytest.mark.parametrize("command", ["simulate", "failing"])
+    def test_freeze_count_and_enabled_unchanged(self, tmp_path, capsys, command):
+        config = write_config(tmp_path)
+        argv = (["simulate", "--config", str(config), "--out", str(tmp_path / "sim")]
+                if command == "simulate" else ["simulate", "--config", str(config)])
+        before = gc.get_freeze_count(), gc.isenabled()
+        assert main(argv) == (0 if command == "simulate" else 2)
+        assert (gc.get_freeze_count(), gc.isenabled()) == before
