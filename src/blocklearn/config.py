@@ -33,8 +33,9 @@ class ExperimentConfig:
     and ``0 <= burn_in <= horizon``, raising MalformedConfig naming the field,
     and stores integer and real fields as plain ``int`` and ``float``.
     ``n_jobs`` is accepted and ignored: replicates run batched in one process.
-    With ``store_traces``, an ``out_dir`` makes ``run_experiment`` write the
-    trace files into it as the run goes, in place of keeping them in memory.
+    ``store_traces`` makes ``run_experiment`` write the trace files into
+    ``out_dir`` as the run goes, so it needs an ``out_dir`` there; configs
+    without one still load, for ``blocklearn predict``.
     """
 
     network: object

@@ -15,14 +15,14 @@ import numpy as np
 
 from . import __version__, learning
 from .config import ExperimentConfig, resolve_inputs
-from .exceptions import AllReplicatesFailed, MismatchedConfig
+from .exceptions import AllReplicatesFailed, MalformedConfig, MismatchedConfig
 from .graphs import Network, sample_sbm
 from .learning import (
     run,  # noqa: F401 - part of this module's namespace, which perfbench/tracing.py wraps
 )
 from .models import LikelihoodProfile, seed_words
 from .writers import (ROWS_PER_WRITE, TRACE_NAME, TraceWriter, iteration_prefix, remove_outputs,
-                      text_column, write_directory, write_rows, write_table, write_traces)
+                      text_column, write_directory, write_rows, write_table)
 
 __all__ = [
     "ErrorReport",
@@ -85,7 +85,6 @@ class ExperimentResult:
     pooled_var_psi: np.ndarray  # (N,) variance over all steady-state samples
     pooled_var_mu: np.ndarray
     failures: list
-    traces: list = field(default_factory=list, repr=False)
     # the names of the trace files written into config.out_dir during the run
     streamed: list = field(default_factory=list, repr=False)
     # the Network every replicate used (fixed graph or network file), or the
@@ -137,14 +136,12 @@ class ExperimentResult:
             remove_outputs(out_dir, "simulate")
         elif Path(out_dir).resolve() != Path(self.config.out_dir).resolve():
             raise ValueError(f"this run's traces are in {self.config.out_dir}, not {out_dir}")
-        trace_names = self.streamed or write_traces(
-            [Path(out_dir) / TRACE_NAME.format(i) for i in range(len(self.traces))], self.traces)
         files = [
             ("summary.json", json.dumps(self.summary_dict(), indent=2, sort_keys=True)),
             ("error_report.csv", self.error_report.to_csv),
             ("iteration_stats.csv",
              partial(_write_iteration_stats, mean=self.iter_mean, std=self.iter_std)),
-            *[(name, None) for name in trace_names],
+            *[(name, None) for name in self.streamed],
         ]
         if comparison is not None:
             files.append(("theory_comparison.csv", partial(_write_comparison_csv, rows=comparison)))
@@ -215,11 +212,14 @@ def run_experiment(config):
     Replicate r uses seed ``base_seed + r`` for both its graph draw (unless
     the graph is fixed) and its observation streams.  Replicates run in
     blocks of ``BLOCK_SIZE`` through ``learning.simulate_block``, and each
-    chunk of iterations is reduced as it is produced.  Traces are kept only
-    with ``store_traces``: written into ``out_dir`` as the run goes when the
-    config names one, else in the result.  Failed replicates are recorded
-    and skipped.
+    chunk of iterations is reduced as it is produced.  With ``store_traces``
+    the traces are written into ``out_dir`` as the run goes; without an
+    ``out_dir`` that raises MalformedConfig before any graph is drawn.
+    Failed replicates are recorded and skipped.
     """
+    if config.store_traces and not config.out_dir:
+        raise MalformedConfig("config field 'store_traces' needs an 'out_dir' to write the "
+                              "traces into")
     source, clusters, profile = resolve_inputs(config)
     fixed_t = np.ascontiguousarray(source.combination.T) if isinstance(source, Network) else None
     law_metadata = {} if isinstance(source, Network) else {"sbm_params": source.to_dict()}
@@ -229,7 +229,7 @@ def run_experiment(config):
     window = horizon - burn_in
     sum_replicates, square_replicates, square_samples = _chunk_sums(n)
 
-    stream = Path(config.out_dir) if config.store_traces and config.out_dir else None
+    stream = Path(config.out_dir) if config.store_traces else None
     if stream:
         # an earlier simulate's files go first, and write_outputs writes the
         # manifest last: a directory without one holds an unfinished run
@@ -240,7 +240,7 @@ def run_experiment(config):
     counts = np.zeros((n, h), dtype=np.int64)
     psi_sq = np.zeros(n)
     mu_sq = np.zeros(n)
-    rep_psi, rep_mu, traces, streamed, failures = [], [], [], [], []
+    rep_psi, rep_mu, streamed, failures = [], [], [], []
     n_ok = 0  # replicates run so far: the number of the next trace, when stored
 
     for first in range(0, config.replicates, BLOCK_SIZE):
@@ -286,29 +286,24 @@ def run_experiment(config):
                 hits[hyp - 1] += (est == hyp).sum(axis=0, dtype=_CHUNK_COUNT)
 
         on_chunk, skip = reduce_chunk, burn_in
-        if config.store_traces:
-            observations = symbols if config.record_observations else None
-            if stream:
-                record = TraceWriter([stream / TRACE_NAME.format(n_ok + j) for j in range(size)],
-                                     clusters, h, observations)
-            else:
-                record = learning.TraceRecorder(size, horizon, clusters, h, observations)
+        if stream:
+            record = TraceWriter([stream / TRACE_NAME.format(n_ok + j) for j in range(size)],
+                                 clusters, h, symbols if config.record_observations else None)
 
             def on_chunk(*chunk):
                 record(*chunk)
                 reduce_chunk(*chunk)
-            skip = 0  # a recorder needs mu and the estimates of every chunk
+            skip = 0  # the writer needs the estimates of every chunk
         learning.simulate_block(combination_t, profile, symbols, config.strategy, config.delta,
                                 config.pair, config.estimator, on_chunk, burn_in=skip)
-        if config.store_traces:
-            metadata = [learning.trace_metadata(
+        if stream:
+            streamed += record.close([learning.trace_metadata(
                 source if block is None else block.network(i), profile,
                 config.base_seed + first + i, config.strategy, config.delta, horizon, config.pair,
                 config.estimator, {"burn_in": burn_in, "replicate": first + i, **law_metadata})
-                for i in kept]
-            (streamed if stream else traces).extend(record.close(metadata))
+                for i in kept])
         # the next block is drawn without this one's symbols
-        symbols = record = observations = None
+        symbols = record = None
         n_ok += size
         block_hits = hits.sum(axis=1)  # (H-1, N)
         counts[:, 1:] += block_hits.T
@@ -356,7 +351,6 @@ def run_experiment(config):
         pooled_var_psi=np.clip(pooled_var_psi, 0.0, None),
         pooled_var_mu=np.clip(pooled_var_mu, 0.0, None),
         failures=failures,
-        traces=traces,
         streamed=streamed,
         network=source,
         profile=profile,

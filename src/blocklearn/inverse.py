@@ -78,8 +78,8 @@ class BeliefSeries:
         ------
         MalformedFile
             If the header lacks one of the columns, a cell of one is not a
-            number, a step or agent id is not a non-negative integer, or a
-            log-ratio is infinite.
+            number, a step or agent id is not a non-negative integer, two
+            rows have the same step and agent, or a log-ratio is infinite.
         InsufficientSteps
             If the file has no data rows.
         """
@@ -111,7 +111,14 @@ class BeliefSeries:
             raise MalformedFile(f"{path}: column 'log_ratio' must hold finite values or gaps, "
                                 f"got {data[infinite, 2][0]:g}")
         steps, agents = data[:, 0].astype(np.int64), data[:, 1].astype(np.int64)
-        values = np.full((steps.max() + 1, agents.max() + 1), np.nan)
+        filled = np.zeros((steps.max() + 1, agents.max() + 1), dtype=bool)
+        filled[steps, agents] = True
+        if np.count_nonzero(filled) < len(data):
+            cells = np.ravel_multi_index((steps, agents), filled.shape)
+            first = np.flatnonzero(np.bincount(cells)[cells] > 1)[0]
+            raise MalformedFile(f"{path}: more than one row for step {steps[first]}, "
+                                f"agent {agents[first]}")
+        values = np.full(filled.shape, np.nan)
         values[steps, agents] = data[:, 2]
         return cls.from_array(values, split_index)
 

@@ -22,6 +22,7 @@ its oracle in ``blocklearn verify``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -139,8 +140,18 @@ class Trace:
         return self.log_ratio.shape[1]
 
     def to_csv(self, path):
-        """Write the trace CSV and its JSON metadata sidecar (``writers.write_traces``)."""
-        writers.write_traces([path], [self])
+        """Write the trace CSV and its JSON metadata sidecar, in a directory
+        made if missing: a ``writers.TraceWriter`` of one file, fed a window
+        of rows at a time."""
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        obs = None if self.observations is None else self.observations[None]
+        writer = writers.TraceWriter([path], self.clusters, int(self.estimates.max()) + 1, obs)
+        # iteration 0 joins the first window
+        step = max(writers.ROWS_PER_WRITE // self.n_agents - 1, 1)
+        for start in range(0, self.horizon, step):
+            rows = slice(start + 1, start + 1 + step)
+            writer(start, self.log_ratio[rows, None], None, self.estimates[rows, None])
+        writer.close([self.metadata])
 
 
 # -- the log-ratio engine ------------------------------------------------------

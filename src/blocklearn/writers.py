@@ -10,7 +10,7 @@ import numpy as np
 from . import __version__
 
 __all__ = ["ROWS_PER_WRITE", "TRACE_NAME", "TraceWriter", "iteration_prefix", "remove_outputs",
-           "text_column", "write_directory", "write_rows", "write_table", "write_traces"]
+           "text_column", "write_directory", "write_rows", "write_table"]
 
 
 # Rows turned into text and written at once by ``write_rows``.
@@ -321,26 +321,6 @@ class TraceWriter:
             names += [path.name, path.name + ".meta.json"]
             path.with_name(names[-1]).write_text(json.dumps(meta, indent=2, default=str))
         return names
-
-
-def write_traces(paths, traces):
-    """Write ``learning.Trace``s of one shape and one set of clusters as the
-    CSVs ``paths``, in a directory made if missing, with their metadata
-    sidecars: one TraceWriter fed the traces as a block, a window of rows at
-    a time.  Returns the names written."""
-    if not traces:
-        return []
-    Path(paths[0]).parent.mkdir(parents=True, exist_ok=True)
-    trace = traces[0]
-    obs = None if trace.observations is None else np.stack([t.observations for t in traces])
-    writer = TraceWriter(paths, trace.clusters, max(int(t.estimates.max()) for t in traces) + 1,
-                         obs)
-    step = max(ROWS_PER_WRITE // trace.n_agents - 1, 1)  # iteration 0 joins the first window
-    for start in range(0, trace.horizon, step):
-        rows = slice(start + 1, start + 1 + step)
-        writer(start, np.stack([t.log_ratio[rows] for t in traces], axis=1), None,
-               np.stack([t.estimates[rows] for t in traces], axis=1))
-    return writer.close([t.metadata for t in traces])
 
 
 def remove_outputs(out_dir, command):

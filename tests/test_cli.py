@@ -453,6 +453,13 @@ class TestPredict:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "predict" and manifest["outputs"] == ["prediction.json"]
 
+    def test_store_traces_config_needs_no_out(self, tmp_path, capsys):
+        # only run_experiment needs an out_dir for store_traces; predict writes no trace
+        config = write_config(tmp_path, store_traces=True, record_observations=True)
+        assert main(["predict", "--config", str(config)]) == 0
+        assert sorted(json.loads(capsys.readouterr().out)) == ["cluster_means"]
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json"]
+
     def test_profile_that_is_not_a_profile_is_one_json_error(self, tmp_path, capsys):
         profile = bernoulli_profile(np.repeat([0, 1], 15), (0.1, 0.5))
         path = tmp_path / "profile.txt"
@@ -592,6 +599,21 @@ class TestFitDelta:
         error = json.loads(capsys.readouterr().err)
         assert error["error"] == "MalformedFile"
         assert "trace.csv: column 'log_ratio'" in error["detail"]
+
+    def test_duplicated_row_is_one_json_error(self, tmp_path, capsys):
+        # the second row for step 3, agent 0 used to replace the first, with exit 0
+        network = sample_sbm(SbmParams(n0=2, n1=2, p0=0.9, p1=0.9, q0=0.6, q1=0.6), seed=1)
+        net_path = tmp_path / "network.txt"
+        save_network(net_path, network)
+        trace_path = tmp_path / "trace.csv"
+        trace_path.write_text("step,agent,log_ratio\n"
+                              + "".join(f"{i},{k},0.5\n" for i in range(8) for k in range(4))
+                              + "3,0,0.25\n")
+        code = main(["fit-delta", "--trace", str(trace_path), "--network", str(net_path)])
+        assert code == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "MalformedFile"
+        assert "trace.csv: more than one row for step 3, agent 0" in error["detail"]
 
     @pytest.mark.parametrize("flag", ["--network", "--combination"])
     def test_wrong_sized_matrix_is_one_json_error(self, tmp_path, capsys, flag):

@@ -31,7 +31,7 @@ from blocklearn.harness import (
 from blocklearn.learning import run
 from blocklearn.theory import expected_log_ratio
 from blocklearn.models import bernoulli_profile, random_multinomial_profile
-from blocklearn.writers import ROWS_PER_WRITE
+from blocklearn.writers import ROWS_PER_WRITE, TRACE_NAME
 from test_writers import row_loop_csv
 
 VB1 = SbmParams(n0=15, n1=15, p0=0.8, p1=0.8, q0=0.1, q1=0.1)
@@ -289,12 +289,12 @@ class TestRunExperiment:
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
     @staticmethod
-    def check_window_aggregates_against_traces(result):
+    def check_window_aggregates_against_traces(result, traces):
         """Estimate counts and pooled variances recomputed from the traces."""
         config = result.config
         window = slice(config.burn_in + 1, config.horizon + 1)
         recount = np.zeros_like(result.error_report.counts)
-        for trace in result.traces:
+        for trace in traces:
             est = trace.estimates[window]
             for h in range(recount.shape[1]):
                 recount[:, h] += (est == h).sum(axis=0)
@@ -304,18 +304,19 @@ class TestRunExperiment:
         assert np.allclose(p_direct, result.error_report.p_err, atol=0)
         for pooled, series in [(result.pooled_var_psi, "log_ratio"),
                                (result.pooled_var_mu, "mu_log_ratio")]:
-            samples = np.concatenate([getattr(trace, series)[window] for trace in result.traces])
+            samples = np.concatenate([getattr(trace, series)[window] for trace in traces])
             assert np.allclose(pooled, np.var(samples, axis=0), rtol=1e-12, atol=0)
 
-    def test_error_probabilities_two_ways(self):
-        self.check_window_aggregates_against_traces(run_experiment(small_config(store_traces=True)))
+    def test_error_probabilities_two_ways(self, tmp_path, recorded):
+        result = run_experiment(small_config(store_traces=True, out_dir=str(tmp_path)))
+        self.check_window_aggregates_against_traces(result, recorded(result))
 
-    def test_error_probabilities_two_ways_three_communities(self):
+    def test_error_probabilities_two_ways_three_communities(self, tmp_path, recorded):
         result = run_experiment(small_config(network=CRITERION_5, profile=MULTINOMIAL,
-                                             store_traces=True))
+                                             store_traces=True, out_dir=str(tmp_path)))
         assert result.error_report.counts.shape == (75, 3)
         assert (result.error_report.counts[:, 1:] > 0).any(axis=0).all()
-        self.check_window_aggregates_against_traces(result)
+        self.check_window_aggregates_against_traces(result, recorded(result))
 
     def test_partial_failures_recorded(self):
         # tiny sparse law: most graph draws cannot be made primitive, so some
@@ -373,15 +374,18 @@ class TestRunExperiment:
         assert np.abs(result.rep_means_psi - rep_psi).max() <= 1e-12
         assert np.abs(result.iter_mean - iter_mean).max() <= 1e-12
 
-    def test_block_streams_match_per_seed_streams(self, monkeypatch):
+    def test_block_streams_match_per_seed_streams(self, monkeypatch, tmp_path, recorded):
         # 70 replicates (two blocks) with failed graph draws in both: drawing
-        # each block's symbols in one call gives the aggregates and failure
-        # list of drawing every agent's stream on its own, through NumPy
+        # each block's symbols in one call gives the aggregates, failure list
+        # and trace files of drawing every agent's stream on its own, through
+        # NumPy
         params = SbmParams(n0=4, n1=4, p0=0.35, p1=0.35, q0=0.04, q1=0.04)
         config = ExperimentConfig(network=params, profile=PROFILE, strategy="asl",
                                   delta=0.3, horizon=60, burn_in=20, replicates=70,
-                                  base_seed=0, store_traces=True, record_observations=True)
+                                  base_seed=0, store_traces=True, record_observations=True,
+                                  out_dir=str(tmp_path / "blocked"))
         blocked = run_experiment(config)
+        blocked_traces = recorded(blocked)
 
         def per_seed(profile, horizon, seeds):
             cdf = np.cumsum(profile.likelihoods[np.arange(8), profile.true_state], axis=1)
@@ -393,16 +397,20 @@ class TestRunExperiment:
             return symbols
 
         monkeypatch.setattr(learning, "observation_matrix", per_seed)
-        reference = run_experiment(config)
+        reference = run_experiment(dataclasses.replace(config, out_dir=str(tmp_path / "reference")))
         assert {f["replicate"] for f in blocked.failures} & set(range(BLOCK_SIZE, 70))
         assert blocked.failures == reference.failures
         for name in ("iter_mean", "iter_std", "rep_means_psi", "rep_means_mu",
                      "pooled_var_psi", "pooled_var_mu"):
             assert np.array_equal(getattr(blocked, name), getattr(reference, name))
         assert np.array_equal(blocked.error_report.counts, reference.error_report.counts)
-        for a, b in zip(blocked.traces, reference.traces, strict=True):
+        for a, b in zip(blocked_traces, recorded(reference), strict=True):
             assert np.array_equal(a.observations, b.observations)
             assert np.array_equal(a.mu_log_ratio, b.mu_log_ratio)
+        assert blocked.streamed == reference.streamed
+        for name in blocked.streamed:
+            assert ((tmp_path / "blocked" / name).read_bytes()
+                    == (tmp_path / "reference" / name).read_bytes()), name
 
     @pytest.mark.parametrize("burn_in", [0, 16, 17, 48])
     def test_burn_in_skip_leaves_aggregates_unchanged(self, monkeypatch, burn_in):
@@ -432,13 +440,15 @@ class TestRunExperiment:
             run_experiment(small_config(network=law, profile=profile, pair=pair))
 
     @pytest.mark.parametrize("law, profile", [(VB1, PROFILE), (CRITERION_5, MULTINOMIAL)])
-    def test_traces_are_compact_and_match_run(self, law, profile):
+    def test_traces_are_compact_and_match_run(self, tmp_path, recorded, law, profile):
         # on one graph, a block of replicates shares run's combination matrix
         config = small_config(network=law, profile=profile, replicates=3, fixed_graph=True,
-                              store_traces=True, record_observations=True)
+                              store_traces=True, record_observations=True,
+                              out_dir=str(tmp_path))
         result = run_experiment(config)
-        assert len(result.traces) == 3
-        for r, trace in enumerate(result.traces):
+        traces = recorded(result)
+        assert len(traces) == 3
+        for r, trace in enumerate(traces):
             seed = config.base_seed + r
             alone = run(result.network, result.profile, strategy="asl", delta=config.delta,
                         horizon=config.horizon, seed=seed, record_observations=True)
@@ -447,28 +457,6 @@ class TestRunExperiment:
             for name in ("log_ratio", "mu_log_ratio", "estimates", "observations"):
                 assert np.array_equal(getattr(trace, name), getattr(alone, name))
                 assert getattr(trace, name).dtype == getattr(alone, name).dtype
-
-    @pytest.mark.parametrize("record_observations", [False, True])
-    def test_stored_bytes_per_cell(self, record_observations):
-        # psi and mu at 8 bytes and the estimate at 1 per (replicate, step,
-        # agent); recorded symbols add the block they were drawn in, 1 byte
-        # per (replicate, iteration, agent), counted once per block
-        config = small_config(replicates=70, store_traces=True,
-                              record_observations=record_observations)
-        traces = run_experiment(config).traces
-        assert len(traces) == 70
-        series = sum(t.log_ratio.nbytes + t.mu_log_ratio.nbytes + t.estimates.nbytes
-                     for t in traces)
-        cells = len(traces) * (config.horizon + 1) * 30
-        assert series / cells <= 17
-        if record_observations:
-            blocks = {id(t.observations.base): t.observations.base for t in traces}
-            assert len(blocks) == 2  # two blocks of replicates
-            assert sum(t.observations.nbytes for t in traces) == sum(
-                b.nbytes for b in blocks.values())
-            assert (series + sum(b.nbytes for b in blocks.values())) / cells <= 18
-        else:
-            assert all(t.observations is None for t in traces)
 
     def test_negative_seed_fails_only_its_replicates(self, tmp_path):
         from blocklearn.graphs import save_network
@@ -479,14 +467,17 @@ class TestRunExperiment:
         assert [f["replicate"] for f in result.failures] == [0, 1]
         assert result.n_ok == 3
 
-    def test_negative_seed_on_a_law_fails_only_its_replicates(self):
-        result = run_experiment(small_config(replicates=5, base_seed=-2, store_traces=True))
+    def test_negative_seed_on_a_law_fails_only_its_replicates(self, tmp_path, recorded):
+        result = run_experiment(small_config(replicates=5, base_seed=-2, store_traces=True,
+                                             out_dir=str(tmp_path / "run")))
+        traces = recorded(result)
         assert result.failures == [{"replicate": r, "error": "ValueError: expected non-negative integer"}
                                    for r in (0, 1)]
-        assert [t.metadata["replicate"] for t in result.traces] == [2, 3, 4]
+        assert [t.metadata["replicate"] for t in traces] == [2, 3, 4]
         # the kept replicates step the graphs their seeds draw alone
-        solo = run_experiment(small_config(replicates=3, base_seed=0, store_traces=True))
-        for trace, alone in zip(result.traces, solo.traces):
+        solo = run_experiment(small_config(replicates=3, base_seed=0, store_traces=True,
+                                           out_dir=str(tmp_path / "solo")))
+        for trace, alone in zip(traces, recorded(solo), strict=True):
             assert trace.metadata["network_retries"] == alone.metadata["network_retries"]
             assert np.abs(trace.log_ratio - alone.log_ratio).max() <= 1e-12
 
@@ -497,6 +488,16 @@ class TestRunExperiment:
         profile = bernoulli_profile(np.repeat([0, 1], 10), (0.1, 0.5))
         with pytest.raises(ValueError, match="30 agents, the profile 20"):
             run_experiment(small_config(profile=profile))
+        assert draws == []
+
+    @pytest.mark.parametrize("fixed_graph", [False, True])
+    def test_store_traces_needs_an_out_dir(self, monkeypatch, fixed_graph):
+        # raised before the fixed graph or any replicate's graph is drawn
+        draws = []
+        for module in (harness, config_module):
+            monkeypatch.setattr(module, "sample_sbm", lambda *a, **k: draws.append(a))
+        with pytest.raises(MalformedConfig, match="'store_traces' needs an 'out_dir'"):
+            run_experiment(small_config(store_traces=True, fixed_graph=fixed_graph))
         assert draws == []
 
     def test_unexpected_replicate_error_propagates(self, monkeypatch):
@@ -522,10 +523,10 @@ class TestRunExperiment:
         assert result.error_report.samples == 0
         assert np.all(np.isnan(result.error_report.p_err))
 
-    def test_fixed_graph_reuses_one_draw(self):
+    def test_fixed_graph_reuses_one_draw(self, tmp_path, recorded):
         result = run_experiment(small_config(fixed_graph=True, store_traces=True,
-                                             replicates=3))
-        retries = {t.metadata["network_retries"] for t in result.traces}
+                                             replicates=3, out_dir=str(tmp_path)))
+        retries = {t.metadata["network_retries"] for t in recorded(result)}
         assert len(retries) == 1
 
     def test_network_file_source(self, tmp_path):
@@ -631,20 +632,19 @@ WIDE = SbmParams(n0=150, n1=150, p0=0.1, p1=0.1, q0=0.01, q1=0.01)
 
 
 class TestStreamedTraces:
-    """With ``store_traces`` and an ``out_dir``, ``run_experiment`` writes the
-    trace files as the run goes and keeps none in memory."""
+    """With ``store_traces``, ``run_experiment`` writes the trace files into
+    ``out_dir`` as the run goes and keeps none in memory."""
 
     @staticmethod
-    def outputs(config, out_dir):
-        """Run ``config`` and write its outputs into ``out_dir``, with the
-        theory rows ``simulate`` adds to a step-size run."""
-        result = run_experiment(config)
+    def outputs(result, out_dir):
+        """Write ``result``'s outputs into ``out_dir``, with the theory rows
+        ``simulate`` adds to a step-size run."""
         comparison = None
-        if config.strategy == "asl":
-            prediction = expected_log_ratio(result.network, result.profile, config.delta,
-                                            config.pair)
+        if result.config.strategy == "asl":
+            prediction = expected_log_ratio(result.network, result.profile, result.config.delta,
+                                            result.config.pair)
             comparison = compare_theory(result, prediction)
-        return result, result.write_outputs(out_dir, comparison=comparison)
+        return result.write_outputs(out_dir, comparison=comparison)
 
     @pytest.mark.parametrize("overrides", [
         # the benchmark's simulate round: one drawn graph, 20 traces with symbols
@@ -661,41 +661,51 @@ class TestStreamedTraces:
         dict(network=WIDE, horizon=40, burn_in=8, replicates=2, record_observations=True),
     ], ids=["cli-roundtrip", "sparse-two-blocks", "criterion-5", "horizon-0", "traditional",
             "300-agents"])
-    def test_streamed_directory_equals_in_memory_outputs(self, tmp_path, overrides):
-        streamed, in_memory = tmp_path / "streamed", tmp_path / "in_memory"
+    def test_streamed_directory_equals_in_memory_outputs(self, tmp_path, recorded, overrides):
+        # the files but the traces are those of a run that stores none, and
+        # each trace file is the row loop's text of the recorded trace
+        streamed, untraced = tmp_path / "streamed", tmp_path / "untraced"
         streamed.mkdir()
         (streamed / "manifest.json").write_text("{}")  # from an earlier run
-        config = small_config(store_traces=True, **overrides)
-        reference, names = self.outputs(config, in_memory)
-
-        stream_config = small_config(store_traces=True, out_dir=str(streamed), **overrides)
-        result = run_experiment(stream_config)
-        assert result.traces == []
-        assert result.streamed == [name for name in names if name.startswith("trace_")]
+        config = small_config(store_traces=True, out_dir=str(streamed), **overrides)
+        result = run_experiment(config)
+        traces = recorded(result)
+        assert len(traces) == result.n_ok
+        assert result.streamed == [name for i in range(result.n_ok)
+                                   for name in (TRACE_NAME.format(i),
+                                                TRACE_NAME.format(i) + ".meta.json")]
         # the traces are on disk before write_outputs, and the stale
         # manifest is gone until it writes its own
         assert sorted(path.name for path in streamed.iterdir()) == sorted(result.streamed)
-        _, streamed_names = self.outputs(stream_config, streamed)
+        names = self.outputs(result, streamed)
+        plain_names = self.outputs(run_experiment(small_config(**overrides)), untraced)
 
-        assert streamed_names == names
-        for name in names + ["manifest.json"]:
-            expected = (in_memory / name).read_bytes()
+        assert names == plain_names[:3] + result.streamed + plain_names[3:]
+        assert json.loads((streamed / "manifest.json").read_text())["outputs"] == names
+        for name in plain_names:
+            expected = (untraced / name).read_bytes()
             if name == "summary.json":
                 summary = json.loads((streamed / name).read_text())
                 assert summary["config"].pop("out_dir") == str(streamed)
-                summary["config"]["out_dir"] = None
+                assert summary["config"].pop("store_traces") is True
+                summary["config"].update(out_dir=None, store_traces=False)
                 assert summary == json.loads(expected)
             else:
                 assert (streamed / name).read_bytes() == expected, name
-        assert len(result.streamed) == 2 * len(reference.traces) > 0
-        row_loop_csv(reference.traces[0], tmp_path / "loop.csv")
-        assert (streamed / "trace_0000.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+        failed = {f["replicate"] for f in result.failures}
+        kept = [r for r in range(config.replicates) if r not in failed]
+        assert [t.metadata["replicate"] for t in traces] == kept
+        for i, trace in enumerate(traces):
+            assert trace.metadata["seed"] == config.base_seed + kept[i]
+            row_loop_csv(trace, tmp_path / "loop.csv")
+            assert ((streamed / TRACE_NAME.format(i)).read_bytes()
+                    == (tmp_path / "loop.csv").read_bytes()), i
 
     def test_memory_does_not_grow_with_stored_cells(self, tmp_path):
-        # traces kept in memory take 17 bytes per (replicate, step, agent)
-        # cell; a streamed run keeps none, and grows with the horizon by a
-        # block's symbols (1 byte per cell) and the per-iteration sums (16
-        # bytes per (step, agent), 0.8 per cell at 20 replicates)
+        # a streamed run keeps no trace in memory (run's Trace takes 17
+        # bytes per cell), and grows with the horizon by a block's symbols
+        # (1 byte per cell) and the per-iteration sums (16 bytes per (step,
+        # agent), 0.8 per cell at 20 replicates)
         def peak(horizon):
             config = small_config(delta=0.1, horizon=horizon, burn_in=100, replicates=20,
                                   store_traces=True, record_observations=True,

@@ -148,6 +148,17 @@ class TestCsvParsing:
         with pytest.raises(MalformedFile, match=f"cells.csv: column '{column}'"):
             BeliefSeries.from_trace_csv(path)
 
+    @pytest.mark.parametrize("rows, named", [
+        # the second 3,0 row used to overwrite the first
+        ("0,0,0.1\n1,0,0.2\n2,1,0.3\n3,0,0.4\n3,0,0.5\n", "step 3, agent 0"),
+        # the cell whose first row comes first is named
+        ("2,1,0.1\n0,0,0.2\n1,1,0.3\n0,0,0.4\n2,1,0.5\n", "step 2, agent 1"),
+    ])
+    def test_duplicated_step_and_agent(self, tmp_path, rows, named):
+        path = tmp_path / "dup.csv"
+        path.write_text("step,agent,log_ratio\n" + rows)
+        with pytest.raises(MalformedFile, match=f"dup.csv: more than one row for {named}$"):
+            BeliefSeries.from_trace_csv(path)
 
 class TestEstimateLogLikelihoods:
     def test_single_agent_hand_arithmetic(self):

@@ -79,16 +79,16 @@ class TestTraceCsv:
         row_loop_csv(trace, tmp_path / "loop.csv")
         assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
 
-    def test_shared_prefix_gives_each_trace_its_own_bytes(self, tmp_path):
+    def test_shared_prefix_gives_each_trace_its_own_bytes(self, tmp_path, recorded):
         config = ExperimentConfig(network=VB1, profile={"kind": "bernoulli",
                                   "success_probs": [0.1, 0.5]}, delta=0.2, horizon=150,
                                   burn_in=50, replicates=4, base_seed=5, store_traces=True,
-                                  record_observations=True)
+                                  record_observations=True, out_dir=str(tmp_path / "run"))
         result = run_experiment(config)
-        # write_outputs writes the run's traces as the files of one
+        # run_experiment writes a block's traces as the files of one
         # directory, Trace.to_csv each trace alone
         result.write_outputs(tmp_path / "run")
-        for i, trace in enumerate(result.traces):
+        for i, trace in enumerate(recorded(result)):
             trace.to_csv(tmp_path / f"alone_{i}.csv")
             shared = (tmp_path / "run" / f"trace_{i:04d}.csv").read_bytes()
             assert shared == (tmp_path / f"alone_{i}.csv").read_bytes()
