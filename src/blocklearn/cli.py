@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 
 from . import __version__
-from .exceptions import BlocklearnError, MalformedFile
+from .exceptions import BlocklearnError, MalformedFile, UsageError
 from .graphs import (
     BlockModel,
     SbmParams,
@@ -68,9 +68,9 @@ def _parse_grid(text):
     except ValueError:
         grid = np.empty(0)
     if grid is None:
-        raise ValueError(f"--grid step must be nonzero, got {text!r}")
+        raise UsageError(f"--grid step must be nonzero, got {text!r}")
     if not grid.size:
-        raise ValueError(f"--grid takes start:stop:step or a comma list of numbers, got {text!r}")
+        raise UsageError(f"--grid takes start:stop:step or a comma list of numbers, got {text!r}")
     return grid
 
 
@@ -80,26 +80,26 @@ def _add_sbm_flags(parser):
 
 
 def _sbm_params(args):
-    """The two-community law of the six SBM flags; ValueError names the missing ones."""
+    """The two-community law of the six SBM flags; UsageError names the missing ones."""
     fields = {name: getattr(args, name) for name in SbmParams.FIELDS}
     missing = [name for name, value in fields.items() if value is None]
     if missing:
-        raise ValueError(f"two-community mode needs {', '.join('--' + m for m in missing)}")
+        raise UsageError(f"two-community mode needs {', '.join('--' + m for m in missing)}")
     return SbmParams(**fields)
 
 
 def _cmd_generate(args):
     if args.seed < 0:
-        raise ValueError(f"--seed must be at least 0, got {args.seed}")
+        raise UsageError(f"--seed must be at least 0, got {args.seed}")
     if args.sizes:
         if args.p is None or args.q is None:
-            raise ValueError("k-community mode needs --sizes, --p and --q")
+            raise UsageError("k-community mode needs --sizes, --p and --q")
         sizes = _parse_int_list(args.sizes)
         intra = _parse_float_list(args.p)
         if len(intra) == 1:
             intra = intra * len(sizes)
         if len(intra) != len(sizes):
-            raise ValueError("--p must list one probability per community (or a single value)")
+            raise UsageError("--p must list one probability per community (or a single value)")
         probs = np.full((len(sizes), len(sizes)), args.q)
         np.fill_diagonal(probs, intra)
         law = BlockModel(sizes=tuple(sizes), probs=probs)
@@ -134,7 +134,7 @@ def _cmd_simulate(args):
     config = _load_config(args, replicates=args.replicates, estimator=args.estimator,
                           n_jobs=args.jobs)
     if not config.out_dir:
-        raise ValueError("an output directory is required (--out or out_dir in the config)")
+        raise UsageError("an output directory is required (--out or out_dir in the config)")
     result = run_experiment(config)
     comparison = None
     if config.strategy == "asl":
@@ -160,7 +160,7 @@ def _cmd_thresholds(args):
         params = _sbm_params(args)
         report["asymmetric"] = asymmetric_delta_thresholds(params, args.d0, args.d1).to_json()
     if not report:
-        raise ValueError("provide --p/--q for the symmetric bound and/or full SBM parameters")
+        raise UsageError("provide --p/--q for the symmetric bound and/or full SBM parameters")
     text = json.dumps(report, indent=2)
     print(text)
     if args.out:
@@ -194,7 +194,7 @@ def _cmd_fit_delta(args):
     elif args.network:
         combination = load_network(args.network).combination
     else:
-        raise ValueError("provide --network or --combination")
+        raise UsageError("provide --network or --combination")
     series = BeliefSeries.from_trace_csv(args.trace, split_index=args.split)
     result = scan_delta(series, combination, grid, include_traditional=args.traditional)
     payload = {
@@ -217,7 +217,7 @@ def _cmd_verify(args):
 
     results = run_all(names=args.suite or None)
     if not results:
-        raise ValueError(f"no suites matched {args.suite}")
+        raise UsageError(f"no suites matched {args.suite}")
     failed = 0
     for res in results:
         status = "PASS" if res.passed else "FAIL"

@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the argument checks that
 raise them."""
 
+from contextlib import contextmanager
 from numbers import Integral
 
 import numpy as np
@@ -48,7 +49,11 @@ class InsufficientSteps(BlocklearnError):
 
 
 class MalformedFile(BlocklearnError, ValueError):
-    """A network or profile file does not follow its text format."""
+    """An input file is a directory, is not text, or does not follow its format."""
+
+
+class UsageError(BlocklearnError, ValueError):
+    """A command-line flag is missing or has a value its command does not take."""
 
 
 class MalformedConfig(BlocklearnError, ValueError):
@@ -82,6 +87,19 @@ class PreconditionFailed(BlocklearnError):
 
 class ZeroInformativeness(BlocklearnError):
     """A cluster has zero KL informativeness, so no threshold exists."""
+
+
+@contextmanager
+def reading(path):
+    """Raise MalformedFile naming ``path`` when the file read inside is a
+    directory or not text in the expected encoding; a missing file stays
+    FileNotFoundError, which names it."""
+    try:
+        yield
+    except IsADirectoryError:
+        raise MalformedFile(f"{path}: is a directory, not a file") from None
+    except UnicodeDecodeError as exc:
+        raise MalformedFile(f"{path}: not a text file ({exc})") from None
 
 
 def check_delta(delta):

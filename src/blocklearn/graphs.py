@@ -31,6 +31,7 @@ from .exceptions import (
     MalformedFile,
     NotStronglyConnected,
     ZeroColumn,
+    reading,
 )
 
 __all__ = [
@@ -578,10 +579,10 @@ def load_network(path):
     Raises
     ------
     MalformedFile
-        If the header, the shape of the adjacency block or one of its entries
-        does not follow the format.
+        If the file is a directory or not text, or the header, the shape of
+        the adjacency block or one of its entries does not follow the format.
     """
-    with open(path) as fh:
+    with reading(path), open(path) as fh:
         lines = [ln.split() for ln in fh if ln.strip() and not ln.startswith("#")]
     if not lines:
         raise MalformedFile(f"{path}: empty network file")
@@ -613,8 +614,10 @@ def save_matrix_csv(path, matrix):
 
 
 def load_matrix_csv(path):
-    """Read a matrix CSV; a cell that is not a number, or ragged rows, raise MalformedFile."""
-    try:
-        return np.atleast_2d(np.loadtxt(path, delimiter=","))
-    except ValueError as exc:
-        raise MalformedFile(f"{path}: not a matrix of numbers ({exc})") from None
+    """Read a matrix CSV; a directory, a file that is not text, a cell that is
+    not a number, or ragged rows raise MalformedFile."""
+    with reading(path):
+        try:
+            return np.atleast_2d(np.loadtxt(path, delimiter=","))
+        except ValueError as exc:
+            raise MalformedFile(f"{path}: not a matrix of numbers ({exc})") from None

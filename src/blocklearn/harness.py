@@ -212,9 +212,10 @@ def run_experiment(config):
     Replicate r uses seed ``base_seed + r`` for both its graph draw (unless
     the graph is fixed) and its observation streams.  Replicates run in
     blocks of ``BLOCK_SIZE`` through ``learning.simulate_block``, and each
-    chunk of iterations is reduced as it is produced.  With ``store_traces``
-    the traces are written into ``out_dir`` as the run goes; without an
-    ``out_dir`` that raises MalformedConfig before any graph is drawn.
+    chunk of iterations it yields is reduced, and with ``store_traces``
+    written to the block's trace files in ``out_dir``, before the next is
+    built; ``store_traces`` without an ``out_dir`` raises MalformedConfig
+    before any graph is drawn.
     Failed replicates are recorded and skipped.
     """
     if config.store_traces and not config.out_dir:
@@ -267,35 +268,32 @@ def run_experiment(config):
         # (replicate, agent); hypothesis 0 takes the rest of the window
         hits = np.zeros((h - 1, size, n), dtype=np.int64)
 
-        def reduce_chunk(start, psi, mu, est):
-            nonlocal psi_sq, mu_sq, psi_sum, mu_sum
+        record = TraceWriter([stream / TRACE_NAME.format(n_ok + j) for j in range(size)],
+                             clusters, h, symbols if config.record_observations else None
+                             ) if stream else None
+        # the writer needs the estimates of every chunk
+        chunks = learning.simulate_block(combination_t, profile, symbols, config.strategy,
+                                         config.delta, config.pair, config.estimator,
+                                         burn_in=0 if stream else burn_in)
+        for start, psi, mu, est in chunks:
+            if record:
+                record(start, psi, mu, est)
             rows = slice(start + 1, start + 1 + psi.shape[0])
             iter_sum[rows] += sum_replicates(psi)
             iter_sq[rows] += square_replicates(psi)
             # steady-state window: iterations burn_in + 1 .. horizon; a chunk
-            # that ends before it comes with mu and est None
+            # that ends before it may come with mu and est None
             first_in = max(burn_in - start, 0)
-            if first_in >= psi.shape[0]:
-                return
-            psi, mu, est = psi[first_in:], mu[first_in:], est[first_in:]
-            psi_sum += psi.sum(axis=0)
-            mu_sum += mu.sum(axis=0)
-            psi_sq += square_samples(psi)
-            mu_sq += square_samples(mu)
-            for hyp in range(1, h):
-                hits[hyp - 1] += (est == hyp).sum(axis=0, dtype=_CHUNK_COUNT)
-
-        on_chunk, skip = reduce_chunk, burn_in
-        if stream:
-            record = TraceWriter([stream / TRACE_NAME.format(n_ok + j) for j in range(size)],
-                                 clusters, h, symbols if config.record_observations else None)
-
-            def on_chunk(*chunk):
-                record(*chunk)
-                reduce_chunk(*chunk)
-            skip = 0  # the writer needs the estimates of every chunk
-        learning.simulate_block(combination_t, profile, symbols, config.strategy, config.delta,
-                                config.pair, config.estimator, on_chunk, burn_in=skip)
+            if first_in < psi.shape[0]:
+                psi, mu, est = psi[first_in:], mu[first_in:], est[first_in:]
+                psi_sum += psi.sum(axis=0)
+                mu_sum += mu.sum(axis=0)
+                psi_sq += square_samples(psi)
+                mu_sq += square_samples(mu)
+                for hyp in range(1, h):
+                    hits[hyp - 1] += (est == hyp).sum(axis=0, dtype=_CHUNK_COUNT)
+            # the generator builds the next chunk while these names hold this one
+            del psi, mu, est
         if stream:
             streamed += record.close([learning.trace_metadata(
                 source if block is None else block.network(i), profile,

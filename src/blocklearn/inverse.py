@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import InsufficientSteps, MalformedFile, check_delta
+from .exceptions import InsufficientSteps, MalformedFile, check_delta, reading
 
 __all__ = [
     "BeliefSeries",
@@ -77,13 +77,14 @@ class BeliefSeries:
         Raises
         ------
         MalformedFile
-            If the header lacks one of the columns, a cell of one is not a
-            number, a step or agent id is not a non-negative integer, two
-            rows have the same step and agent, or a log-ratio is infinite.
+            If the file is a directory or not text, the header lacks one of
+            the columns, a cell of one is not a number, a step or agent id
+            is not a non-negative integer, two rows have the same step and
+            agent, or a log-ratio is infinite.
         InsufficientSteps
             If the file has no data rows.
         """
-        with open(path, newline="") as fh:
+        with reading(path), open(path, newline="") as fh:
             header = next(csv.reader([fh.readline()]), [])
             names = ("iter" if "iter" in header else "step", "agent", "log_ratio")
             missing = [name for name in names if name not in header]

@@ -33,7 +33,6 @@ from .models import observation_matrix
 __all__ = [
     "BeliefState",
     "Trace",
-    "TraceRecorder",
     "log_normalize",
     "bayesian_update",
     "asl_update",
@@ -289,38 +288,12 @@ def trace_metadata(network, profile, seed, strategy, delta, horizon, pair, estim
     return metadata
 
 
-class TraceRecorder:
-    """The recording hook of ``simulate_block`` that keeps the series of a
-    block of ``n_reps`` replicates in memory; ``close`` returns them as
-    Traces, with the block's ``(B, N, T)`` ``observations`` if given."""
-
-    def __init__(self, n_reps, horizon, clusters, n_hypotheses, observations=None):
-        self.clusters, self.observations = clusters, observations
-        # iteration 0 is the uniform initial state: log-ratios zero, estimate 0
-        self.psi = np.zeros((n_reps, horizon + 1, clusters.size))
-        self.mu = np.zeros_like(self.psi)
-        self.est = np.zeros(self.psi.shape, dtype=np.min_scalar_type(n_hypotheses - 1))
-
-    def __call__(self, start, psi, mu, est):
-        rows = slice(start + 1, start + 1 + psi.shape[0])
-        for series, chunk in ((self.psi, psi), (self.mu, mu), (self.est, est)):
-            series[:, rows] = chunk.transpose(1, 0, 2)
-
-    def close(self, metadata):
-        """One Trace per replicate, with its ``metadata`` dict."""
-        obs = self.observations
-        return [Trace(log_ratio=self.psi[j], estimates=self.est[j], clusters=self.clusters.copy(),
-                      metadata=meta, mu_log_ratio=self.mu[j],
-                      observations=None if obs is None else obs[j])
-                for j, meta in enumerate(metadata)]
-
-
 def simulate_block(combination_t, profile, symbols, strategy, delta, pair, estimator,
-                   on_chunk, burn_in=0):
+                   burn_in=0):
     """Step a block of replicates through the log-ratio recursion.
 
     Every simulation goes through here: ``run`` is its one-replicate case,
-    and ``harness.run_experiment`` calls it once per block of replicates.
+    and ``harness.run_experiment`` steps one block of replicates at a time.
 
     Parameters
     ----------
@@ -333,16 +306,20 @@ def simulate_block(combination_t, profile, symbols, strategy, delta, pair, estim
         them for B seeds.
     strategy, delta, pair, estimator
         As in ``run``; ``check_strategy`` has accepted them.
-    on_chunk : callable
-        Called as ``on_chunk(start, psi, mu, est)`` for iterations
-        ``start + 1 .. start + K``: the public and private log-ratios of
-        ``pair`` and the state estimates, each a new ``(K, B, N)`` array.
-        ``mu`` and ``est`` are None on a chunk that ends at or before
-        ``burn_in``.  A recording hook (a ``TraceRecorder``, or a
-        ``writers.TraceWriter`` that writes trace files) needs every chunk's,
-        so it is passed with ``burn_in`` 0.
     burn_in : int
-        Iterations whose ``mu`` and ``est`` the hook does not need.
+        Iterations whose ``mu`` and ``est`` the caller does not need.  A
+        caller that keeps every iteration (``run``, or a
+        ``writers.TraceWriter``) passes 0.
+
+    Yields
+    ------
+    (start, psi, mu, est)
+        For iterations ``start + 1 .. start + K``: the public and private
+        log-ratios of ``pair`` and the state estimates, each a new
+        ``(K, B, N)`` array.  ``mu`` and ``est`` are None on a chunk that
+        ends at or before ``burn_in``.  The next chunk is built while the
+        caller still holds this one, so a caller that keeps no chunk drops
+        its names before asking for the next.
     """
     w_like, w_prior = (delta, 1.0 - delta) if strategy == "asl" else (1.0, 1.0)
     chunks = log_ratio_chunks(combination_t, llr_table(profile), symbols.transpose(2, 0, 1),
@@ -350,11 +327,10 @@ def simulate_block(combination_t, profile, symbols, strategy, delta, pair, estim
     for start, x_psi, x_mu in chunks:
         psi = pair_ratio(x_psi, pair)  # (K, B, N)
         if start + psi.shape[0] <= burn_in:
-            mu = est = None
+            yield start, psi, None, None
         else:
-            mu = pair_ratio(x_mu, pair)
-            est = ratio_estimates(x_mu if estimator == "mu" else x_psi)
-        on_chunk(start, psi, mu, est)
+            yield (start, psi, pair_ratio(x_mu, pair),
+                   ratio_estimates(x_mu if estimator == "mu" else x_psi))
 
 
 def run(
@@ -396,10 +372,16 @@ def run(
     check_strategy(strategy, delta, estimator)
     check_pair(pair, profile.n_hypotheses)
     symbols = observation_matrix(profile, horizon, [seed])
-    recorder = TraceRecorder(1, horizon, network.clusters, profile.n_hypotheses,
-                             symbols if record_observations else None)
-    simulate_block(np.ascontiguousarray(network.combination.T), profile, symbols, strategy, delta,
-                   pair, estimator, recorder)
-    (trace,) = recorder.close([trace_metadata(network, profile, seed, strategy, delta, horizon,
-                                              pair, estimator)])
-    return trace
+    # iteration 0 is the uniform initial state: log-ratios zero, estimate 0
+    log_ratio, mu_log_ratio = np.zeros((2, horizon + 1, network.size))
+    estimates = np.zeros(log_ratio.shape, dtype=np.min_scalar_type(profile.n_hypotheses - 1))
+    for start, *chunk in simulate_block(np.ascontiguousarray(network.combination.T), profile,
+                                        symbols, strategy, delta, pair, estimator):
+        rows = slice(start + 1, start + 1 + chunk[0].shape[0])
+        for series, values in zip((log_ratio, mu_log_ratio, estimates), chunk):
+            series[rows] = values[:, 0]
+    return Trace(log_ratio=log_ratio, estimates=estimates, clusters=network.clusters.copy(),
+                 metadata=trace_metadata(network, profile, seed, strategy, delta, horizon, pair,
+                                         estimator),
+                 mu_log_ratio=mu_log_ratio,
+                 observations=symbols[0] if record_observations else None)

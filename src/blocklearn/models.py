@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import MalformedFile, SupportMismatch
+from .exceptions import MalformedFile, SupportMismatch, reading
 
 __all__ = [
     "HypothesisSet",
@@ -502,10 +502,11 @@ def load_profile(path):
     Raises
     ------
     MalformedFile
-        If the file is shorter than its header declares, a line has the
-        wrong number of fields, or the entries do not make a profile.
+        If the file is a directory or not text, is shorter than its header
+        declares, a line has the wrong number of fields, or the entries do
+        not make a profile.
     """
-    with open(path) as fh:
+    with reading(path), open(path) as fh:
         lines = [ln.split() for ln in fh if ln.strip() and not ln.startswith("#")]
     try:
         n, h, m = (int(tok) for tok in lines[0])

@@ -193,6 +193,13 @@ def symmetric_log_ratio_closed_form(d0, d1, p, q, delta):
     return base + swing, base - swing
 
 
+def _check_finite(**values):
+    """Raise InvalidRegime naming the first of ``values`` that is NaN or infinite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise InvalidRegime(f"{name} must be finite, got {value}")
+
+
 def symmetric_delta_threshold(d0, d1, p, q):
     """Smallest step size letting both symmetric communities keep their truth.
 
@@ -201,10 +208,15 @@ def symmetric_delta_threshold(d0, d1, p, q):
     Raises
     ------
     InvalidRegime
-        If ``p <= q`` (no community structure to exploit).
+        If ``d0`` or ``d1`` is not finite, ``p`` or ``q`` is not in [0, 1]
+        (NaN included), or ``p <= q`` (no community structure to exploit).
     ZeroInformativeness
         If either cluster has no informativeness.
     """
+    _check_finite(d0=d0, d1=d1)
+    for name, value in (("p", p), ("q", q)):
+        if not 0.0 <= value <= 1.0:
+            raise InvalidRegime(f"{name} must be a probability in [0, 1], got {value}")
     if p <= q:
         raise InvalidRegime(f"requires p > q, got p={p}, q={q}")
     if d0 <= 0 or d1 <= 0:
@@ -260,9 +272,12 @@ def asymmetric_delta_thresholds(params, d0, d1):
 
     Raises
     ------
+    InvalidRegime
+        If ``d0`` or ``d1`` is not finite.
     PreconditionFailed
         Naming the violated dominance inequality.
     """
+    _check_finite(d0=d0, d1=d1)
     n0, n1 = params.n0, params.n1
     p0, p1, q0, q1 = params.p0, params.p1, params.q0, params.q1
     lhs0 = p0 * n0 * d0 - q1 * n1 * d1

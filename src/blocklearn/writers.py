@@ -256,11 +256,11 @@ def write_table(path, header, *blocks):
 
 
 class TraceWriter:
-    """The recording hook of ``learning.simulate_block`` that writes the trace
-    CSVs ``paths`` of a block of replicates as the recursion produces their
-    rows, ``iter, agent, cluster, log_ratio, estimate[, obs]``.  A call takes
-    the public log-ratios and the estimates of iterations ``start + 1 ..
-    start + K``, ``(K, B, N)`` arrays the caller does not reuse.  Rows wait
+    """Writes the trace CSVs ``paths`` of a block of replicates as the
+    recursion produces their rows, ``iter, agent, cluster, log_ratio,
+    estimate[, obs]``.  A call takes a chunk that ``learning.simulate_block``
+    yields: the public log-ratios and the estimates of iterations
+    ``start + 1 .. start + K``, ``(K, B, N)`` arrays the caller does not reuse.  Rows wait
     until about ``ROWS_PER_WRITE`` per file, then are converted and appended
     through ``write_rows`` one file at a time.  ``observations``, the block's
     ``(B, N, T)`` symbols or None, fill the ``obs`` column; ``n_estimates``

@@ -13,46 +13,45 @@ def recorded(monkeypatch):
     """``recorded(result)``: in-memory Traces of the replicates that a
     ``store_traces`` run wrote into its ``out_dir``, in file order.
 
-    ``learning.simulate_block`` is wrapped so that a ``TraceRecorder`` sees
-    each chunk of every block before the run's own hook.  Each Trace takes
+    ``learning.simulate_block`` is wrapped so that each chunk of every block
+    is copied into the block's series as the run takes it.  Each Trace takes
     the run's clusters, and its metadata from its file's sidecar.  A call
     returns the blocks recorded since the last call, so take each run's
     traces before the next run.  A run that stores no traces skips the
     burn-in's estimates, and its blocks are not recorded.
     """
-    recorders = []
+    blocks = []
     simulate_block = learning.simulate_block
 
-    def tee(combination_t, profile, symbols, strategy, delta, pair, estimator, on_chunk,
-            burn_in=0):
-        if burn_in:
-            return simulate_block(combination_t, profile, symbols, strategy, delta, pair,
-                                  estimator, on_chunk, burn_in=burn_in)
-        # the run's clusters replace the zeros when the traces are taken
-        recorder = learning.TraceRecorder(len(symbols), symbols.shape[2],
-                                          np.zeros(profile.n_agents, dtype=int),
-                                          profile.n_hypotheses, symbols)
-        recorders.append(recorder)
+    def tap(combination_t, profile, symbols, *args, burn_in=0):
+        chunks = simulate_block(combination_t, profile, symbols, *args, burn_in=burn_in)
+        return chunks if burn_in else keep(chunks, profile, symbols)
 
-        def both(*chunk):
-            recorder(*chunk)
-            on_chunk(*chunk)
+    def keep(chunks, profile, symbols):
+        n_reps, n_agents, horizon = symbols.shape
+        # iteration 0 is the uniform initial state: log-ratios zero, estimate 0
+        psi, mu = np.zeros((2, n_reps, horizon + 1, n_agents))
+        est = np.zeros(psi.shape, dtype=np.min_scalar_type(profile.n_hypotheses - 1))
+        blocks.append((psi, mu, est, symbols))
+        for start, *chunk in chunks:
+            rows = slice(start + 1, start + 1 + chunk[0].shape[0])
+            for series, values in zip((psi, mu, est), chunk):
+                series[:, rows] = values.transpose(1, 0, 2)
+            yield start, *chunk
 
-        simulate_block(combination_t, profile, symbols, strategy, delta, pair, estimator, both,
-                       burn_in=burn_in)
-
-    monkeypatch.setattr(learning, "simulate_block", tee)
+    monkeypatch.setattr(learning, "simulate_block", tap)
 
     def traces(result):
         out = Path(result.config.out_dir)
-        blocks = [r.close([{}] * len(r.psi)) for r in recorders]
-        recorders.clear()
-        traces = [trace for block in blocks for trace in block]
+        traces = [learning.Trace(log_ratio=psi[j], estimates=est[j],
+                                 clusters=result.clusters.copy(), metadata=None,
+                                 mu_log_ratio=mu[j],
+                                 observations=symbols[j] if result.config.record_observations
+                                 else None)
+                  for psi, mu, est, symbols in blocks for j in range(len(psi))]
+        blocks.clear()
         for i, trace in enumerate(traces):
-            trace.clusters = result.clusters.copy()
             trace.metadata = json.loads((out / (TRACE_NAME.format(i) + ".meta.json")).read_text())
-            if not result.config.record_observations:
-                trace.observations = None
         return traces
 
     return traces

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from blocklearn import exceptions
 from blocklearn.cli import main
 from blocklearn.graphs import SbmParams, load_network, sample_sbm, save_matrix_csv, save_network
 from blocklearn.inverse import BeliefSeries, recursion_series, scan_delta
@@ -60,7 +61,7 @@ class TestGenerate:
         code = main(["generate", "--out", str(tmp_path / "x"), "--n0", "5"])
         assert code == 2
         err = json.loads(capsys.readouterr().err.strip())
-        assert err["error"] == "ValueError"
+        assert err["error"] == "UsageError"
 
     def test_negative_seed_names_the_flag(self, tmp_path, capsys):
         code = main(["generate", "--seed", "-1", "--out", str(tmp_path / "x"),
@@ -68,7 +69,7 @@ class TestGenerate:
                      "--q0", "0.1", "--q1", "0.1"])
         assert code == 2
         assert json.loads(capsys.readouterr().err) == {
-            "error": "ValueError", "detail": "--seed must be at least 0, got -1"}
+            "error": "UsageError", "detail": "--seed must be at least 0, got -1"}
         assert not (tmp_path / "x").exists()
 
 
@@ -100,7 +101,7 @@ class TestThresholds:
         assert captured.out == ""
         assert len(captured.err.strip().splitlines()) == 1
         error = json.loads(captured.err)
-        assert error["error"] == "ValueError"
+        assert error["error"] == "UsageError"
         assert error["detail"].endswith("needs " + missing)
 
 
@@ -688,7 +689,7 @@ class TestFitDelta:
         err = capsys.readouterr().err.strip()
         assert len(err.splitlines()) == 1
         error = json.loads(err)
-        assert error["error"] == "ValueError"
+        assert error["error"] == "UsageError"
         assert "grid step" in error["detail"]
 
 
@@ -701,8 +702,71 @@ class TestFitDelta:
                      str(tmp_path / "network.txt"), "--grid", grid])
         assert code == 2
         error = json.loads(capsys.readouterr().err)
-        assert error == {"error": "ValueError", "detail": "--grid takes start:stop:step or "
+        assert error == {"error": "UsageError", "detail": "--grid takes start:stop:step or "
                          f"a comma list of numbers, got {grid!r}"}
+
+SBM_FLAGS = ["--n0", "10", "--n1", "8", "--p0", "0.8", "--p1", "0.8", "--q0", "0.2", "--q1", "0.2"]
+
+
+# Each probe names its argv and the words its detail must contain; "{name}"
+# stands for one of the probe's input files.  Every probe used to exit 0, or
+# exit 2 with a ValueError, UnicodeDecodeError or IsADirectoryError.
+@pytest.mark.parametrize("argv, named", [
+    # threshold inputs that are not finite numbers or probabilities
+    (["thresholds", "--d0", "nan", "--d1", "0.2", "--p", "0.8", "--q", "0.1"], ["d0", "nan"]),
+    (["thresholds", "--d0", "0.1", "--d1", "0.2", "--p", "nan", "--q", "0.1"], ["p ", "nan"]),
+    (["thresholds", "--d0", "inf", "--d1", "0.2", "--p", "0.8", "--q", "0.1"], ["d0", "inf"]),
+    (["thresholds", "--d0", "0.1", "--d1", "nan", *SBM_FLAGS], ["d1", "nan"]),
+    # input files that cannot be read as text
+    (["fit-delta", "--trace", "{trace}", "--network", "{binary}"], ["{binary}"]),
+    (["fit-delta", "--trace", "{trace}", "--network", "{folder}"], ["{folder}"]),
+    (["fit-delta", "--trace", "{trace}", "--combination", "{folder}"], ["{folder}"]),
+    (["fit-delta", "--trace", "{binary}", "--network", "{network}"], ["{binary}"]),
+    (["fit-delta", "--trace", "{folder}", "--network", "{network}"], ["{folder}"]),
+    (["simulate", "--config", "{binary_profile}", "--out", "{out}"], ["{binary}"]),
+    (["predict", "--config", "{folder_profile}"], ["{folder}"]),
+    # flags that are missing or take no such value
+    (["generate", "--out", "{out}", "--n0", "5"], ["--n1"]),
+    (["generate", "--out", "{out}", "--sizes", "3,4"], ["--p", "--q"]),
+    (["generate", "--out", "{out}", "--sizes", "3,4", "--p", "0.5,0.5,0.5", "--q", "0.1"],
+     ["--p"]),
+    (["generate", "--out", "{out}", "--seed", "-1", *SBM_FLAGS], ["--seed", "-1"]),
+    (["thresholds", "--d0", "0.1", "--d1", "0.2"], ["--p"]),
+    (["verify", "--suite", "nope"], ["nope"]),
+    (["fit-delta", "--trace", "{trace}"], ["--network", "--combination"]),
+    (["fit-delta", "--trace", "{trace}", "--network", "{network}", "--grid", "0.1:0.5"],
+     ["--grid", "0.1:0.5"]),
+    (["fit-delta", "--trace", "{trace}", "--network", "{network}", "--grid", "0.1:0.5:0"],
+     ["--grid", "0.1:0.5:0"]),
+    (["simulate", "--config", "{config}"], ["--out"]),
+], ids=["d0-nan", "p-nan", "d0-inf", "d1-nan-sbm", "network-binary", "network-folder",
+        "combination-folder", "trace-binary", "trace-folder", "profile-binary",
+        "profile-folder", "generate-missing", "generate-k-missing", "generate-p-count",
+        "generate-seed", "thresholds-no-bound", "verify-suite", "fit-delta-no-matrix",
+        "fit-delta-grid", "fit-delta-grid-step", "simulate-no-out"])
+def test_bad_input_is_one_typed_json_error(tmp_path, capsys, argv, named):
+    files = {name: tmp_path / name for name in ("binary", "folder", "network", "trace", "out")}
+    files["binary"].write_bytes(b"\xff\xfe\x00 not text\n")
+    files["folder"].mkdir()
+    save_network(files["network"],
+                 sample_sbm(SbmParams(n0=3, n1=3, p0=0.9, p1=0.9, q0=0.3, q1=0.3), seed=1))
+    files["trace"].write_text("iter,agent,log_ratio\n"
+                              + "".join(f"{i},{k},0.5\n" for i in range(4) for k in range(6)))
+    files["config"] = write_config(tmp_path)
+    for name in ("binary", "folder"):
+        (tmp_path / f"{name}_config").mkdir()
+        files[f"{name}_profile"] = write_config(tmp_path / f"{name}_config",
+                                                profile=str(files[name]))
+    code = main([arg.format(**files) for arg in argv])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    error = json.loads(captured.err)
+    assert issubclass(getattr(exceptions, error["error"]), exceptions.BlocklearnError)
+    for word in named:
+        assert word.format(**files) in error["detail"]
+
 
 # Blocks every scipy import, imports every blocklearn module, then runs the
 # CLI on the remaining arguments.

@@ -8,7 +8,6 @@ from blocklearn.graphs import BlockModel, SbmParams, perron_vector, sample_sbm
 from blocklearn.inverse import BeliefSeries, estimate_log_likelihoods, scan_delta
 from blocklearn.learning import (
     BeliefState,
-    TraceRecorder,
     asl_update,
     bayesian_update,
     estimate_state,
@@ -328,31 +327,21 @@ class TestCheckPair:
 
 
 class TestSimulateBlock:
-    @staticmethod
-    def chunks(burn_in, record):
-        """The chunks one hook sees, copied, and the traces of a recorder
-        that the hook calls first when ``record`` is set."""
-        network = sample_sbm(CRITERION_5, seed=3)
-        profile = random_multinomial_profile(network.clusters, 25, seed=10)
-        symbols = observation_matrix(profile, 40, [1, 2])
-        combination_t = np.ascontiguousarray(network.combination.T)
-        seen = []
-        recorder = TraceRecorder(2, 40, network.clusters, profile.n_hypotheses) if record else None
+    NETWORK = sample_sbm(CRITERION_5, seed=3)
+    PROFILE = random_multinomial_profile(NETWORK.clusters, 25, seed=10)
 
-        def on_chunk(start, psi, mu, est):
-            if recorder is not None:
-                recorder(start, psi, mu, est)
-            seen.append((start, psi.copy(), None if mu is None else mu.copy(),
-                         None if est is None else est.copy()))
-
-        simulate_block(combination_t, profile, symbols, "asl", 0.1, (0, 2), "mu", on_chunk,
-                       burn_in=burn_in)
-        return seen, recorder and recorder.close([{}, {}])
+    @classmethod
+    def chunks(cls, burn_in, seeds=(1, 2), estimator="mu"):
+        """The chunks of a block of ``seeds``, as the generator yields them."""
+        symbols = observation_matrix(cls.PROFILE, 40, list(seeds))
+        combination_t = np.ascontiguousarray(cls.NETWORK.combination.T)
+        return list(simulate_block(combination_t, cls.PROFILE, symbols, "asl", 0.1, (0, 2),
+                                   estimator, burn_in=burn_in))
 
     @pytest.mark.parametrize("burn_in", [0, 15, 16, 17, 32, 40])
     def test_burn_in_chunks_skip_mu_and_estimates(self, burn_in):
-        full, _ = self.chunks(0, record=False)
-        seen, _ = self.chunks(burn_in, record=False)
+        full = self.chunks(0)
+        seen = self.chunks(burn_in)
         assert [c[0] for c in seen] == [0, 16, 32]
         for (start, psi, mu, est), (_, psi_full, mu_full, est_full) in zip(seen, full):
             assert np.array_equal(psi, psi_full)
@@ -361,18 +350,22 @@ class TestSimulateBlock:
             else:
                 assert np.array_equal(mu, mu_full) and np.array_equal(est, est_full)
 
-    def test_recorded_blocks_keep_every_chunk(self):
-        # a recorder is passed with burn_in 0, and sees mu and the estimates
-        # of every chunk
-        seen, traces = self.chunks(0, record=True)
+    def test_without_burn_in_every_chunk_has_mu_and_estimates(self):
+        seen = self.chunks(0)
         assert [c[0] for c in seen] == [0, 16, 32]
         assert all(mu is not None and est is not None for _, _, mu, est in seen)
-        mu = np.concatenate([c[2] for c in seen])  # (T, B, N)
-        est = np.concatenate([c[3] for c in seen])
-        for j, trace in enumerate(traces):
-            assert np.array_equal(trace.mu_log_ratio[1:], mu[:, j])
-            assert np.array_equal(trace.estimates[1:], est[:, j])
-            assert not trace.mu_log_ratio[0].any() and not trace.estimates[0].any()
+
+    @pytest.mark.parametrize("estimator", ["mu", "psi"])
+    def test_run_trace_is_the_chunk_stream_of_one_seed(self, estimator):
+        # row 0 is the uniform initial state, rows 1.. the chunks in order
+        trace = run(self.NETWORK, self.PROFILE, strategy="asl", delta=0.1, horizon=40, seed=1,
+                    pair=(0, 2), estimator=estimator)
+        chunks = self.chunks(0, seeds=[1], estimator=estimator)
+        for i, series in enumerate((trace.log_ratio, trace.mu_log_ratio, trace.estimates), 1):
+            stream = np.concatenate([c[i][:, 0] for c in chunks])
+            assert series.dtype == stream.dtype
+            assert not series[0].any() and np.array_equal(series[1:], stream)
+        assert trace.log_ratio.dtype == np.float64 and trace.estimates.dtype == np.uint8
 
 
 class TestLogRatioChunks:
