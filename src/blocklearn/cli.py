@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
 from functools import partial
 
@@ -21,6 +22,7 @@ from .exceptions import BlocklearnError, MalformedFile, UsageError
 from .graphs import (
     BlockModel,
     SbmParams,
+    check_combination,
     load_matrix_csv,
     load_network,
     sample_sbm,
@@ -50,18 +52,20 @@ def scan_delta(*args, **kwargs):
     return scan_delta(*args, **kwargs)
 
 
-def _parse_float_list(text):
-    return [float(tok) for tok in text.split(",") if tok.strip()]
-
-
-def _parse_int_list(text):
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+def _parse_list(text, kind, flag):
+    """The comma list ``text`` of ``kind`` values; UsageError names ``flag``
+    when an item is not one."""
+    try:
+        return [kind(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise UsageError(f"{flag} takes a comma list of {kind.__name__} values, "
+                         f"got {text!r}") from None
 
 
 def _parse_grid(text):
     try:
         if ":" not in text:
-            grid = np.asarray(_parse_float_list(text))
+            grid = np.asarray(_parse_list(text, float, "--grid"))
         else:
             start, stop, step = (float(tok) for tok in text.split(":"))
             grid = np.arange(start, stop + step / 2, step) if step else None
@@ -94,8 +98,8 @@ def _cmd_generate(args):
     if args.sizes:
         if args.p is None or args.q is None:
             raise UsageError("k-community mode needs --sizes, --p and --q")
-        sizes = _parse_int_list(args.sizes)
-        intra = _parse_float_list(args.p)
+        sizes = _parse_list(args.sizes, int, "--sizes")
+        intra = _parse_list(args.p, float, "--p")
         if len(intra) == 1:
             intra = intra * len(sizes)
         if len(intra) != len(sizes):
@@ -187,10 +191,10 @@ def _cmd_fit_delta(args):
     grid = _parse_grid(args.grid)
     if args.combination:
         combination = load_matrix_csv(args.combination)
-        bad = ~(combination >= 0).all(axis=0) | ~(np.abs(combination.sum(axis=0) - 1.0) <= 1e-9)
-        if bad.any():  # a NaN fails both tests; 1e-9 is Network's tolerance
-            raise MalformedFile(f"{args.combination}: column {bad.argmax()} is not a combination "
-                                "column: its entries must be nonnegative and sum to 1")
+        try:
+            check_combination(combination)
+        except ValueError as error:
+            raise MalformedFile(f"{args.combination}: {error}") from None
     elif args.network:
         combination = load_network(args.network).combination
     else:
@@ -290,6 +294,10 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # a file as --out would fail only once the command had run
+        out = getattr(args, "out", None)
+        if out and os.path.exists(out) and not os.path.isdir(out):
+            raise UsageError(f"--out must name a directory, got the file {out!r}")
         return args.func(args)
     except (BlocklearnError, ValueError, OSError) as exc:
         print(json.dumps({"error": type(exc).__name__, "detail": str(exc)}), file=sys.stderr)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .exceptions import MalformedConfig, check_pair, check_strategy
+from .exceptions import MalformedConfig, check_pair, check_strategy, reading
 from .graphs import BlockModel, Network, SbmParams, load_network, sample_sbm
 from .models import LikelihoodProfile, bernoulli_profile, load_profile, random_multinomial_profile
 
@@ -105,8 +105,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path, **overrides):
-        """``from_dict`` of a JSON file; MalformedConfig names a file that is not JSON."""
-        with open(path) as fh:
+        """``from_dict`` of a JSON file; MalformedConfig names a file that is not
+        JSON, and MalformedFile a directory."""
+        with reading(path), open(path) as fh:
             try:
                 data = json.load(fh)
             except ValueError as error:

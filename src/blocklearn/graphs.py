@@ -39,6 +39,7 @@ __all__ = [
     "BlockModel",
     "Network",
     "NetworkBlock",
+    "check_combination",
     "ExpectedMatrix",
     "sample_adjacency",
     "sample_sbm",
@@ -168,17 +169,29 @@ class Network:
             raise ValueError("adjacency and combination must be square and same size")
         if self.clusters.shape != (n,):
             raise ValueError("clusters must have one label per agent")
-        if not np.all(self.combination >= 0):  # false for NaN too
-            raise ValueError("combination weights must be nonnegative numbers")
-        col_sums = self.combination.sum(axis=0)
-        if np.any(np.abs(col_sums - 1.0) > 1e-9):
-            raise ValueError("combination matrix is not left-stochastic")
+        check_combination(self.combination)
         if np.any((self.combination > 0) != (self.adjacency > 0)):
             raise ValueError("combination support must match adjacency support")
 
     @property
     def size(self):
         return self.adjacency.shape[0]
+
+
+def check_combination(matrix):
+    """``matrix`` as a float array, once it is a combination matrix: square,
+    nonempty, nonnegative and column-stochastic, every column summing to 1
+    within 1e-9.  Raises ValueError otherwise, naming the first bad column;
+    a NaN fails both tests."""
+    matrix = np.asarray(matrix, dtype=float)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or not matrix.size:
+        raise ValueError(f"need a square, nonnegative, column-stochastic matrix, got shape "
+                         f"{matrix.shape}")
+    bad = ~(matrix >= 0).all(axis=0) | ~(np.abs(matrix.sum(axis=0) - 1.0) <= 1e-9)
+    if bad.any():
+        raise ValueError(f"column {bad.argmax()} is not a combination column: its entries must "
+                         "be nonnegative and sum to 1 (column-stochastic)")
+    return matrix
 
 
 @dataclass
@@ -477,14 +490,11 @@ def perron_vector(matrix):
     Raises
     ------
     ValueError
-        If the matrix is not square, nonnegative and column-stochastic.
+        If ``check_combination`` refuses the matrix.
     DegenerateBlock
         If the matrix is reducible, so that its Perron vector is not unique.
     """
-    matrix = np.asarray(matrix, dtype=float)
-    if (matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or not matrix.size
-            or not np.all(matrix >= 0) or np.any(np.abs(matrix.sum(axis=0) - 1.0) > 1e-9)):
-        raise ValueError("need a square, nonnegative, column-stochastic matrix")
+    matrix = check_combination(matrix)
     if not is_strongly_connected(matrix)[0]:
         raise DegenerateBlock("reducible matrix: the Perron vector is not unique")
     n = matrix.shape[0]

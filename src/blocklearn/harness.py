@@ -137,7 +137,7 @@ class ExperimentResult:
         elif Path(out_dir).resolve() != Path(self.config.out_dir).resolve():
             raise ValueError(f"this run's traces are in {self.config.out_dir}, not {out_dir}")
         files = [
-            ("summary.json", json.dumps(self.summary_dict(), indent=2, sort_keys=True)),
+            ("summary.json", json.dumps(_nulled(self.summary_dict()), indent=2, sort_keys=True)),
             ("error_report.csv", self.error_report.to_csv),
             ("iteration_stats.csv",
              partial(_write_iteration_stats, mean=self.iter_mean, std=self.iter_std)),
@@ -146,6 +146,16 @@ class ExperimentResult:
         if comparison is not None:
             files.append(("theory_comparison.csv", partial(_write_comparison_csv, rows=comparison)))
         return write_directory(out_dir, "simulate", files)
+
+
+def _nulled(value):
+    """``value`` with each NaN or infinite float made None, which JSON writes
+    as null: bare NaN is not JSON."""
+    if isinstance(value, dict):
+        return {key: _nulled(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_nulled(item) for item in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
 # Replicates stepped together by one recursion.  Blocks are reduced in
@@ -175,18 +185,19 @@ def _chunk_sums(n_agents):
             lambda x: np.einsum("kbn,kbn->n", x, x))
 
 
-def _draw_block(indices, source, profile, config):
-    """Graphs and observation symbols of one block of replicates.
+def _run_block(first, stop, source, clusters, profile, config, n_ok, totals):
+    """Draw, step, write and reduce replicates ``first .. stop - 1``.
 
-    Returns ``(kept, block, symbols, failures)``: the positions in
-    ``indices`` of the replicates whose inputs could be drawn, the law's
-    NetworkBlock for the whole block (None for a fixed Network), the kept
-    replicates' symbols as one ``(B, N, horizon)`` array, and a record of
-    each replicate that failed.  The graphs are drawn in one ``sample_sbm``
-    call; the symbols of every replicate that got one are then drawn in one
-    ``observation_matrix`` call.
+    One ``sample_sbm`` and one ``observation_matrix`` call draw the block;
+    ``learning.simulate_block`` steps the kept replicates, and each chunk it
+    yields is written (with ``store_traces``, to traces numbered from
+    ``n_ok``) and reduced before the next is built.  ``totals`` holds the
+    run's running sums: iteration sums and squares, window squares and
+    estimate counts; None until a block makes them.  Returns ``(failures,
+    sums, names, totals)``, ``sums`` being the kept replicates' ``(2, B, N)``
+    window sums of psi and mu.
     """
-    seeds = [config.base_seed + r for r in indices]
+    seeds = [config.base_seed + r for r in range(first, stop)]
     # sample_sbm and learning.observation_matrix are looked up at call time,
     # so they can be wrapped
     block = None if isinstance(source, Network) else sample_sbm(source, seeds)
@@ -201,9 +212,70 @@ def _draw_block(indices, source, profile, config):
         if exc is None:
             kept.append(i)
         else:
-            failures.append({"replicate": indices[i], "error": f"{type(exc).__name__}: {exc}"})
-    symbols = learning.observation_matrix(profile, config.horizon, [seeds[i] for i in kept])
-    return kept, block, symbols, failures
+            failures.append({"replicate": first + i, "error": f"{type(exc).__name__}: {exc}"})
+    horizon, burn_in = config.horizon, config.burn_in
+    symbols = learning.observation_matrix(profile, horizon, [seeds[i] for i in kept])
+    n, h, size = profile.n_agents, profile.n_hypotheses, len(kept)
+    if not size:
+        return failures, np.zeros((2, 0, n)), [], totals
+    if totals is None:
+        # made once the first draw has freed its buffers
+        totals = (*np.zeros((2, horizon + 1, n)), np.zeros(n), np.zeros(n),
+                  np.zeros((n, h), dtype=np.int64))
+    iter_sum, iter_sq, psi_sq, mu_sq, counts = totals
+    if block is None:
+        combination_t = np.ascontiguousarray(source.combination.T)
+    else:
+        kept_combination = block.combination if size == len(seeds) else block.combination[kept]
+        # the transposed view, not a contiguous copy: the stacked matmul's
+        # BLAS path, and so its last bits, follow the strides
+        combination_t = kept_combination.transpose(0, 2, 1)
+    sum_replicates, square_replicates, square_samples = _chunk_sums(n)
+    sums = np.zeros((2, size, n))
+    psi_sum, mu_sum = sums
+    # how often each hypothesis h >= 1 is the estimate in the window, per
+    # (replicate, agent); hypothesis 0 takes the rest of the window
+    hits = np.zeros((h - 1, size, n), dtype=np.int64)
+
+    stream = Path(config.out_dir) if config.store_traces else None
+    record = TraceWriter([stream / TRACE_NAME.format(n_ok + j) for j in range(size)],
+                         clusters, h, symbols if config.record_observations else None
+                         ) if stream else None
+    # the writer needs the estimates of every chunk
+    chunks = learning.simulate_block(combination_t, profile, symbols, config.strategy,
+                                     config.delta, config.pair, config.estimator,
+                                     burn_in=0 if stream else burn_in)
+    for start, psi, mu, est in chunks:
+        if record:
+            record(start, psi, mu, est)
+        rows = slice(start + 1, start + 1 + psi.shape[0])
+        iter_sum[rows] += sum_replicates(psi)
+        iter_sq[rows] += square_replicates(psi)
+        # steady-state window: iterations burn_in + 1 .. horizon; a chunk
+        # that ends before it may come with mu and est None
+        first_in = max(burn_in - start, 0)
+        if first_in < psi.shape[0]:
+            psi, mu, est = psi[first_in:], mu[first_in:], est[first_in:]
+            psi_sum += psi.sum(axis=0)
+            mu_sum += mu.sum(axis=0)
+            psi_sq += square_samples(psi)
+            mu_sq += square_samples(mu)
+            for hyp in range(1, h):
+                hits[hyp - 1] += (est == hyp).sum(axis=0, dtype=_CHUNK_COUNT)
+        # the generator builds the next chunk while these names hold this one
+        del psi, mu, est
+    names = []
+    if stream:
+        law = {} if block is None else {"sbm_params": source.to_dict()}
+        names = record.close([learning.trace_metadata(
+            source if block is None else block.network(i), profile,
+            config.base_seed + first + i, config.strategy, config.delta, horizon, config.pair,
+            config.estimator, {"burn_in": burn_in, "replicate": first + i, **law})
+            for i in kept])
+    block_hits = hits.sum(axis=1)  # (H-1, N)
+    counts[:, 1:] += block_hits.T
+    counts[:, 0] += size * (horizon - burn_in) - block_hits.sum(axis=0)
+    return failures, sums, names, totals
 
 
 def run_experiment(config):
@@ -211,137 +283,56 @@ def run_experiment(config):
 
     Replicate r uses seed ``base_seed + r`` for both its graph draw (unless
     the graph is fixed) and its observation streams.  Replicates run in
-    blocks of ``BLOCK_SIZE`` through ``learning.simulate_block``, and each
-    chunk of iterations it yields is reduced, and with ``store_traces``
-    written to the block's trace files in ``out_dir``, before the next is
-    built; ``store_traces`` without an ``out_dir`` raises MalformedConfig
-    before any graph is drawn.
+    blocks of ``BLOCK_SIZE`` through ``_run_block``, which draws, steps,
+    writes and reduces one block, and the blocks fold in replicate order;
+    ``store_traces`` without an ``out_dir`` raises MalformedConfig before
+    any graph is drawn.
     Failed replicates are recorded and skipped.
     """
     if config.store_traces and not config.out_dir:
         raise MalformedConfig("config field 'store_traces' needs an 'out_dir' to write the "
                               "traces into")
     source, clusters, profile = resolve_inputs(config)
-    fixed_t = np.ascontiguousarray(source.combination.T) if isinstance(source, Network) else None
-    law_metadata = {} if isinstance(source, Network) else {"sbm_params": source.to_dict()}
-
-    n, h = profile.n_agents, profile.n_hypotheses
-    horizon, burn_in = config.horizon, config.burn_in
-    window = horizon - burn_in
-    sum_replicates, square_replicates, square_samples = _chunk_sums(n)
-
-    stream = Path(config.out_dir) if config.store_traces else None
-    if stream:
+    if config.store_traces:
         # an earlier simulate's files go first, and write_outputs writes the
         # manifest last: a directory without one holds an unfinished run
-        stream.mkdir(parents=True, exist_ok=True)
-        remove_outputs(stream, "simulate")
+        Path(config.out_dir).mkdir(parents=True, exist_ok=True)
+        remove_outputs(config.out_dir, "simulate")
 
-    iter_sum = iter_sq = None
-    counts = np.zeros((n, h), dtype=np.int64)
-    psi_sq = np.zeros(n)
-    mu_sq = np.zeros(n)
-    rep_psi, rep_mu, streamed, failures = [], [], [], []
+    totals = None
+    sums, streamed, failures = [], [], []
     n_ok = 0  # replicates run so far: the number of the next trace, when stored
-
     for first in range(0, config.replicates, BLOCK_SIZE):
-        indices = range(first, min(first + BLOCK_SIZE, config.replicates))
-        kept, block, symbols, block_failures = _draw_block(indices, source, profile, config)
+        block_failures, block_sums, names, totals = _run_block(
+            first, min(first + BLOCK_SIZE, config.replicates), source, clusters, profile,
+            config, n_ok, totals)
         failures += block_failures
-        if not kept:
-            continue
-        if iter_sum is None:
-            # made once the first draw has freed its buffers
-            iter_sum, iter_sq = np.zeros((2, horizon + 1, n))
-        if block is None:
-            combination_t = fixed_t
-        else:
-            kept_combination = (block.combination if len(kept) == len(indices)
-                                else block.combination[kept])
-            # the transposed view, not a contiguous copy: the stacked matmul's
-            # BLAS path, and so its last bits, follow the strides
-            combination_t = kept_combination.transpose(0, 2, 1)
-        size = len(kept)
-        psi_sum = np.zeros((size, n))
-        mu_sum = np.zeros((size, n))
-        # how often each hypothesis h >= 1 is the estimate in the window, per
-        # (replicate, agent); hypothesis 0 takes the rest of the window
-        hits = np.zeros((h - 1, size, n), dtype=np.int64)
-
-        record = TraceWriter([stream / TRACE_NAME.format(n_ok + j) for j in range(size)],
-                             clusters, h, symbols if config.record_observations else None
-                             ) if stream else None
-        # the writer needs the estimates of every chunk
-        chunks = learning.simulate_block(combination_t, profile, symbols, config.strategy,
-                                         config.delta, config.pair, config.estimator,
-                                         burn_in=0 if stream else burn_in)
-        for start, psi, mu, est in chunks:
-            if record:
-                record(start, psi, mu, est)
-            rows = slice(start + 1, start + 1 + psi.shape[0])
-            iter_sum[rows] += sum_replicates(psi)
-            iter_sq[rows] += square_replicates(psi)
-            # steady-state window: iterations burn_in + 1 .. horizon; a chunk
-            # that ends before it may come with mu and est None
-            first_in = max(burn_in - start, 0)
-            if first_in < psi.shape[0]:
-                psi, mu, est = psi[first_in:], mu[first_in:], est[first_in:]
-                psi_sum += psi.sum(axis=0)
-                mu_sum += mu.sum(axis=0)
-                psi_sq += square_samples(psi)
-                mu_sq += square_samples(mu)
-                for hyp in range(1, h):
-                    hits[hyp - 1] += (est == hyp).sum(axis=0, dtype=_CHUNK_COUNT)
-            # the generator builds the next chunk while these names hold this one
-            del psi, mu, est
-        if stream:
-            streamed += record.close([learning.trace_metadata(
-                source if block is None else block.network(i), profile,
-                config.base_seed + first + i, config.strategy, config.delta, horizon, config.pair,
-                config.estimator, {"burn_in": burn_in, "replicate": first + i, **law_metadata})
-                for i in kept])
-        # the next block is drawn without this one's symbols
-        symbols = record = None
-        n_ok += size
-        block_hits = hits.sum(axis=1)  # (H-1, N)
-        counts[:, 1:] += block_hits.T
-        counts[:, 0] += size * window - block_hits.sum(axis=0)
-        if window:
-            rep_psi.append(psi_sum / window)
-            rep_mu.append(mu_sum / window)
-        else:
-            rep_psi.append(np.full((size, n), np.nan))
-            rep_mu.append(np.full((size, n), np.nan))
-
+        sums.append(block_sums)
+        streamed += names
+        n_ok += block_sums.shape[1]
     if n_ok == 0:
         raise AllReplicatesFailed(f"all {config.replicates} replicates failed: {failures}")
 
-    rep_psi = np.vstack(rep_psi)
-    rep_mu = np.vstack(rep_mu)
+    iter_sum, iter_sq, psi_sq, mu_sq, counts = totals
+    window = config.horizon - config.burn_in
+    samples = window * n_ok
+    # an empty window divides its zero sums to NaN
+    sums = np.concatenate(sums, axis=1)
+    sums /= window or np.nan
+    rep_psi, rep_mu = sums
     # in place: the (horizon + 1, N) sums are the largest arrays left
     iter_mean = np.divide(iter_sum, n_ok, out=iter_sum)
     iter_std = np.divide(iter_sq, n_ok, out=iter_sq)
     iter_std -= iter_mean**2
     np.sqrt(np.clip(iter_std, 0.0, None, out=iter_std), out=iter_std)
-    total_samples = window * n_ok
-    if total_samples:
-        pooled_var_psi = psi_sq / total_samples - (rep_psi.mean(axis=0)) ** 2
-        pooled_var_mu = mu_sq / total_samples - (rep_mu.mean(axis=0)) ** 2
-    else:
-        pooled_var_psi = np.full(n, np.nan)
-        pooled_var_mu = np.full(n, np.nan)
+    pooled_var_psi = psi_sq / (samples or np.nan) - rep_psi.mean(axis=0) ** 2
+    pooled_var_mu = mu_sq / (samples or np.nan) - rep_mu.mean(axis=0) ** 2
 
-    report = ErrorReport(
-        counts=counts,
-        clusters=clusters,
-        true_state=profile.true_state,
-        samples=total_samples,
-    )
     return ExperimentResult(
         config=config,
         clusters=clusters,
         true_state=profile.true_state,
-        error_report=report,
+        error_report=ErrorReport(counts, clusters, profile.true_state, samples),
         iter_mean=iter_mean,
         iter_std=iter_std,
         rep_means_psi=rep_psi,

@@ -16,6 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import InsufficientSteps, MalformedFile, check_delta, reading
+from .graphs import check_combination
 
 __all__ = [
     "BeliefSeries",
@@ -220,7 +221,8 @@ def scan_delta(series, combination, grid, include_traditional=False):
     ``fit_error(estimate_log_likelihoods(delta))`` is ``(u - v) + delta v``
     and that of ``traditional_fit`` is ``u - v``, so the whole grid is one
     broadcast.  A combination matrix that is not ``N x N`` for the series'
-    N agents raises ValueError.
+    N agents, or that ``graphs.check_combination`` refuses, raises
+    ValueError.
     """
     grid = np.asarray(list(grid), dtype=float)
     if grid.size == 0:
@@ -233,6 +235,7 @@ def scan_delta(series, combination, grid, include_traditional=False):
     if combination.shape != (series.n_agents, series.n_agents):
         raise ValueError(f"a {'x'.join(map(str, combination.shape))} combination matrix does not "
                          f"match the trace's {series.n_agents} agents")
+    check_combination(combination)
     y = series.values
     m = y[k:].mean(axis=0)
     u = m - y[1:k].mean(axis=0)

@@ -24,7 +24,7 @@ from .exceptions import (
     check_delta,
     check_pair,
 )
-from .graphs import BlockModel, expected_combination
+from .graphs import BlockModel, check_combination, expected_combination
 from .models import divergence_table
 
 __all__ = [
@@ -150,6 +150,8 @@ def expected_log_ratio(network_law, profile, delta, pair=(0, 1)):
     Parameters
     ----------
     network_law : BlockModel (SbmParams included), Network or ndarray
+        An ndarray that ``graphs.check_combination`` refuses raises its
+        ValueError.
     profile : LikelihoodProfile
     delta : float in (0, 1)
     pair : (int, int)
@@ -169,7 +171,8 @@ def expected_log_ratio(network_law, profile, delta, pair=(0, 1)):
     if values.shape != (sizes.size, sizes.size) or sizes.sum() != profile.n_agents:
         raise ValueError(f"network does not match the profile's {profile.n_agents} agents")
     labels = np.repeat(np.arange(sizes.size), sizes)
-    step_t = (sizes[:, None] * values).T
+    # a law's community-sum matrix is column-stochastic as well
+    step_t = check_combination(sizes[:, None] * values).T
     z = delta * np.linalg.solve(np.eye(sizes.size) - (1.0 - delta) * step_t,
                                 values.T @ np.bincount(labels, weights=nu, minlength=sizes.size))
     return LogRatioPrediction(

@@ -117,6 +117,24 @@ class TestSimulate:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["replicates_ok"] == 2
 
+    # each used to write bare NaN, which is not JSON
+    @pytest.mark.parametrize("overrides, nulled", [
+        ({"replicates": 1}, ("cluster_log_ratio_mu", "0", "stderr")),
+        ({"burn_in": 40}, ("cluster_p_err", "0")),
+    ], ids=["one-replicate", "empty-window"])
+    def test_summary_is_strict_json(self, tmp_path, overrides, nulled):
+        config = write_config(tmp_path, **overrides)
+        out = tmp_path / "strict"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=refuse)
+        for key in nulled:
+            summary = summary[key]
+        assert summary is None
+
     def test_zero_horizon(self, tmp_path):
         config = write_config(tmp_path, horizon=0, burn_in=0)
         out = tmp_path / "results0"
@@ -739,11 +757,22 @@ SBM_FLAGS = ["--n0", "10", "--n1", "8", "--p0", "0.8", "--p1", "0.8", "--q0", "0
     (["fit-delta", "--trace", "{trace}", "--network", "{network}", "--grid", "0.1:0.5:0"],
      ["--grid", "0.1:0.5:0"]),
     (["simulate", "--config", "{config}"], ["--out"]),
+    (["generate", "--out", "{out}", "--sizes", "3,x", "--p", "0.5", "--q", "0.1"],
+     ["--sizes", "3,x"]),
+    (["generate", "--out", "{out}", "--sizes", "3,4", "--p", "0.5,y", "--q", "0.1"],
+     ["--p", "0.5,y"]),
+    # a directory as the config file, and a file as the output directory
+    (["simulate", "--config", "{folder}", "--out", "{out}"], ["{folder}"]),
+    (["predict", "--config", "{folder}"], ["{folder}"]),
+    (["generate", "--out", "{trace}", *SBM_FLAGS], ["--out", "{trace}"]),
+    (["simulate", "--config", "{config}", "--out", "{trace}"], ["--out", "{trace}"]),
 ], ids=["d0-nan", "p-nan", "d0-inf", "d1-nan-sbm", "network-binary", "network-folder",
         "combination-folder", "trace-binary", "trace-folder", "profile-binary",
         "profile-folder", "generate-missing", "generate-k-missing", "generate-p-count",
         "generate-seed", "thresholds-no-bound", "verify-suite", "fit-delta-no-matrix",
-        "fit-delta-grid", "fit-delta-grid-step", "simulate-no-out"])
+        "fit-delta-grid", "fit-delta-grid-step", "simulate-no-out", "generate-sizes-word",
+        "generate-p-word", "simulate-config-folder", "predict-config-folder",
+        "generate-out-file", "simulate-out-file"])
 def test_bad_input_is_one_typed_json_error(tmp_path, capsys, argv, named):
     files = {name: tmp_path / name for name in ("binary", "folder", "network", "trace", "out")}
     files["binary"].write_bytes(b"\xff\xfe\x00 not text\n")

@@ -15,6 +15,7 @@ from blocklearn.inverse import (
 )
 from blocklearn.learning import run
 from blocklearn.models import bernoulli_profile
+from test_theory import NOT_COMBINATIONS
 
 VB1 = SbmParams(n0=15, n1=15, p0=0.8, p1=0.8, q0=0.1, q1=0.1)
 
@@ -325,6 +326,14 @@ class TestScanDelta:
         series = BeliefSeries(values=np.zeros((4, 2)), split_index=1)
         with pytest.raises(InsufficientSteps):
             scan_delta(series, np.eye(2), [0.5])
+
+    @pytest.mark.parametrize("matrix, column", NOT_COMBINATIONS,
+                             ids=["sums-to-1.4", "negative", "nan"])
+    def test_matrix_that_is_not_a_combination_is_refused(self, matrix, column):
+        # each used to give fit errors
+        series = BeliefSeries.from_array(np.random.default_rng(3).normal(size=(12, 3)))
+        with pytest.raises(ValueError, match=f"column {column} is not a combination column"):
+            scan_delta(series, matrix, [0.2, 0.5])
 
     def test_grid_validation(self):
         series = BeliefSeries(values=np.zeros((6, 2)), split_index=3)

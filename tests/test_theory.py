@@ -28,6 +28,13 @@ from blocklearn.theory import (
 )
 
 CLUSTERS = np.repeat([0, 1], 15)
+# (matrix, its first bad column): a column summing to 1.4, a -0.5 weight in a
+# column summing to 1, and a NaN
+NOT_COMBINATIONS = [
+    (np.array([[0.5, 0.2, 0.3], [0.25, 1.0, 0.3], [0.25, 0.2, 0.4]]), 1),
+    (np.array([[0.5, 0.2, -0.5], [0.25, 0.6, 1.1], [0.25, 0.2, 0.4]]), 2),
+    (np.array([[np.nan, 0.2, 0.3], [0.25, 0.6, 0.3], [0.25, 0.2, 0.4]]), 0),
+]
 VB1 = SbmParams(n0=15, n1=15, p0=0.8, p1=0.8, q0=0.1, q1=0.1)
 D0 = 0.3680642071684971
 D1 = 0.5108256237659907
@@ -180,6 +187,14 @@ class TestExpectedLogRatio:
     def test_network_that_does_not_fit_the_profile(self, source):
         with pytest.raises(ValueError, match="30 agents"):
             expected_log_ratio(source, vb1_profile(), 0.1)
+
+    @pytest.mark.parametrize("matrix, column", NOT_COMBINATIONS,
+                             ids=["sums-to-1.4", "negative", "nan"])
+    def test_matrix_that_is_not_a_combination_is_refused(self, matrix, column):
+        # each used to give a prediction
+        profile = bernoulli_profile(np.array([0, 0, 1]), (0.1, 0.5))
+        with pytest.raises(ValueError, match=f"column {column} is not a combination column"):
+            expected_log_ratio(matrix, profile, 0.1)
 
     def test_sbm_params_and_block_model_agree(self):
         profile = vb1_profile()
