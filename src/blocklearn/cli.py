@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import os
 import sys
 from functools import partial
 
@@ -29,7 +28,7 @@ from .graphs import (
     save_matrix_csv,
     save_network,
 )
-from .writers import text_column, write_directory, write_table
+from .writers import check_out_dir, text_column, write_directory, write_table
 
 # A subcommand imports the layers above ``graphs`` itself, so that each
 # command loads only the code it runs.  These three are looked up in this
@@ -139,6 +138,7 @@ def _cmd_simulate(args):
                           n_jobs=args.jobs)
     if not config.out_dir:
         raise UsageError("an output directory is required (--out or out_dir in the config)")
+    check_out_dir(config.out_dir, "simulate")
     result = run_experiment(config)
     comparison = None
     if config.strategy == "asl":
@@ -294,10 +294,10 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # a file as --out would fail only once the command had run
-        out = getattr(args, "out", None)
-        if out and os.path.exists(out) and not os.path.isdir(out):
-            raise UsageError(f"--out must name a directory, got the file {out!r}")
+        # refused before the command runs: a file as --out, or a directory
+        # that holds another command's run
+        if getattr(args, "out", None):
+            check_out_dir(args.out, args.command)
         return args.func(args)
     except (BlocklearnError, ValueError, OSError) as exc:
         print(json.dumps({"error": type(exc).__name__, "detail": str(exc)}), file=sys.stderr)

@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the argument checks that
 raise them."""
 
+import os
 from contextlib import contextmanager
 from numbers import Integral
 
@@ -100,6 +101,19 @@ def reading(path):
         raise MalformedFile(f"{path}: is a directory, not a file") from None
     except UnicodeDecodeError as exc:
         raise MalformedFile(f"{path}: not a text file ({exc})") from None
+
+
+def check_memory(nbytes, error, what):
+    """Raise ``error`` when ``what`` would take more than this machine's
+    physical memory, ``nbytes`` bytes; where ``os.sysconf`` cannot tell the
+    memory's size, nothing is checked."""
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return
+    if nbytes > memory:
+        raise error(f"{what} would take {nbytes} bytes, more than the {memory} bytes of "
+                    "physical memory")
 
 
 def check_delta(delta):

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import __version__, learning
 from .config import ExperimentConfig, resolve_inputs
-from .exceptions import AllReplicatesFailed, MalformedConfig, MismatchedConfig
+from .exceptions import AllReplicatesFailed, MalformedConfig, MismatchedConfig, check_memory
 from .graphs import Network, sample_sbm
 from .learning import (
     run,  # noqa: F401 - part of this module's namespace, which perfbench/tracing.py wraps
@@ -241,37 +242,39 @@ def _run_block(first, stop, source, clusters, profile, config, n_ok, totals):
     record = TraceWriter([stream / TRACE_NAME.format(n_ok + j) for j in range(size)],
                          clusters, h, symbols if config.record_observations else None
                          ) if stream else None
-    # the writer needs the estimates of every chunk
-    chunks = learning.simulate_block(combination_t, profile, symbols, config.strategy,
-                                     config.delta, config.pair, config.estimator,
-                                     burn_in=0 if stream else burn_in)
-    for start, psi, mu, est in chunks:
-        if record:
-            record(start, psi, mu, est)
-        rows = slice(start + 1, start + 1 + psi.shape[0])
-        iter_sum[rows] += sum_replicates(psi)
-        iter_sq[rows] += square_replicates(psi)
-        # steady-state window: iterations burn_in + 1 .. horizon; a chunk
-        # that ends before it may come with mu and est None
-        first_in = max(burn_in - start, 0)
-        if first_in < psi.shape[0]:
-            psi, mu, est = psi[first_in:], mu[first_in:], est[first_in:]
-            psi_sum += psi.sum(axis=0)
-            mu_sum += mu.sum(axis=0)
-            psi_sq += square_samples(psi)
-            mu_sq += square_samples(mu)
-            for hyp in range(1, h):
-                hits[hyp - 1] += (est == hyp).sum(axis=0, dtype=_CHUNK_COUNT)
-        # the generator builds the next chunk while these names hold this one
-        del psi, mu, est
     names = []
-    if stream:
-        law = {} if block is None else {"sbm_params": source.to_dict()}
-        names = record.close([learning.trace_metadata(
-            source if block is None else block.network(i), profile,
-            config.base_seed + first + i, config.strategy, config.delta, horizon, config.pair,
-            config.estimator, {"burn_in": burn_in, "replicate": first + i, **law})
-            for i in kept])
+    # a chunk that fails closes the writer's files too
+    with record or nullcontext():
+        # the writer needs the estimates of every chunk
+        chunks = learning.simulate_block(combination_t, profile, symbols, config.strategy,
+                                         config.delta, config.pair, config.estimator,
+                                         burn_in=0 if stream else burn_in)
+        for start, psi, mu, est in chunks:
+            if record:
+                record(start, psi, mu, est)
+            rows = slice(start + 1, start + 1 + psi.shape[0])
+            iter_sum[rows] += sum_replicates(psi)
+            iter_sq[rows] += square_replicates(psi)
+            # steady-state window: iterations burn_in + 1 .. horizon; a chunk
+            # that ends before it may come with mu and est None
+            first_in = max(burn_in - start, 0)
+            if first_in < psi.shape[0]:
+                psi, mu, est = psi[first_in:], mu[first_in:], est[first_in:]
+                psi_sum += psi.sum(axis=0)
+                mu_sum += mu.sum(axis=0)
+                psi_sq += square_samples(psi)
+                mu_sq += square_samples(mu)
+                for hyp in range(1, h):
+                    hits[hyp - 1] += (est == hyp).sum(axis=0, dtype=_CHUNK_COUNT)
+            # the generator builds the next chunk while these names hold this one
+            del psi, mu, est
+        if stream:
+            law = {} if block is None else {"sbm_params": source.to_dict()}
+            names = record.close([learning.trace_metadata(
+                source if block is None else block.network(i), profile,
+                config.base_seed + first + i, config.strategy, config.delta, horizon, config.pair,
+                config.estimator, {"burn_in": burn_in, "replicate": first + i, **law})
+                for i in kept])
     block_hits = hits.sum(axis=1)  # (H-1, N)
     counts[:, 1:] += block_hits.T
     counts[:, 0] += size * (horizon - burn_in) - block_hits.sum(axis=0)
@@ -293,6 +296,12 @@ def run_experiment(config):
         raise MalformedConfig("config field 'store_traces' needs an 'out_dir' to write the "
                               "traces into")
     source, clusters, profile = resolve_inputs(config)
+    # a block's (B, N, T) symbols and the (T + 1, N) iteration sums and squares
+    cells = min(BLOCK_SIZE, config.replicates) * profile.n_agents * config.horizon
+    check_memory(cells * np.min_scalar_type(profile.alphabet_size - 1).itemsize
+                 + 2 * (config.horizon + 1) * profile.n_agents * 8, MalformedConfig,
+                 f"config field 'horizon' = {config.horizon}: a block's symbols and "
+                 "iteration sums")
     if config.store_traces:
         # an earlier simulate's files go first, and write_outputs writes the
         # manifest last: a directory without one holds an unfinished run
@@ -412,8 +421,8 @@ def _write_iteration_stats(path, mean, std):
         fh.write(b"iter,agent,mean_log_ratio,std_log_ratio\r\n")
         for first in range(0, len(mean), step):
             rows = slice(first, first + step)
-            write_rows(fh, iteration_prefix(first, min(first + step, len(mean)), agents)
-                       + [mean[rows].ravel(), std[rows].ravel()])
+            write_rows(fh, [iteration_prefix(first, min(first + step, len(mean)), agents),
+                            mean[rows].ravel(), std[rows].ravel()])
 
 
 def _write_comparison_csv(path, rows):

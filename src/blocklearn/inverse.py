@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import InsufficientSteps, MalformedFile, check_delta, reading
+from .exceptions import InsufficientSteps, MalformedFile, check_delta, check_memory, reading
 from .graphs import check_combination
 
 __all__ = [
@@ -112,8 +112,17 @@ class BeliefSeries:
             # a NaN is a gap and is forward-filled; an infinity has no fill
             raise MalformedFile(f"{path}: column 'log_ratio' must hold finite values or gaps, "
                                 f"got {data[infinite, 2][0]:g}")
+        # the grid is sized by the largest ids, not the row count: a bool and
+        # a float64 per cell, and the forward fill's padded copy, source
+        # rows and result, 33 bytes a cell in all.  The ids are checked as
+        # floats, since one past int64 would wrap in the cast below.
+        shape = tuple(int(largest) + 1 for largest in data[:, :2].max(axis=0))
+        name, largest = max(zip(names, (n - 1 for n in shape)), key=lambda item: item[1])
+        check_memory(33 * shape[0] * shape[1], MalformedFile,
+                     f"{path}: column {name!r} reaches {largest}, and the grid and forward "
+                     "fill it sizes")
         steps, agents = data[:, 0].astype(np.int64), data[:, 1].astype(np.int64)
-        filled = np.zeros((steps.max() + 1, agents.max() + 1), dtype=bool)
+        filled = np.zeros(shape, dtype=bool)
         filled[steps, agents] = True
         if np.count_nonzero(filled) < len(data):
             cells = np.ravel_multi_index((steps, agents), filled.shape)

@@ -144,13 +144,14 @@ class Trace:
         of rows at a time."""
         Path(path).parent.mkdir(parents=True, exist_ok=True)
         obs = None if self.observations is None else self.observations[None]
-        writer = writers.TraceWriter([path], self.clusters, int(self.estimates.max()) + 1, obs)
         # iteration 0 joins the first window
         step = max(writers.ROWS_PER_WRITE // self.n_agents - 1, 1)
-        for start in range(0, self.horizon, step):
-            rows = slice(start + 1, start + 1 + step)
-            writer(start, self.log_ratio[rows, None], None, self.estimates[rows, None])
-        writer.close([self.metadata])
+        with writers.TraceWriter([path], self.clusters, int(self.estimates.max()) + 1,
+                                 obs) as writer:
+            for start in range(0, self.horizon, step):
+                rows = slice(start + 1, start + 1 + step)
+                writer(start, self.log_ratio[rows, None], None, self.estimates[rows, None])
+            writer.close([self.metadata])
 
 
 # -- the log-ratio engine ------------------------------------------------------

@@ -547,16 +547,44 @@ def check_series_vs_closed_form(tol=1e-9):
     )
 
 
+def slot_key_values(seed=53, per_key=12):
+    """Doubles whose ``%.17g`` text is in fixed notation, built from decimal
+    strings: for both signs, every exponent -4..15 and every count 0..16 of
+    trailing zeros in the 17 significant digits, ``per_key`` random strings
+    of a leading 1, random digits and a nonzero digit before the zeros (or,
+    with 16 zeros, the nine one-digit strings).
+
+    A string's double prints it back when the double lies within half a
+    17th-digit unit of it, so many of them reach the float kernel's table
+    row of their sign, exponent and zeros.  The leading 1 keeps that share
+    near one half: next to ``1 * 10**e`` the doubles are densest against the
+    17th digit.
+    """
+    rng = np.random.default_rng(seed)
+    values = []
+    for exponent in range(-4, 16):
+        for zeros in range(16):
+            inner = rng.integers(0, 10, (per_key, 15 - zeros))
+            last = rng.integers(1, 10, per_key)
+            values += [f"1{''.join(map(str, row))}{end}{'0' * zeros}e{exponent - 16}"
+                       for row, end in zip(inner, last)]
+        values += [f"{lead}e{exponent}" for lead in range(1, 10)]
+    values = np.array([float(text) for text in values])
+    return np.concatenate([values, -values])
+
+
 def check_csv_text_vs_printf(seed=47, steps=300, n_agents=30):
     """The byte-matrix CSV writer against a ``row_format % row`` loop.
 
-    Random columns over ``steps * n_agents`` rows (three ``ROWS_PER_WRITE``
-    windows): floats log-uniform over 1e-6..1e18, where the exact kernel
-    works, and over 1e-320..1e300, with both signs, zeros, subnormals, nan
-    and infinities; integers of either sign up to 13 digits; codes into a
-    table of strings, as a text column.  The columns are written alone and
-    behind a trace file's ``iter,agent,cluster`` integer columns, and the
-    bytes must equal the loop's.
+    Random columns over ``steps * n_agents`` rows (several
+    ``ROWS_PER_WRITE`` windows): floats log-uniform over 1e-6..1e18, where
+    the exact kernel works, and over 1e-320..1e300, with both signs, zeros,
+    subnormals, nan and infinities; integers of either sign up to 13 digits;
+    codes into a table of strings, as a text column.  The columns are
+    written alone and behind a trace file's ``iter,agent,cluster`` integer
+    columns, and the bytes must equal the loop's.  A third write is one
+    column of ``slot_key_values``, which reach every row of the float
+    kernel's slot tables.
     """
     rng = np.random.default_rng(seed)
     rows = steps * n_agents
@@ -575,13 +603,15 @@ def check_csv_text_vs_printf(seed=47, steps=300, n_agents=30):
     prefixes = ["%d,%d,%d," % (i // n_agents, i % n_agents, clusters[i % n_agents])
                 for i in range(rows)]
     iters, agents = np.indices((steps, n_agents)).reshape(2, -1)
+    keyed = slot_key_values()
     mismatches = []
-    for name, front, expected in (
-            ("plain columns", [], "".join(loop)),
-            ("iter,agent,cluster columns", [iters, agents, clusters[agents]],
-             "".join(p + row for p, row in zip(prefixes, loop)))):
+    for name, written, expected in (
+            ("plain columns", columns, "".join(loop)),
+            ("iter,agent,cluster columns", [iters, agents, clusters[agents]] + columns,
+             "".join(p + row for p, row in zip(prefixes, loop))),
+            ("slot-table values", [keyed], "".join("%.17g\r\n" % v for v in keyed.tolist()))):
         bulk = BytesIO()
-        write_rows(bulk, front + columns)
+        write_rows(bulk, written)
         if bulk.getvalue() != expected.encode("ascii"):
             got = bulk.getvalue().decode("ascii").splitlines()
             first = next(i for i, (a, b) in enumerate(zip(got, expected.splitlines()))
@@ -590,9 +620,10 @@ def check_csv_text_vs_printf(seed=47, steps=300, n_agents=30):
     fast = int(((np.abs(floats) >= 1e-4) & (np.abs(floats) < 1e16)).sum())
     return (
         not mismatches,
-        f"{len(mismatches)} of 2 writes differ from the row loop over {rows} rows "
+        f"{len(mismatches)} of 3 writes differ from the row loop over {rows} rows "
         f"({-(-rows // ROWS_PER_WRITE)} windows; {fast} of {floats.size} floats in the "
-        "fixed-notation range)" + (f"; {', '.join(mismatches)}" if mismatches else ""),
+        f"fixed-notation range) and over {keyed.size} slot-table values"
+        + (f"; {', '.join(mismatches)}" if mismatches else ""),
     )
 
 

@@ -4,6 +4,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +14,7 @@ import pytest
 from blocklearn import exceptions
 from blocklearn.cli import main
 from blocklearn.graphs import SbmParams, load_network, sample_sbm, save_matrix_csv, save_network
+from blocklearn.harness import ExperimentConfig, run_experiment
 from blocklearn.inverse import BeliefSeries, recursion_series, scan_delta
 from blocklearn.learning import run
 from blocklearn.models import bernoulli_profile, save_profile
@@ -449,11 +452,50 @@ class TestManifest:
         assert ("trace_0000.csv" in written) == store_traces
         assert (out / "notes.txt").read_text() == "not an output"
 
-    def test_another_commands_outputs_are_kept(self, tmp_path):
+    def test_another_commands_outputs_are_kept(self, tmp_path, capsys):
+        # a directory holds one command's run: simulate refuses generate's
+        # directory before it runs, and leaves every file as it was
         out = tmp_path / "results"
         assert main(["generate", *command_inputs("generate", tmp_path), "--out", str(out)]) == 0
-        assert main(["simulate", *command_inputs("simulate", tmp_path), "--out", str(out)]) == 0
-        assert (out / "network.txt").exists() and (out / "combination.csv").exists()
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        capsys.readouterr()
+        assert main(["simulate", *command_inputs("simulate", tmp_path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        error = json.loads(captured.err)
+        assert error["error"] == "UsageError"
+        assert str(out) in error["detail"] and "'generate'" in error["detail"]
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+        assert sorted(before) == ["combination.csv", "manifest.json", "network.txt"]
+
+    @pytest.mark.parametrize("store_traces", [True, False])
+    def test_another_commands_outputs_are_kept_under_out_dir(self, tmp_path, capsys,
+                                                             store_traces):
+        # the same rule for a directory given as the config's out_dir
+        out = tmp_path / "results"
+        assert main(["generate", *command_inputs("generate", tmp_path), "--out", str(out)]) == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        capsys.readouterr()
+        config = write_config(tmp_path, store_traces=store_traces, out_dir=str(out))
+        assert main(["simulate", "--config", str(config)]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "UsageError"
+        assert str(out) in error["detail"] and "'generate'" in error["detail"]
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+    def test_run_experiment_keeps_another_commands_outputs(self, tmp_path):
+        # the library refuses it too, before any file is touched
+        out = tmp_path / "results"
+        assert main(["generate", *command_inputs("generate", tmp_path), "--out", str(out)]) == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        config = ExperimentConfig.from_json(write_config(tmp_path), out_dir=str(out))
+        result = run_experiment(config)
+        with pytest.raises(exceptions.UsageError, match="'generate'"):
+            result.write_outputs(out)
+        with pytest.raises(exceptions.UsageError, match="'generate'"):
+            run_experiment(replace(config, store_traces=True))
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
 class TestPredict:
@@ -766,27 +808,46 @@ SBM_FLAGS = ["--n0", "10", "--n1", "8", "--p0", "0.8", "--p1", "0.8", "--q0", "0
     (["predict", "--config", "{folder}"], ["{folder}"]),
     (["generate", "--out", "{trace}", *SBM_FLAGS], ["--out", "{trace}"]),
     (["simulate", "--config", "{config}", "--out", "{trace}"], ["--out", "{trace}"]),
+    (["simulate", "--config", "{file_out_config}"], ["out_dir", "{trace}"]),
+    # sizes above physical memory, refused before the allocation
+    (["fit-delta", "--trace", "{far_trace}", "--network", "{network}"],
+     ["{far_trace}", "'iter'", "1000000000000"]),
+    (["fit-delta", "--trace", "{past_int64_trace}", "--network", "{network}"],
+     ["{past_int64_trace}", "'iter'", "10000000000000000000"]),
+    (["simulate", "--config", "{long_config}", "--out", "{out}"], ["'horizon'", "100000000000"]),
 ], ids=["d0-nan", "p-nan", "d0-inf", "d1-nan-sbm", "network-binary", "network-folder",
         "combination-folder", "trace-binary", "trace-folder", "profile-binary",
         "profile-folder", "generate-missing", "generate-k-missing", "generate-p-count",
         "generate-seed", "thresholds-no-bound", "verify-suite", "fit-delta-no-matrix",
         "fit-delta-grid", "fit-delta-grid-step", "simulate-no-out", "generate-sizes-word",
         "generate-p-word", "simulate-config-folder", "predict-config-folder",
-        "generate-out-file", "simulate-out-file"])
+        "generate-out-file", "simulate-out-file", "simulate-out-dir-file", "trace-far-step", "trace-step-past-int64",
+        "simulate-long-horizon"])
 def test_bad_input_is_one_typed_json_error(tmp_path, capsys, argv, named):
-    files = {name: tmp_path / name for name in ("binary", "folder", "network", "trace", "out")}
+    files = {name: tmp_path / name
+             for name in ("binary", "folder", "network", "trace", "out", "far_trace",
+                          "past_int64_trace")}
     files["binary"].write_bytes(b"\xff\xfe\x00 not text\n")
     files["folder"].mkdir()
     save_network(files["network"],
                  sample_sbm(SbmParams(n0=3, n1=3, p0=0.9, p1=0.9, q0=0.3, q1=0.3), seed=1))
     files["trace"].write_text("iter,agent,log_ratio\n"
                               + "".join(f"{i},{k},0.5\n" for i in range(4) for k in range(6)))
+    files["far_trace"].write_text("iter,agent,log_ratio\n0,0,0.5\n1000000000000,0,0.5\n")
+    files["past_int64_trace"].write_text("iter,agent,log_ratio\n0,0,0.5\n1e19,0,0.5\n")
     files["config"] = write_config(tmp_path)
+    (tmp_path / "long").mkdir()
+    files["long_config"] = write_config(tmp_path / "long", horizon=100_000_000_000)
+    (tmp_path / "file_out").mkdir()
+    files["file_out_config"] = write_config(tmp_path / "file_out", out_dir=str(files["trace"]))
     for name in ("binary", "folder"):
         (tmp_path / f"{name}_config").mkdir()
         files[f"{name}_profile"] = write_config(tmp_path / f"{name}_config",
                                                 profile=str(files[name]))
+    start = time.perf_counter()
     code = main([arg.format(**files) for arg in argv])
+    # each fails before any work that its input sizes
+    assert time.perf_counter() - start < 1.0
     assert code == 2
     captured = capsys.readouterr()
     assert captured.out == ""

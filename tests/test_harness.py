@@ -626,6 +626,24 @@ class TestRunExperiment:
             tracemalloc.stop()
         assert peak < 9.8e6
 
+    def test_traced_block_memory(self, tmp_path):
+        # the same block writing its 64 trace files with their symbols.  A
+        # 16-step chunk is 1,200 rows a file, so 2,048-row windows write each
+        # chunk as it comes and the peak stays at 9.3 MB; 4,096-row windows
+        # hold three chunks and take it to 10.6 MB
+        profile = random_multinomial_profile(CRITERION_5.labels(), alphabet_size=25, seed=10)
+        config = ExperimentConfig(network=CRITERION_5, profile=profile, strategy="asl",
+                                  delta=0.1, horizon=64, burn_in=32, replicates=64, base_seed=777,
+                                  store_traces=True, record_observations=True,
+                                  out_dir=str(tmp_path))
+        tracemalloc.start()
+        try:
+            run_experiment(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 9.9e6
+
     def test_blocks_free_their_arrays(self):
         # VB1 at the acceptance horizon, without traces: the second and third
         # blocks run in the memory the first freed.  A (2, 1501, 30) array

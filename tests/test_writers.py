@@ -15,6 +15,7 @@ from blocklearn.graphs import BlockModel, SbmParams, sample_sbm
 from blocklearn.harness import ExperimentConfig, run_experiment
 from blocklearn.learning import run
 from blocklearn.models import bernoulli_profile, random_multinomial_profile
+from blocklearn.verify import slot_key_values
 from blocklearn.writers import ROWS_PER_WRITE, TraceWriter, text_column, write_rows
 
 VB1 = SbmParams(n0=15, n1=15, p0=0.8, p1=0.8, q0=0.1, q1=0.1)
@@ -100,7 +101,7 @@ class TestTraceCsv:
 class TestTraceWriter:
     def test_memory_is_one_window_of_one_file(self, tmp_path):
         # a criterion-5 block of 64 replicates, with observations; the peak
-        # is one write's, and 208 iterations make four writes
+        # is one write's, and 208 iterations make 13 writes of one chunk each
         b, n, horizon = 64, 75, 208
         rng = np.random.default_rng(5)
         psi = rng.normal(size=(horizon, b, n))
@@ -164,6 +165,19 @@ class TestFloatKernel:
         values = np.concatenate([values, -values, self.FIXED])
         assert kernel_text(values) == printf_text(values)
 
+    def test_every_slot_table_row(self):
+        # decimal strings for each sign, exponent and trailing-zero count:
+        # between them they reach all 2 * 20 * 17 rows of the slot tables
+        values = slot_key_values()
+        rows = set()
+        for text in printf_text(values).split():
+            number = Decimal(text.decode()).normalize()
+            sign, digits, _ = number.as_tuple()
+            rows.add((sign, number.adjusted(), 17 - len(digits)))
+        assert rows == {(sign, exponent, zeros) for sign in (0, 1)
+                        for exponent in range(-4, 16) for zeros in range(17)}
+        assert kernel_text(values) == printf_text(values)
+
     def test_dyadic_ties(self):
         values = dyadic_values()
         ties = sum(len(Decimal(v).as_tuple().digits) == 18 for v in values)
@@ -190,6 +204,18 @@ class CountingFile:
 
     def write(self, data):
         self.sizes.append(len(data))
+        return len(data)
+
+
+class ShortWritesFile(io.BytesIO):
+    """A file that writes at most ``limit`` bytes a call, as a raw file may."""
+
+    def __init__(self, limit):
+        super().__init__()
+        self.limit = limit
+
+    def write(self, data):
+        return super().write(bytes(data[:self.limit]))
 
 
 class TestWriteRows:
@@ -210,6 +236,13 @@ class TestWriteRows:
         assert max(fh.sizes) <= ROWS_PER_WRITE * (24 + 2)
         # nothing as large as the column (8 MB) is made
         assert peak < 2_000_000
+
+    def test_short_writes_are_resumed(self):
+        values = np.random.default_rng(9).normal(size=3 * ROWS_PER_WRITE)
+        whole, short = io.BytesIO(), ShortWritesFile(1000)
+        write_rows(whole, [values])
+        write_rows(short, [values])
+        assert short.getvalue() == whole.getvalue()
 
     def test_columns_must_match_the_format(self):
         fh = io.BytesIO()
