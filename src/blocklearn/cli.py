@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 
 from . import __version__
-from .exceptions import BlocklearnError, MalformedFile, UsageError
+from .exceptions import BlocklearnError, MalformedFile, UsageError, check_memory
 from .graphs import (
     BlockModel,
     SbmParams,
@@ -82,32 +82,53 @@ def _add_sbm_flags(parser):
         parser.add_argument(f"--{name}", type=int if name in ("n0", "n1") else float)
 
 
+def _check_law_flag(flag, values, sizes=False):
+    """Raise UsageError naming ``flag`` unless each of its ``values`` is an
+    edge probability in [0, 1], or with ``sizes`` a community size of at
+    least 1; NaN is neither."""
+    bad = [value for value in values if not (value >= 1 if sizes else 0 <= value <= 1)]
+    if bad:
+        raise UsageError(f"{flag} must be {'at least 1' if sizes else 'in [0, 1]'}, "
+                         f"got {bad[0]}")
+
+
 def _sbm_params(args):
-    """The two-community law of the six SBM flags; UsageError names the missing ones."""
+    """The two-community law of the six SBM flags; UsageError names the
+    missing ones, or the first out of its range."""
     fields = {name: getattr(args, name) for name in SbmParams.FIELDS}
     missing = [name for name, value in fields.items() if value is None]
     if missing:
         raise UsageError(f"two-community mode needs {', '.join('--' + m for m in missing)}")
+    for name, value in fields.items():
+        _check_law_flag(f"--{name}", [value], sizes=name in ("n0", "n1"))
     return SbmParams(**fields)
 
 
 def _cmd_generate(args):
     if args.seed < 0:
         raise UsageError(f"--seed must be at least 0, got {args.seed}")
+    if args.max_retries < 1:
+        raise UsageError(f"--max-retries must be at least 1, got {args.max_retries}")
     if args.sizes:
         if args.p is None or args.q is None:
             raise UsageError("k-community mode needs --sizes, --p and --q")
         sizes = _parse_list(args.sizes, int, "--sizes")
+        if not sizes:
+            raise UsageError(f"--sizes must list at least one community size, got {args.sizes!r}")
         intra = _parse_list(args.p, float, "--p")
         if len(intra) == 1:
             intra = intra * len(sizes)
         if len(intra) != len(sizes):
             raise UsageError("--p must list one probability per community (or a single value)")
+        _check_law_flag("--sizes", sizes, sizes=True)
+        _check_law_flag("--p", intra)
+        _check_law_flag("--q", [args.q])
         probs = np.full((len(sizes), len(sizes)), args.q)
         np.fill_diagonal(probs, intra)
-        law = BlockModel(sizes=tuple(sizes), probs=probs)
+        law, size_flags = BlockModel(sizes=tuple(sizes), probs=probs), "--sizes"
     else:
-        law = _sbm_params(args)
+        law, size_flags = _sbm_params(args), "--n0 and --n1"
+    check_memory(law.draw_bytes(), UsageError, f"{size_flags}: a graph of {law.size} agents")
     network = sample_sbm(law, seed=args.seed, max_retries=args.max_retries)
     write_directory(args.out, "generate", [
         ("network.txt", partial(save_network, network=network)),

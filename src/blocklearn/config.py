@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .exceptions import MalformedConfig, check_pair, check_strategy, reading
+from .exceptions import MalformedConfig, check_memory, check_pair, check_strategy, reading
 from .graphs import BlockModel, Network, SbmParams, load_network, sample_sbm
 from .models import LikelihoodProfile, bernoulli_profile, load_profile, random_multinomial_profile
 
@@ -256,14 +256,18 @@ def resolve_inputs(config):
 
     The source is a fixed Network (a network file or object, or with
     ``fixed_graph`` the law's draw at ``base_seed``), or the BlockModel law
-    each replicate draws its own graph from.
+    each replicate draws its own graph from.  A law whose labels, and fixed
+    graph, would not fit in memory raises MalformedConfig naming ``network``.
     """
     source = _resolve_network_source(config.network)
-    if config.fixed_graph and not isinstance(source, Network):
-        if config.base_seed < 0:
-            raise MalformedConfig("config field 'base_seed' must be at least 0 to draw the "
-                                  f"fixed graph, got {config.base_seed}")
-        source = sample_sbm(source, seed=config.base_seed)
+    if not isinstance(source, Network):
+        check_memory(8 * source.size + config.fixed_graph * source.draw_bytes(), MalformedConfig,
+                     f"config field 'network': a law of {source.size} agents")
+        if config.fixed_graph:
+            if config.base_seed < 0:
+                raise MalformedConfig("config field 'base_seed' must be at least 0 to draw the "
+                                      f"fixed graph, got {config.base_seed}")
+            source = sample_sbm(source, seed=config.base_seed)
     clusters = source.clusters if isinstance(source, Network) else source.labels()
     profile = _resolve_profile(config.profile, clusters)
     if profile.n_agents != clusters.size:

@@ -104,16 +104,27 @@ def reading(path):
 
 
 def check_memory(nbytes, error, what):
-    """Raise ``error`` when ``what`` would take more than this machine's
-    physical memory, ``nbytes`` bytes; where ``os.sysconf`` cannot tell the
-    memory's size, nothing is checked."""
+    """Raise ``error`` when ``what`` would take ``nbytes`` bytes, more than
+    this machine's physical memory or this process's address-space limit
+    (``RLIMIT_AS``); a bound that ``os.sysconf`` or ``resource`` cannot tell
+    is not checked."""
+    bounds = []
     try:
-        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        bounds.append((os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"),
+                       "physical memory"))
     except (AttributeError, ValueError, OSError):
-        return
-    if nbytes > memory:
-        raise error(f"{what} would take {nbytes} bytes, more than the {memory} bytes of "
-                    "physical memory")
+        pass
+    try:
+        import resource
+    except ImportError:
+        pass
+    else:
+        limit = resource.getrlimit(resource.RLIMIT_AS)[0]
+        if limit != resource.RLIM_INFINITY:
+            bounds.append((limit, "address space this process may map"))
+    bound, name = min(bounds, default=(nbytes, None))
+    if nbytes > bound:
+        raise error(f"{what} would take {nbytes} bytes, more than the {bound} bytes of {name}")
 
 
 def check_delta(delta):

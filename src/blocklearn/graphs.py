@@ -96,6 +96,13 @@ class BlockModel:
     def n_communities(self):
         return len(self.sizes)
 
+    def draw_bytes(self, graphs=1):
+        """The bytes ``sample_sbm`` holds at once to draw ``graphs`` networks
+        of this law: per entry, 16 for the probability matrix and one draw's
+        uniforms, and per graph 12 for its adjacency, its edges and the
+        connectivity search's float32 copies."""
+        return (16 + 12 * graphs) * self.size ** 2
+
     def labels(self):
         """Per-agent cluster label, communities laid out contiguously."""
         return np.repeat(np.arange(self.n_communities), self.sizes)

@@ -271,7 +271,7 @@ def _run_block(first, stop, source, clusters, profile, config, n_ok, totals):
         if stream:
             law = {} if block is None else {"sbm_params": source.to_dict()}
             names = record.close([learning.trace_metadata(
-                source if block is None else block.network(i), profile,
+                clusters, source.retries if block is None else block.redraws[i], profile,
                 config.base_seed + first + i, config.strategy, config.delta, horizon, config.pair,
                 config.estimator, {"burn_in": burn_in, "replicate": first + i, **law})
                 for i in kept])
@@ -296,12 +296,15 @@ def run_experiment(config):
         raise MalformedConfig("config field 'store_traces' needs an 'out_dir' to write the "
                               "traces into")
     source, clusters, profile = resolve_inputs(config)
-    # a block's (B, N, T) symbols and the (T + 1, N) iteration sums and squares
-    cells = min(BLOCK_SIZE, config.replicates) * profile.n_agents * config.horizon
-    check_memory(cells * np.min_scalar_type(profile.alphabet_size - 1).itemsize
+    # a block's graph draws (for a law), its (B, N, T) symbols and the
+    # (T + 1, N) iteration sums and squares
+    size = min(BLOCK_SIZE, config.replicates)
+    graphs = 0 if isinstance(source, Network) else source.draw_bytes(size)
+    cells = size * profile.n_agents * config.horizon
+    check_memory(graphs + cells * np.min_scalar_type(profile.alphabet_size - 1).itemsize
                  + 2 * (config.horizon + 1) * profile.n_agents * 8, MalformedConfig,
-                 f"config field 'horizon' = {config.horizon}: a block's symbols and "
-                 "iteration sums")
+                 f"config fields 'network' ({profile.n_agents} agents) and 'horizon' = "
+                 f"{config.horizon}: a block's graphs, symbols and iteration sums")
     if config.store_traces:
         # an earlier simulate's files go first, and write_outputs writes the
         # manifest last: a directory without one holds an unfinished run

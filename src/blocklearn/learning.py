@@ -269,8 +269,10 @@ def ratio_estimates(x):
     return estimates
 
 
-def trace_metadata(network, profile, seed, strategy, delta, horizon, pair, estimator, extra=None):
-    """Metadata a trace records about the run that produced it."""
+def trace_metadata(clusters, retries, profile, seed, strategy, delta, horizon, pair, estimator,
+                   extra=None):
+    """Metadata a trace records about the run that produced it, on a network
+    with these cluster labels that took ``retries`` redraws."""
     metadata = {
         "seed": int(seed),
         "strategy": strategy,
@@ -279,8 +281,8 @@ def trace_metadata(network, profile, seed, strategy, delta, horizon, pair, estim
         "pair": [int(pair[0]), int(pair[1])],
         "estimator": estimator,
         "n_agents": int(profile.n_agents),
-        "cluster_sizes": np.bincount(network.clusters).tolist(),
-        "network_retries": int(network.retries),
+        "cluster_sizes": np.bincount(clusters).tolist(),
+        "network_retries": int(retries),
         "profile": profile.reference,
         "version": __version__,
     }
@@ -382,7 +384,7 @@ def run(
         for series, values in zip((log_ratio, mu_log_ratio, estimates), chunk):
             series[rows] = values[:, 0]
     return Trace(log_ratio=log_ratio, estimates=estimates, clusters=network.clusters.copy(),
-                 metadata=trace_metadata(network, profile, seed, strategy, delta, horizon, pair,
-                                         estimator),
+                 metadata=trace_metadata(network.clusters, network.retries, profile, seed,
+                                         strategy, delta, horizon, pair, estimator),
                  mu_log_ratio=mu_log_ratio,
                  observations=symbols[0] if record_observations else None)

@@ -1,5 +1,6 @@
 import csv
 import gc
+import importlib.util
 import json
 import os
 import subprocess
@@ -815,6 +816,16 @@ SBM_FLAGS = ["--n0", "10", "--n1", "8", "--p0", "0.8", "--p1", "0.8", "--q0", "0
     (["fit-delta", "--trace", "{past_int64_trace}", "--network", "{network}"],
      ["{past_int64_trace}", "'iter'", "10000000000000000000"]),
     (["simulate", "--config", "{long_config}", "--out", "{out}"], ["'horizon'", "100000000000"]),
+    # laws out of range, named by their flags
+    (["generate", "--out", "{out}", *SBM_FLAGS, "--p0", "1.5"], ["--p0", "1.5"]),
+    (["generate", "--out", "{out}", *SBM_FLAGS, "--p0", "nan"], ["--p0", "nan"]),
+    (["generate", "--out", "{out}", *SBM_FLAGS, "--n0", "0"], ["--n0"]),
+    (["generate", "--out", "{out}", "--sizes", "3,0", "--p", "0.5", "--q", "0.1"], ["--sizes"]),
+    (["generate", "--out", "{out}", "--sizes", ",", "--p", "0.5", "--q", "0.1"], ["--sizes"]),
+    (["generate", "--out", "{out}", "--sizes", "3,4", "--p", "0.5", "--q", "2"], ["--q"]),
+    (["generate", "--out", "{out}", *SBM_FLAGS, "--max-retries", "0"], ["--max-retries"]),
+    (["thresholds", "--d0", "0.1", "--d1", "0.2", *SBM_FLAGS, "--p0", "1.5"], ["--p0", "1.5"]),
+    (["thresholds", "--d0", "0.1", "--d1", "0.2", *SBM_FLAGS, "--n0", "0"], ["--n0"]),
 ], ids=["d0-nan", "p-nan", "d0-inf", "d1-nan-sbm", "network-binary", "network-folder",
         "combination-folder", "trace-binary", "trace-folder", "profile-binary",
         "profile-folder", "generate-missing", "generate-k-missing", "generate-p-count",
@@ -822,7 +833,9 @@ SBM_FLAGS = ["--n0", "10", "--n1", "8", "--p0", "0.8", "--p1", "0.8", "--q0", "0
         "fit-delta-grid", "fit-delta-grid-step", "simulate-no-out", "generate-sizes-word",
         "generate-p-word", "simulate-config-folder", "predict-config-folder",
         "generate-out-file", "simulate-out-file", "simulate-out-dir-file", "trace-far-step", "trace-step-past-int64",
-        "simulate-long-horizon"])
+        "simulate-long-horizon", "generate-p0-above-1", "generate-p0-nan", "generate-n0-zero",
+        "generate-size-zero", "generate-no-sizes", "generate-q-above-1", "generate-no-retries",
+        "thresholds-p0-above-1", "thresholds-n0-zero"])
 def test_bad_input_is_one_typed_json_error(tmp_path, capsys, argv, named):
     files = {name: tmp_path / name
              for name in ("binary", "folder", "network", "trace", "out", "far_trace",
@@ -856,6 +869,58 @@ def test_bad_input_is_one_typed_json_error(tmp_path, capsys, argv, named):
     assert issubclass(getattr(exceptions, error["error"]), exceptions.BlocklearnError)
     for word in named:
         assert word.format(**files) in error["detail"]
+
+
+# Runs the CLI on its arguments under a 2 GiB address-space limit, set once
+# the command is imported, and prints how long ``main`` took.
+UNDER_2_GIB = """
+import resource, sys, time
+from blocklearn.cli import main
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+start = time.perf_counter()
+code = main(sys.argv[1:])
+print(time.perf_counter() - start)
+sys.exit(code)
+"""
+
+SBM_LAW = {"kind": "sbm", "n0": 3_000_000_000, "n1": 15, "p0": 0.8, "p1": 0.8, "q0": 0.1,
+           "q1": 0.1}
+
+
+# Each input sizes an allocation far above 2 GiB, which used to end the
+# process in a MemoryError traceback.
+@pytest.mark.skipif(importlib.util.find_spec("resource") is None,
+                    reason="needs resource.setrlimit")
+@pytest.mark.parametrize("argv, named", [
+    (["generate", "--out", "net", "--n0", "2000000000", "--n1", "15", "--p0", "0.8", "--p1",
+      "0.8", "--q0", "0.1", "--q1", "0.1"], ["--n0", "--n1"]),
+    (["predict", "--config", "{law}"], ["'network'"]),
+    (["simulate", "--config", "{law}", "--replicates", "1", "--out", "sim"], ["'network'"]),
+    (["simulate", "--config", "{dense}", "--out", "sim"], ["'network'"]),
+    (["predict", "--config", "{dense}", "--fixed-graph"], ["'network'"]),
+], ids=["generate-huge-law", "predict-huge-law", "simulate-huge-law", "simulate-dense-draw",
+        "predict-dense-fixed-graph"])
+def test_input_sized_beyond_memory_is_one_typed_json_error(tmp_path, argv, named):
+    (tmp_path / "law").mkdir()
+    (tmp_path / "dense").mkdir()
+    files = {
+        "law": write_config(tmp_path / "law", network=SBM_LAW, delta=0.1),
+        "dense": write_config(tmp_path / "dense", network={**SBM_LAW, "n0": 20000, "n1": 20000},
+                              delta=0.1, horizon=10, burn_in=0, replicates=1),
+    }
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(__file__).resolve().parent.parent
+                                                          / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", UNDER_2_GIB,
+                           *[arg.format(**files) for arg in argv]],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert float(proc.stdout) < 1.0
+    assert len(proc.stderr.splitlines()) == 1
+    error = json.loads(proc.stderr)
+    assert issubclass(getattr(exceptions, error["error"]), exceptions.BlocklearnError)
+    for word in named:
+        assert word in error["detail"]
 
 
 # Blocks every scipy import, imports every blocklearn module, then runs the

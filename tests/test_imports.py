@@ -131,3 +131,54 @@ def test_star_import_binds_every_name():
     namespace = {}
     exec("from blocklearn import *", namespace)
     assert set(EXPORTED_NAMES) <= set(namespace)
+
+
+# The modules whose __all__ the package root exports, lowest layer first.
+EXPORTING = ["graphs", "models", "learning", "theory", "inverse", "config", "harness"]
+ROOT_MODULES = ["exceptions", "graphs", "models", "learning", "theory", "inverse", "config",
+                "harness", "writers"]
+
+
+def fresh_modules(code):
+    """The modules a fresh interpreter loaded running ``code``, which prints
+    a JSON list of them."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout))
+
+
+def test_no_name_is_exported_by_two_modules():
+    owners = {}
+    for module in EXPORTING:
+        for name in importlib.import_module(f"blocklearn.{module}").__all__:
+            assert name not in owners, f"{name} is in {owners.get(name)} and {module}"
+            owners[name] = module
+
+
+def test_root_exports_the_modules_and_their_names():
+    names = [name for module in EXPORTING
+             for name in importlib.import_module(f"blocklearn.{module}").__all__]
+    assert sorted(blocklearn.__all__) == sorted(ROOT_MODULES + names)
+    assert len(blocklearn.__all__) == len(set(blocklearn.__all__))
+    for module in EXPORTING:
+        owner = importlib.import_module(f"blocklearn.{module}")
+        for name in owner.__all__:
+            assert getattr(blocklearn, name) is getattr(owner, name)
+    assert set(blocklearn.__all__) <= set(dir(blocklearn))
+
+
+def test_importing_the_runner_and_the_command_loads_no_theory():
+    loaded = fresh_modules("import json, sys\nfrom blocklearn import cli, harness\n"
+                           "print(json.dumps(sorted(sys.modules)))")
+    assert {"blocklearn.cli", "blocklearn.harness"} <= loaded
+    assert not loaded & {"blocklearn.theory", "blocklearn.inverse", "blocklearn.verify"}
+
+
+def test_dunder_lookup_loads_nothing():
+    loaded = fresh_modules("import json, sys\nimport blocklearn\nbefore = set(sys.modules)\n"
+                           "assert not hasattr(blocklearn, '__wrapped__')\n"
+                           "print(json.dumps(sorted(set(sys.modules) - before)))")
+    assert loaded == set()
